@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .qram_types import Encoding
+from .scheduling import makespan_slots
 
 __all__ = [
     "HeraldingReport",
@@ -50,12 +51,9 @@ def _check_pos(**kwargs) -> None:
 
 
 def query_time(n: int, t_ns: float, encoding: Encoding) -> float:
-    """Total query time in ns: 2(2n-1)t pipelined single-rail/hybrid,
-    2(3n-1)t when each logical qubit routes two rails sequentially."""
+    """Total query time in ns: `scheduling.makespan_slots` routing steps."""
     _check_nt(n, t_ns)
-    if encoding.is_standard:
-        return 2 * (3 * n - 1) * t_ns
-    return 2 * (2 * n - 1) * t_ns
+    return makespan_slots(n, encoding) * t_ns
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .wavepackets import PulseShape, ReflectionResponse, WavePacket, distortion_
 from . import analytics, noise, router, scheduling
 from .qram import DataRegister, QramConfig, query, trace_to_json
 
-_DUR_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(ns|us)\s*$")
+_DUR_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(ns|us)\s*$")
 _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 
 
@@ -37,6 +37,13 @@ def _duration_ns(value, key: str) -> float:
         raise ConfigError(f"{key}: cannot parse duration {value!r}")
     scale = 1.0 if m.group(2) == "ns" else 1e3
     return float(m.group(1)) * scale
+
+
+def _int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
 def _lifetime_us(value, key: str) -> float:
@@ -122,7 +129,7 @@ def cmd_route_fidelity(args) -> int:
 
     shapes = [_shape(s) for s in cfg["shapes"]]
     grid = cfg["kappa_grid_mhz"]
-    if not isinstance(grid, dict) or int(grid.get("points", 0)) < 1:
+    if not isinstance(grid, dict) or _int(grid.get("points", 0), "points") < 1:
         raise ConfigError("kappa_grid_mhz needs min/max/points with points >= 1")
     kappas = np.geomspace(grid["min"], grid["max"], int(grid["points"])) * _TWO_PI_MHZ
     rows = router.sweep_kappa(
@@ -205,7 +212,6 @@ def cmd_query_sim(args) -> int:
     defaults = {
         "n": 2,
         "t": "350ns",
-        "t_f": "0ns",
         "encoding": "single_rail",
         "mode": "classical",
         "data": [0, 1, 1, 0],
@@ -214,18 +220,20 @@ def cmd_query_sim(args) -> int:
     }
     cfg = _load_config(args.config, defaults)
     qcfg = QramConfig(
-        n=int(cfg["n"]),
+        n=_int(cfg["n"], "n"),
         t=_duration_ns(cfg["t"], "t"),
-        t_f=_duration_ns(cfg["t_f"], "t_f"),
         encoding=_encoding(cfg["encoding"]),
     )
     N = qcfg.N
-    if cfg["mode"] == "classical":
-        data = DataRegister.classical(cfg["data"])
-    elif cfg["mode"] == "quantum":
-        data = DataRegister.quantum([tuple(q) for q in cfg["data"]])
-    else:
-        raise ConfigError(f"unknown data mode {cfg['mode']!r}")
+    try:
+        if cfg["mode"] == "classical":
+            data = DataRegister.classical(cfg["data"])
+        elif cfg["mode"] == "quantum":
+            data = DataRegister.quantum([tuple(q) for q in cfg["data"]])
+        else:
+            raise ConfigError(f"unknown data mode {cfg['mode']!r}")
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
     addr = _parse_address(cfg["address"], N, qcfg.n)
 
     addresses = (
@@ -264,7 +272,9 @@ def cmd_heralding(args) -> int:
         "encoding": "hybrid_dual_rail",
     }
     cfg = _load_config(args.config, defaults)
-    lo, hi = (int(x) for x in cfg["n_range"])
+    if not (isinstance(cfg["n_range"], list) and len(cfg["n_range"]) == 2):
+        raise ConfigError(f"n_range must be [lo, hi], got {cfg['n_range']!r}")
+    lo, hi = (_int(x, "n_range") for x in cfg["n_range"])
     ns = range(lo, hi + 1)
     t = _duration_ns(cfg["t"], "t")
     T1q = _lifetime_us(cfg["T1_q"], "T1_q")
@@ -295,15 +305,19 @@ def cmd_montecarlo(args) -> int:
         "trials": 100000,
     }
     cfg = _load_config(args.config, defaults)
-    trials = int(cfg["trials"])
+    trials = _int(cfg["trials"], "trials")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     t = _duration_ns(cfg["t"], "t")
     enc = _encoding(cfg["encoding"])
     lines = ["n,encoding,t_ns,T1q_us,T1m_us,trials,p_hat,stderr,p_closed,"
              "dev_sigma,agree_3sigma"]
-    for i, point in enumerate(cfg["grid"]):
-        n = int(point["n"])
+    grid = cfg["grid"]
+    if not (isinstance(grid, list) and all(
+            isinstance(p, dict) and set(p) == {"n", "T1_q", "T1_m"} for p in grid)):
+        raise ConfigError(f"grid must be a list of {{n, T1_q, T1_m}} points: {grid!r}")
+    for i, point in enumerate(grid):
+        n = _int(point["n"], "n")
         T1q = _lifetime_us(point["T1_q"], "T1_q")
         T1m = _lifetime_us(point["T1_m"], "T1_m")
         qcfg = QramConfig(n=n, t=t, encoding=enc)
@@ -330,7 +344,7 @@ def cmd_schedule(args) -> int:
     defaults = {"n": 4, "t": "350ns",
                 "encodings": ["hybrid_dual_rail", "standard_dual_rail_vacuum"]}
     cfg = _load_config(args.config, defaults)
-    n = int(cfg["n"])
+    n = _int(cfg["n"], "n")
     t = _duration_ns(cfg["t"], "t")
     out = _outdir(args)
     report = {}

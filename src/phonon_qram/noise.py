@@ -125,35 +125,55 @@ def _classify(cfg: QramConfig, lost: list) -> tuple[bool, str | None]:
     return True, f"{_register_name(cfg, k)}:00"
 
 
-def _intervals(cfg: QramConfig, k: int, in_tree: bool):
-    """(duration, medium) residence segments for excitation k."""
+def _draw_losses(cfg: QramConfig, noise: NoiseModel, trials: int, rng):
+    """Branch choice and loss verdict for every (trial, excitation).
+
+    Returns (tree, register, in_tree, u, lost): `tree[k]` are excitation
+    k's residence segments when it is routed, `register` the segments of a
+    hybrid qubit that stayed in its register, and excitation k is lost when
+    its uniform draw u >= exp(-hazard) over the segments it occupies.
+    """
     sched = build_schedule(cfg.n, cfg.encoding, cfg.t)
-    if cfg.encoding is Encoding.HYBRID_DUAL_RAIL and not in_tree:
-        return [(0.0, sched.makespan, "transmon")]
-    return residence_intervals(sched, k)
+    tree = [residence_intervals(sched, k) for k in range(cfg.n + 1)]
+    register = [(0.0, sched.makespan, "transmon")]
+    haz_tree = np.array([sum((end - start) * noise.loss_rate(med)
+                             for start, end, med in segs) for segs in tree])
+    shape = (trials, cfg.n + 1)
+    if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
+        in_tree = rng.integers(0, 2, size=shape).astype(bool)
+        hazard = np.where(in_tree, haz_tree, sched.makespan * noise.loss_rate("transmon"))
+    else:
+        in_tree = np.broadcast_to(True, shape)
+        hazard = haz_tree
+    u = rng.random(shape)
+    return tree, register, in_tree, u, u >= np.exp(-hazard)
+
+
+def _loss_at(segs, noise: NoiseModel, target: float):
+    """(time, medium) at which the cumulative loss hazard over segs reaches
+    target, or the end of the last lossy segment if rounding overshoots."""
+    hit = None
+    for start, end, medium in segs:
+        rate = noise.loss_rate(medium)
+        if rate > 0:
+            hit = (min(start + target / rate, end), medium)
+            if hit[0] < end:
+                break
+            target = max(target - rate * (end - start), 0.0)
+    return hit
 
 
 def sample_trajectory(cfg: QramConfig, noise: NoiseModel, seed) -> TrajectoryVerdict:
     """Draw one noisy trajectory and evaluate end-of-query detection."""
     _check_encoding(cfg)
     rng = np.random.default_rng(seed)
-    hybrid = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
+    tree, register, in_tree, u, lost = _draw_losses(cfg, noise, 1, rng)
     events: list[NoiseEvent] = []
-    lost: list[int] = []
     for k in range(cfg.n + 1):
-        in_tree = (not hybrid) or bool(rng.integers(0, 2))
-        segs = _intervals(cfg, k, in_tree)
-        # loss: one exponential clock run against the piecewise hazard
-        budget = rng.exponential()
-        for start, end, medium in segs:
-            rate = noise.loss_rate(medium)
-            dur = end - start
-            if rate * dur >= budget:
-                t_loss = start + budget / rate
-                events.append(NoiseEvent(t_loss, f"excitation{k}:{medium}", "loss"))
-                lost.append(k)
-                break
-            budget -= rate * dur
+        segs = tree[k] if in_tree[0, k] else register
+        if lost[0, k]:
+            t_loss, medium = _loss_at(segs, noise, -math.log(u[0, k]))
+            events.append(NoiseEvent(t_loss, f"excitation{k}:{medium}", "loss"))
         # dephasing / thermal: Poisson counts per segment, classification only
         for start, end, medium in segs:
             dur = end - start
@@ -167,7 +187,7 @@ def sample_trajectory(cfg: QramConfig, noise: NoiseModel, seed) -> TrajectoryVer
                         f"excitation{k}:{medium}", kind,
                     ))
     events.sort(key=lambda e: e.time_ns)
-    detected, basis = _classify(cfg, sorted(lost))
+    detected, basis = _classify(cfg, np.flatnonzero(lost[0]).tolist())
     return TrajectoryVerdict(tuple(events), detected, basis)
 
 
@@ -196,27 +216,7 @@ def estimate_success_prob(
     _check_encoding(cfg)
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    hybrid = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
-    sched = build_schedule(cfg.n, cfg.encoding, cfg.t)
-    T = sched.makespan
-
-    # per-excitation cumulative hazard for each branch
-    haz_tree = np.empty(cfg.n + 1)
-    for k in range(cfg.n + 1):
-        haz_tree[k] = sum(
-            (end - start) * noise.loss_rate(med)
-            for start, end, med in residence_intervals(sched, k)
-        )
-    haz_reg = T * noise.loss_rate("transmon")
-
-    if hybrid:
-        in_tree = rng.integers(0, 2, size=(trials, cfg.n + 1)).astype(bool)
-        hazard = np.where(in_tree, haz_tree[None, :], haz_reg)
-    else:
-        hazard = np.broadcast_to(haz_tree[None, :], (trials, cfg.n + 1))
-    survived = rng.random((trials, cfg.n + 1)) < np.exp(-hazard)
-    ok = survived.all(axis=1)
+    ok = ~_draw_losses(cfg, noise, trials, np.random.default_rng(seed))[-1].any(axis=1)
     p_hat = float(ok.mean())
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return p_hat, stderr

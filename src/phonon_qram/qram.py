@@ -9,8 +9,9 @@ routed k levels down, parks as the level-k control, and everything is
 unwound in reverse on the way out.  Routing here is ideal: distortion and
 decoherence are composed on top analytically or by Monte Carlo elsewhere.
 
-Timestamps on the emitted gate records are in units of the routing step t
-and line up with the pipelined schedule exported by `scheduling`.
+Timestamps on the emitted gate records are in units of the routing step t.
+Waveguide hops sit on the entries of `scheduling.build_schedule`, and
+emissions and control settings on `scheduling.start_slot`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ProtocolOrderError
 from .qram_types import DataMode, Encoding
+from .scheduling import build_schedule, makespan_slots, start_slot
 from .state import GateRecord, SparseState
 
 __all__ = [
@@ -54,7 +56,6 @@ class QramConfig:
 
     n: int
     t: float = 350.0  # routing step duration, ns
-    t_f: float = 0.0  # |f>-occupation duration during hybrid release, ns
     encoding: Encoding = Encoding.SINGLE_RAIL
 
     def __post_init__(self):
@@ -62,8 +63,6 @@ class QramConfig:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
         if not self.t > 0:
             raise InvalidParameterError(f"t must be > 0, got {self.t}")
-        if self.t_f < 0:
-            raise InvalidParameterError(f"t_f must be >= 0, got {self.t_f}")
 
     @property
     def N(self) -> int:
@@ -71,9 +70,7 @@ class QramConfig:
 
     @property
     def makespan_slots(self) -> int:
-        if self.encoding.is_standard:
-            return 2 * (3 * self.n - 1)
-        return 2 * (2 * self.n - 1)
+        return makespan_slots(self.n, self.encoding)
 
 
 @dataclass(frozen=True)
@@ -266,12 +263,6 @@ def _read_block(cfg: QramConfig, data: DataRegister, time: float):
 # ---------------------------------------------------------------------------
 # full protocol
 
-def _start(cfg: QramConfig, k: int, rail) -> int:
-    if cfg.encoding.is_standard:
-        return max(2 * (k - 1) + rail, 0)
-    return max(k - 1, 0)
-
-
 def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
     """Chronological gate list for a complete query (in, read, out)."""
     data.validate(cfg.N)
@@ -279,44 +270,39 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
     n, M = cfg.n, cfg.makespan_slots
     std = cfg.encoding.is_standard
     rails = (0, 1) if std else (None,)
-    ev: list[tuple[float, int, int, int, GateRecord]] = []
-    seq = 0
+    # (time, priority, sub-priority, gate); the stable sort below keeps
+    # insertion order among gates whose keys tie
+    ev: list[tuple[int, int, int, GateRecord]] = []
 
     def add(time, pri, gates, sub=0):
-        nonlocal seq
-        for g in gates:
-            ev.append((float(time), pri, sub, seq, g))
-            seq += 1
+        ev.extend((time, pri, sub, g) for g in gates)
 
     for k in range(n + 1):
         for r in rails:
-            s = _start(cfg, k, r)
+            s = start_slot(k, r or 0, cfg.encoding)
             add(s, _P_EMIT0 if k == 0 else _P_EMIT,
                 _emit_block(cfg, k, s, rail=r, quantum_bus=qbus))
-            for lvl in range(k):
-                # within a slot, deeper hops go first so the next ancilla
-                # down is already vacant
-                add(s + lvl, _P_IN, _route_level(cfg, lvl, s + lvl, rail=r),
-                    sub=-lvl)
+            add(M - s, _P_ABSORB0 if k == 0 else _P_ABSORB,
+                _emit_block(cfg, k, M - s, rail=r, reverse=True, quantum_bus=qbus))
             if k < n:
                 add(s + k, _P_SET0 if k == 0 else _P_SET,
                     _set_level(cfg, k, s + k, rail=r))
-
-    read_t = (3 * n - 1) if std else (2 * n - 1)
-    add(read_t, _P_READ, _read_block(cfg, data, read_t))
-
-    for k in range(n + 1):
-        for r in rails:
-            s = _start(cfg, k, r)
-            if k < n:
                 add(M - (s + k), _P_UNSET0 if k == 0 else _P_UNSET,
                     _set_level(cfg, k, M - (s + k), rail=r))
-            for lvl in range(k - 1, -1, -1):
-                tt = M - (s + lvl) - 1
-                # mirror of the in-side rule: hops nearer the root first
-                add(tt, _P_OUT, _uproute_level(cfg, lvl, tt, rail=r), sub=lvl)
-            add(M - s, _P_ABSORB0 if k == 0 else _P_ABSORB,
-                _emit_block(cfg, k, M - s, rail=r, reverse=True, quantum_bus=qbus))
+
+    for e in build_schedule(n, cfg.encoding, cfg.t).entries:
+        r = e.rail if std else None
+        if e.direction == "in":
+            # within a slot, deeper hops go first so the next ancilla down
+            # is already vacant
+            add(e.slot_start, _P_IN,
+                _route_level(cfg, e.level, e.slot_start, rail=r), sub=-e.level)
+        else:
+            # mirror of the in-side rule: hops nearer the root first
+            add(e.slot_start, _P_OUT,
+                _uproute_level(cfg, e.level, e.slot_start, rail=r), sub=e.level)
+
+    add(M // 2, _P_READ, _read_block(cfg, data, M // 2))
 
     # decode the bus back to the computational basis
     if data.mode is DataMode.CLASSICAL:
@@ -327,7 +313,7 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
             if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
                 add(M, _P_DECODE, [GateRecord("z_ge", (_reg(n),), M)])
 
-    ev.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
+    ev.sort(key=lambda e: e[:3])
     return [g for *_x, g in ev]
 
 

@@ -209,21 +209,15 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
     a_e = (overlap(out_e[0]), overlap(out_e[1]))
 
     alpha, beta = config.control_init
+    final = {
+        "100": alpha * a_g[0],
+        "010": alpha * a_g[1],
+        "101": beta * a_e[0],
+        "011": beta * a_e[1],
+    }
     if config.source is Source.LEFT_QUBIT:
-        final = {
-            "100": alpha * a_g[0],
-            "010": alpha * a_g[1],
-            "101": beta * a_e[0],
-            "011": beta * a_e[1],
-        }
         ideal = {"100": alpha, "011": beta}
     else:
-        final = {
-            "100": alpha * a_g[0],
-            "010": alpha * a_g[1],
-            "101": beta * a_e[0],
-            "011": beta * a_e[1],
-        }
         ideal = {"010": alpha, "101": beta}
     fidelity = abs(sum(np.conj(ideal.get(k, 0.0)) * v for k, v in final.items())) ** 2
     captured = sum(abs(v) ** 2 for v in final.values())

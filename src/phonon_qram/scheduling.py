@@ -19,6 +19,8 @@ from .qram_types import Encoding
 __all__ = [
     "ScheduleEntry",
     "Schedule",
+    "makespan_slots",
+    "start_slot",
     "build_schedule",
     "residence_intervals",
     "validate_schedule",
@@ -54,12 +56,16 @@ class Schedule:
         return self.makespan_slots * self.t
 
 
-def _start_slot(k: int, rail: int, encoding: Encoding) -> int:
-    """Slot at which excitation k's in-routing begins."""
-    if encoding in (Encoding.STANDARD_DUAL_RAIL_VACUUM,
-                    Encoding.STANDARD_DUAL_RAIL_LOGICAL):
-        return 2 * (k - 1) + rail
-    return k - 1
+def makespan_slots(n: int, encoding: Encoding) -> int:
+    """Query length in units of t (see the module docstring)."""
+    return 2 * (3 * n - 1) if encoding.is_standard else 2 * (2 * n - 1)
+
+
+def start_slot(k: int, rail: int, encoding: Encoding) -> int:
+    """Slot at which excitation k is emitted; 0 for the root control (k = 0)."""
+    if encoding.is_standard:
+        return max(2 * (k - 1) + rail, 0)
+    return max(k - 1, 0)
 
 
 def build_schedule(n: int, encoding: Encoding, t: float = 350.0) -> Schedule:
@@ -68,16 +74,12 @@ def build_schedule(n: int, encoding: Encoding, t: float = 350.0) -> Schedule:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     if not t > 0:
         raise InvalidParameterError(f"t must be > 0, got {t}")
-    standard = encoding in (Encoding.STANDARD_DUAL_RAIL_VACUUM,
-                            Encoding.STANDARD_DUAL_RAIL_LOGICAL)
-    makespan = 2 * (3 * n - 1) if standard else 2 * (2 * n - 1)
-    rails = (0, 1) if standard else (0,)
+    makespan = makespan_slots(n, encoding)
+    rails = (0, 1) if encoding.is_standard else (0,)
     entries: list[ScheduleEntry] = []
-    for k in range(n + 1):
-        if k == 0:
-            continue  # root control is set in place, never routed
+    for k in range(1, n + 1):  # the root control (k = 0) is never routed
         for rail in rails:
-            s = _start_slot(k, rail, encoding)
+            s = start_slot(k, rail, encoding)
             for level in range(k):
                 entries.append(ScheduleEntry(k, level, s + level, "in", rail=rail))
                 entries.append(
@@ -102,7 +104,7 @@ def residence_intervals(schedule: Schedule, k: int):
     total = schedule.makespan
     if k == 0:
         return [(0.0, total, "transmon")]
-    s = _start_slot(k, 0, schedule.encoding) * t
+    s = start_slot(k, 0, schedule.encoding) * t
     flight = k * t
     mid_start = s + flight
     mid_end = total - s - flight

@@ -183,6 +183,19 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     assert run(tmp_path, "montecarlo", config=cfg) == 2
 
 
+@pytest.mark.parametrize("cmd, config", [
+    ("schedule", {"t": "1ens"}),
+    ("schedule", {"n": "abc"}),
+    ("query-sim", {"data": 5}),
+    ("query-sim", {"t_f": "5ns"}),
+    ("heralding", {"n_range": [1]}),
+    ("montecarlo", {"grid": 5}),
+    ("montecarlo", {"grid": [{"n": 2, "T1_m": "2us"}]}),
+])
+def test_malformed_values_exit_2(tmp_path, cmd, config):
+    assert run(tmp_path, cmd, config=config) == 2
+
+
 # ---------------------------------------------------------------------------
 # numerical failure (exit code 3)
 

@@ -20,6 +20,7 @@ from phonon_qram.noise import (
 )
 from phonon_qram.qram import QramConfig
 from phonon_qram.qram_types import Encoding
+from phonon_qram.scheduling import build_schedule, residence_intervals
 
 HYB = Encoding.HYBRID_DUAL_RAIL
 STD = Encoding.STANDARD_DUAL_RAIL_VACUUM
@@ -95,6 +96,27 @@ def test_trajectories_are_seed_deterministic():
     c = sample_trajectory(cfg, noise, seed=(5, 10))
     assert a == b
     assert a != c
+
+
+def test_sampled_losses_lie_in_their_residence_segment():
+    noise = NoiseModel(T1_q=5.0, T1_m=2.0)
+    for enc in (HYB, STD):
+        cfg = QramConfig(n=3, encoding=enc)
+        sched = build_schedule(cfg.n, enc, cfg.t)
+        media = set()
+        for s in range(100):
+            v = sample_trajectory(cfg, noise, seed=s)
+            assert v.detected == (not v.lossless)
+            if enc is not STD:
+                continue  # a hybrid qubit kept in its register has no schedule
+            for e in v.events:
+                name, medium = e.location.split(":")
+                segs = residence_intervals(sched, int(name[len("excitation"):]))
+                assert any(a <= e.time_ns <= b and med == medium
+                           for a, b, med in segs), e
+                media.add(medium)
+        if enc is STD:
+            assert media == {"transmon", "waveguide"}
 
 
 def test_dephasing_and_thermal_events_do_not_trigger_detection():

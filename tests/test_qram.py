@@ -297,18 +297,26 @@ def test_gate_timestamps_match_schedule():
     # waveguide hops in the gate trace must land on the schedule's slots
     from phonon_qram.scheduling import build_schedule
 
-    for enc in (Encoding.SINGLE_RAIL, Encoding.STANDARD_DUAL_RAIL_VACUUM):
-        n = 3
-        cfg = QramConfig(n=n, encoding=enc)
-        gates = build_query_gates(cfg, DataRegister.classical([0] * 8))
-        hops = {
-            (g.time, g.slots[-1][1] - 1 if g.name == "route" else None)
-            for g in gates
-            if g.name in ("route", "route2")
-        }
-        sched = build_schedule(n, enc)
-        slots = {float(e.slot_start) for e in sched.entries if e.direction == "in"}
-        assert {t for t, _ in hops} == slots
+    # (slot, level, rail, direction) of every hop, read off the ancilla it
+    # leaves (route/route2) or returns to (uproute/uproute2)
+    for enc in ALL_ENCODINGS:
+        for n in range(1, 5):
+            gates = build_query_gates(
+                QramConfig(n=n, encoding=enc),
+                DataRegister.classical([0] * 2 ** n))
+            hops = set()
+            for g in gates:
+                if g.name in ("route", "route2"):
+                    anc, direction = g.slots[-3], "in"
+                elif g.name in ("uproute", "uproute2"):
+                    anc, direction = g.slots[-1], "out"
+                else:
+                    continue
+                rail = anc[3] if len(anc) == 4 else 0
+                hops.add((g.time, anc[1], rail, direction))
+            sched = build_schedule(n, enc)
+            assert hops == {(e.slot_start, e.level, e.rail, e.direction)
+                            for e in sched.entries}
 
 
 def test_trace_to_json_roundtrip(tmp_path):
