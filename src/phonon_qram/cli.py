@@ -39,11 +39,18 @@ def _duration_ns(value, key: str) -> float:
     return float(m.group(1)) * scale
 
 
-def _int(value, key: str) -> int:
+def _number(kind, value, key: str):
+    """`kind(value)` (int, float or complex), or a config error."""
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    return value
 
 
 def _lifetime_us(value, key: str) -> float:
@@ -110,6 +117,7 @@ def cmd_route_fidelity(args) -> int:
     }
     cfg = _load_config(args.config, defaults)
     fwhm = _duration_ns(cfg["fwhm"], "fwhm")
+    kappa_1d = _number(float, cfg["kappa_1d_mhz"], "kappa_1d_mhz") * _TWO_PI_MHZ
     out = _outdir(args)
 
     if args.window is not None or args.pulse_shape is not None:
@@ -117,30 +125,32 @@ def cmd_route_fidelity(args) -> int:
         if args.window is None or args.pulse_shape is None:
             raise ConfigError("--window and --shape must be given together")
         packet = WavePacket(_shape(args.pulse_shape), fwhm)
-        kappa = cfg["kappa_1d_mhz"] * _TWO_PI_MHZ
         sim = router.simulate_routing(router.RouterSimConfig(
-            packet=packet, kappa_max=kappa,
+            packet=packet, kappa_max=kappa_1d,
             window=_duration_ns(args.window, "--window"),
         ))
-        rows = [{"param": kappa, "shape": packet.shape.value,
+        rows = [{"param": kappa_1d, "shape": packet.shape.value,
                  "infidelity": 1.0 - sim.fidelity}]
         router.write_sweep_csv(out / "fig1c.csv", rows, meta=_meta(args, cfg))
         return 0
 
-    shapes = [_shape(s) for s in cfg["shapes"]]
+    shapes = [_shape(s) for s in _list(cfg["shapes"], "shapes")]
     grid = cfg["kappa_grid_mhz"]
-    if not isinstance(grid, dict) or _int(grid.get("points", 0), "points") < 1:
+    if not isinstance(grid, dict) or _number(int, grid.get("points", 0), "points") < 1:
         raise ConfigError("kappa_grid_mhz needs min/max/points with points >= 1")
-    kappas = np.geomspace(grid["min"], grid["max"], int(grid["points"])) * _TWO_PI_MHZ
+    lo, hi = (_number(float, grid.get(k), f"kappa_grid_mhz.{k}") for k in ("min", "max"))
+    if not (lo > 0 and hi > 0):
+        raise ConfigError(f"kappa_grid_mhz min/max must be > 0, got {lo}, {hi}")
+    kappas = np.geomspace(lo, hi, int(grid["points"])) * _TWO_PI_MHZ
     rows = router.sweep_kappa(
         shapes, fwhm, kappas,
         include_timedomain=bool(cfg["time_domain"]), workers=args.workers,
     )
     router.write_sweep_csv(out / "fig1c.csv", rows, meta=_meta(args, cfg))
 
-    windows = [_duration_ns(w, "windows") for w in cfg["windows"]]
+    windows = [_duration_ns(w, "windows") for w in _list(cfg["windows"], "windows")]
     rows = router.sweep_window(
-        shapes, fwhm, cfg["kappa_1d_mhz"] * _TWO_PI_MHZ, windows,
+        shapes, fwhm, kappa_1d, windows,
         workers=args.workers,
     )
     router.write_sweep_csv(out / "fig1d.csv", rows, meta=_meta(args, cfg))
@@ -168,10 +178,10 @@ def cmd_router_sim(args) -> int:
         raise ConfigError(f"unknown source {cfg['source']!r}") from None
     sim = router.simulate_routing(router.RouterSimConfig(
         packet=packet,
-        kappa_max=float(cfg["kappa_mhz"]) * _TWO_PI_MHZ,
+        kappa_max=_number(float, cfg["kappa_mhz"], "kappa_mhz") * _TWO_PI_MHZ,
         window=_duration_ns(cfg["window"], "window"),
         dt=None if cfg["dt"] is None else _duration_ns(cfg["dt"], "dt"),
-        control_init=(complex(ctrl[0]), complex(ctrl[1])),
+        control_init=tuple(_number(complex, c, "control_init") for c in ctrl),
         source=source,
     ))
     payload = {
@@ -199,8 +209,11 @@ def _parse_address(spec, N: int, n: int):
     if isinstance(spec, list):
         if len(spec) != N:
             raise ConfigError(f"address needs {N} amplitudes")
-        v = np.asarray([complex(*x) if isinstance(x, list) else complex(x)
-                        for x in spec])
+        try:
+            v = np.asarray([complex(*x) if isinstance(x, list) else complex(x)
+                            for x in spec])
+        except (TypeError, ValueError):
+            raise ConfigError(f"cannot parse address amplitudes {spec!r}") from None
         nrm = np.linalg.norm(v)
         if nrm < 1e-12:
             raise ConfigError("address state has zero norm")
@@ -220,7 +233,7 @@ def cmd_query_sim(args) -> int:
     }
     cfg = _load_config(args.config, defaults)
     qcfg = QramConfig(
-        n=_int(cfg["n"], "n"),
+        n=_number(int, cfg["n"], "n"),
         t=_duration_ns(cfg["t"], "t"),
         encoding=_encoding(cfg["encoding"]),
     )
@@ -274,19 +287,19 @@ def cmd_heralding(args) -> int:
     cfg = _load_config(args.config, defaults)
     if not (isinstance(cfg["n_range"], list) and len(cfg["n_range"]) == 2):
         raise ConfigError(f"n_range must be [lo, hi], got {cfg['n_range']!r}")
-    lo, hi = (_int(x, "n_range") for x in cfg["n_range"])
+    lo, hi = (_number(int, x, "n_range") for x in cfg["n_range"])
     ns = range(lo, hi + 1)
     t = _duration_ns(cfg["t"], "t")
     T1q = _lifetime_us(cfg["T1_q"], "T1_q")
     enc = _encoding(cfg["encoding"])
     rows = []
-    for T1m_raw in cfg["T1_m_list"]:
+    for T1m_raw in _list(cfg["T1_m_list"], "T1_m_list"):
         T1m = _lifetime_us(T1m_raw, "T1_m_list")
         rows.extend(analytics.heralding_sweep_rows(ns, t, T1q, T1m, enc))
     out = _outdir(args)
     analytics.write_heralding_csv(rows, out / "fig4a.csv", meta=_meta(args, cfg))
 
-    T2s = [_lifetime_us(x, "T2_q_list") for x in cfg["T2_q_list"]]
+    T2s = [_lifetime_us(x, "T2_q_list") for x in _list(cfg["T2_q_list"], "T2_q_list")]
     T2m = _lifetime_us(cfg["T2_m"], "T2_m")
     drows = analytics.dephasing_sweep_rows(ns, t, T2s, T2m)
     analytics.write_dephasing_csv(drows, out / "fig4b.csv", meta=_meta(args, cfg))
@@ -305,7 +318,7 @@ def cmd_montecarlo(args) -> int:
         "trials": 100000,
     }
     cfg = _load_config(args.config, defaults)
-    trials = _int(cfg["trials"], "trials")
+    trials = _number(int, cfg["trials"], "trials")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     t = _duration_ns(cfg["t"], "t")
@@ -317,7 +330,7 @@ def cmd_montecarlo(args) -> int:
             isinstance(p, dict) and set(p) == {"n", "T1_q", "T1_m"} for p in grid)):
         raise ConfigError(f"grid must be a list of {{n, T1_q, T1_m}} points: {grid!r}")
     for i, point in enumerate(grid):
-        n = _int(point["n"], "n")
+        n = _number(int, point["n"], "n")
         T1q = _lifetime_us(point["T1_q"], "T1_q")
         T1m = _lifetime_us(point["T1_m"], "T1_m")
         qcfg = QramConfig(n=n, t=t, encoding=enc)
@@ -344,11 +357,11 @@ def cmd_schedule(args) -> int:
     defaults = {"n": 4, "t": "350ns",
                 "encodings": ["hybrid_dual_rail", "standard_dual_rail_vacuum"]}
     cfg = _load_config(args.config, defaults)
-    n = _int(cfg["n"], "n")
+    n = _number(int, cfg["n"], "n")
     t = _duration_ns(cfg["t"], "t")
     out = _outdir(args)
     report = {}
-    for name in cfg["encodings"]:
+    for name in _list(cfg["encodings"], "encodings"):
         enc = _encoding(name)
         sched = scheduling.build_schedule(n, enc, t)
         tag = "standard" if enc.is_standard else "hybrid"

@@ -6,6 +6,11 @@ ever excites one slot per routed excitation, the support stays small
 (at most ~2N branches for an N-cell memory) even though the full Hilbert
 space is astronomically large.
 
+Frozensets are the format at this module's boundary.  Inside
+`SparseState.apply_all` every slot gets a fixed 2-bit field of an int, so
+a level lookup is a shift and a mask, and a gate whose idle slots are all
+ground carries a branch over without calling its semantics.
+
 Gates are recorded as `GateRecord`s so an entire protocol can be exported,
 replayed against an independent dense simulation, or cross-checked against
 the routing schedule.
@@ -22,9 +27,6 @@ __all__ = ["GateRecord", "SparseState", "GATE_ARITY", "apply_gate"]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-Slot = tuple
-Config = frozenset
-
 
 @dataclass(frozen=True)
 class GateRecord:
@@ -40,179 +42,166 @@ class GateRecord:
     params: tuple = field(default=())
 
 
-def _level(cfg: Config, slot: Slot) -> int:
-    for s, l in cfg:
-        if s == slot:
-            return l
-    return 0
-
-
-def _with_level(cfg: Config, slot: Slot, level: int) -> Config:
-    items = [(s, l) for s, l in cfg if s != slot]
-    if level:
-        items.append((slot, level))
-    return frozenset(items)
-
-
-def _move(cfg: Config, src: Slot, dst: Slot) -> Config:
-    """Transfer the e excitation from src to dst (dst assumed ground)."""
-    return _with_level(_with_level(cfg, src, 0), dst, 1)
-
-
 # ---------------------------------------------------------------------------
-# gate semantics: each returns a list of (config, amplitude_factor) branches
+# gate semantics on int configurations: `s` holds the bit offset of each
+# gate slot's 2-bit level field, `c >> a & 3` reads a level, and
+# `c & ~(3 << a | 3 << b) | 1 << b` moves an e excitation from a to b.
+# Each returns a list of (config, amplitude_factor) branches.
 
-def _g_swap(cfg, slots, params):
-    a, b = slots
-    la, lb = _level(cfg, a), _level(cfg, b)
-    return [(_with_level(_with_level(cfg, a, lb), b, la), 1.0)]
+def _swap(c, s, p):
+    a, b = s
+    return [(c & ~(3 << a | 3 << b) | (c >> a & 3) << b | (c >> b & 3) << a, 1.0)]
 
 
-def _g_swap_ge(cfg, slots, params):
+def _swap_ge(c, s, p):
     # swap restricted to the {g, e} manifold; identity if either slot is f
-    a, b = slots
-    la, lb = _level(cfg, a), _level(cfg, b)
-    if la == 2 or lb == 2:
-        return [(cfg, 1.0)]
-    return [(_with_level(_with_level(cfg, a, lb), b, la), 1.0)]
+    a, b = s
+    if c >> a & 3 == 2 or c >> b & 3 == 2:
+        return [(c, 1.0)]
+    return _swap(c, s, p)
 
 
-def _g_h_ge(cfg, slots, params):
-    (a,) = slots
-    la = _level(cfg, a)
+def _h_ge(c, s, p):
+    (a,) = s
+    la = c >> a & 3
     if la == 2:
-        return [(cfg, 1.0)]
+        return [(c, 1.0)]
     if la == 0:
-        return [(cfg, _SQ2), (_with_level(cfg, a, 1), _SQ2)]
-    return [(_with_level(cfg, a, 0), _SQ2), (cfg, -_SQ2)]
+        return [(c, _SQ2), (c | 1 << a, _SQ2)]
+    return [(c ^ 1 << a, _SQ2), (c, -_SQ2)]
 
 
-def _g_z_ge(cfg, slots, params):
-    (a,) = slots
-    return [(cfg, -1.0 if _level(cfg, a) == 1 else 1.0)]
+def _z_ge(c, s, p):
+    (a,) = s
+    return [(c, -1.0 if c >> a & 3 == 1 else 1.0)]
 
 
-def _g_ladder_ge(cfg, slots, params):
-    (a,) = slots
-    la = _level(cfg, a)
-    if la == 2:
-        return [(cfg, 1.0)]
-    return [(_with_level(cfg, a, 1 - la), 1.0)]
+def _ladder_ge(c, s, p):
+    (a,) = s
+    return [(c if c >> a & 3 == 2 else c ^ 1 << a, 1.0)]
 
 
-def _g_ladder_ef(cfg, slots, params):
-    (a,) = slots
-    la = _level(cfg, a)
-    if la == 0:
-        return [(cfg, 1.0)]
-    return [(_with_level(cfg, a, 3 - la), 1.0)]
+def _ladder_ef(c, s, p):
+    (a,) = s
+    return [(c if c >> a & 3 == 0 else c ^ 3 << a, 1.0)]
 
 
-def _g_cz(cfg, slots, params):
-    a, b = slots
-    if _level(cfg, a) == 1 and _level(cfg, b) == 1:
-        return [(cfg, -1.0)]
-    return [(cfg, 1.0)]
+def _cz(c, s, p):
+    a, b = s
+    return [(c, -1.0 if c >> a & 3 == 1 and c >> b & 3 == 1 else 1.0)]
 
 
-def _g_route(cfg, slots, params):
+def _route(c, s, p):
     # conditional hop down one tree level; ctrl |e> sends the excitation
     # right unless the polarity is inverted
-    ctrl, src, left, right = slots
-    (invert,) = params
-    if _level(cfg, src) != 1:
-        return [(cfg, 1.0)]
-    go_right = (_level(cfg, ctrl) == 1) != bool(invert)
-    return [(_move(cfg, src, right if go_right else left), 1.0)]
+    ctrl, src, left, right = s
+    if c >> src & 3 != 1:
+        return [(c, 1.0)]
+    dst = right if (c >> ctrl & 3 == 1) != bool(p[0]) else left
+    return [(c & ~(3 << src | 3 << dst) | 1 << dst, 1.0)]
 
 
-def _g_uproute(cfg, slots, params):
-    ctrl, left, right, dst = slots
-    (invert,) = params
-    go_right = (_level(cfg, ctrl) == 1) != bool(invert)
-    src = right if go_right else left
-    if _level(cfg, src) != 1:
-        return [(cfg, 1.0)]
-    return [(_move(cfg, src, dst), 1.0)]
+def _uproute(c, s, p):
+    ctrl, left, right, dst = s
+    src = right if (c >> ctrl & 3 == 1) != bool(p[0]) else left
+    if c >> src & 3 != 1:
+        return [(c, 1.0)]
+    return [(c & ~(3 << src | 3 << dst) | 1 << dst, 1.0)]
 
 
-def _g_route2(cfg, slots, params):
+def _route2(c, s, p):
     # dual-rail-controlled hop: control rail 1 in |e> selects right,
     # rail 0 selects left; both-ground (outside logical subspace) is inert
-    c0, c1, src, left, right = slots
-    if _level(cfg, src) != 1:
-        return [(cfg, 1.0)]
-    if _level(cfg, c1) == 1:
-        return [(_move(cfg, src, right), 1.0)]
-    if _level(cfg, c0) == 1:
-        return [(_move(cfg, src, left), 1.0)]
-    return [(cfg, 1.0)]
+    c0, c1, src, left, right = s
+    if c >> src & 3 != 1:
+        return [(c, 1.0)]
+    if c >> c1 & 3 == 1:
+        dst = right
+    elif c >> c0 & 3 == 1:
+        dst = left
+    else:
+        return [(c, 1.0)]
+    return [(c & ~(3 << src | 3 << dst) | 1 << dst, 1.0)]
 
 
-def _g_uproute2(cfg, slots, params):
-    c0, c1, left, right, dst = slots
-    if _level(cfg, c1) == 1:
+def _uproute2(c, s, p):
+    c0, c1, left, right, dst = s
+    if c >> c1 & 3 == 1:
         src = right
-    elif _level(cfg, c0) == 1:
+    elif c >> c0 & 3 == 1:
         src = left
     else:
-        return [(cfg, 1.0)]
-    if _level(cfg, src) != 1:
-        return [(cfg, 1.0)]
-    return [(_move(cfg, src, dst), 1.0)]
+        return [(c, 1.0)]
+    if c >> src & 3 != 1:
+        return [(c, 1.0)]
+    return [(c & ~(3 << src | 3 << dst) | 1 << dst, 1.0)]
 
 
-def _g_qroute(cfg, slots, params):
+def _qroute(c, s, p):
     # data-register fan-out: excitation in src enters the tree when the
     # data-side control is excited, otherwise returns to its home slot
-    ctrl, src, into_tree, back = slots
-    if _level(cfg, src) != 1:
-        return [(cfg, 1.0)]
-    dst = into_tree if _level(cfg, ctrl) == 1 else back
-    return [(_move(cfg, src, dst), 1.0)]
+    ctrl, src, into_tree, back = s
+    if c >> src & 3 != 1:
+        return [(c, 1.0)]
+    dst = into_tree if c >> ctrl & 3 == 1 else back
+    return [(c & ~(3 << src | 3 << dst) | 1 << dst, 1.0)]
 
 
-def _g_dualrail_h(cfg, slots, params):
+def _dualrail_h(c, s, p):
     # single-excitation Hadamard in rail space
-    r0, r1 = slots
-    l0, l1 = _level(cfg, r0), _level(cfg, r1)
+    r0, r1 = s
+    l0, l1 = c >> r0 & 3, c >> r1 & 3
     if l0 == 1 and l1 != 1:
-        return [(cfg, _SQ2), (_move(cfg, r0, r1), _SQ2)]
+        return [(c, _SQ2), (c & ~(3 << r0 | 3 << r1) | 1 << r1, _SQ2)]
     if l1 == 1 and l0 != 1:
-        return [(_move(cfg, r1, r0), _SQ2), (cfg, -_SQ2)]
-    return [(cfg, 1.0)]
+        return [(c & ~(3 << r0 | 3 << r1) | 1 << r0, _SQ2), (c, -_SQ2)]
+    return [(c, 1.0)]
 
 
+# name -> (arity, idle positions, semantics).  The gate is the identity on
+# every branch whose slots at the idle positions are all ground; an empty
+# tuple means it never is.
 _GATES = {
-    "swap": _g_swap,
-    "swap_ge": _g_swap_ge,
-    "h_ge": _g_h_ge,
-    "z_ge": _g_z_ge,
-    "ladder_ge": _g_ladder_ge,
-    "ladder_ef": _g_ladder_ef,
-    "cz": _g_cz,
-    "route": _g_route,
-    "uproute": _g_uproute,
-    "route2": _g_route2,
-    "uproute2": _g_uproute2,
-    "qroute": _g_qroute,
-    "dualrail_h": _g_dualrail_h,
+    "swap": (2, (0, 1), _swap),
+    "swap_ge": (2, (0, 1), _swap_ge),
+    "h_ge": (1, (), _h_ge),
+    "z_ge": (1, (0,), _z_ge),
+    "ladder_ge": (1, (), _ladder_ge),
+    "ladder_ef": (1, (0,), _ladder_ef),
+    "cz": (2, (0,), _cz),
+    "route": (4, (1,), _route),
+    "uproute": (4, (1, 2), _uproute),
+    "route2": (5, (2,), _route2),
+    "uproute2": (5, (2, 3), _uproute2),
+    "qroute": (4, (1,), _qroute),
+    "dualrail_h": (2, (0, 1), _dualrail_h),
 }
 
-GATE_ARITY = {
-    "swap": 2, "swap_ge": 2, "h_ge": 1, "z_ge": 1, "ladder_ge": 1,
-    "ladder_ef": 1, "cz": 2, "route": 4, "uproute": 4, "route2": 5,
-    "uproute2": 5, "qroute": 4, "dualrail_h": 2,
-}
+GATE_ARITY = {name: arity for name, (arity, _, _) in _GATES.items()}
 
 
-def apply_gate(amps: dict, gate: GateRecord) -> dict:
-    fn = _GATES[gate.name]
+def apply_gate(amps: dict, op: tuple) -> dict:
+    """Apply one compiled gate `op` = (semantics, bit offsets, params, idle
+    mask) to an int-keyed amplitude map."""
+    fn, offsets, params, idle = op
     out: dict = {}
+    get = out.get
     for cfg, amp in amps.items():
-        for new_cfg, factor in fn(cfg, gate.slots, gate.params):
-            out[new_cfg] = out.get(new_cfg, 0.0) + amp * factor
+        if idle and not cfg & idle:
+            out[cfg] = get(cfg, 0.0) + amp
+            continue
+        for new_cfg, factor in fn(cfg, offsets, params):
+            out[new_cfg] = get(new_cfg, 0.0) + amp * factor
     return {c: a for c, a in out.items() if abs(a) > 1e-14}
+
+
+def _to_frozenset(cfg: int, slots: list) -> frozenset:
+    items = []
+    while cfg:
+        i = (cfg & -cfg).bit_length() - 1 >> 1
+        items.append((slots[i], cfg >> 2 * i & 3))
+        cfg &= ~(3 << 2 * i)
+    return frozenset(items)
 
 
 class SparseState:
@@ -230,24 +219,38 @@ class SparseState:
     def support(self) -> int:
         return len(self.amps)
 
-    def level(self, cfg: Config, slot: Slot) -> int:
-        return _level(cfg, slot)
-
     def apply(self, gate: GateRecord, check_norm: bool = True) -> None:
-        self.amps = apply_gate(self.amps, gate)
-        self.max_support = max(self.max_support, len(self.amps))
-        if check_norm:
-            n = self.norm()
-            if abs(n - 1.0) > 1e-10:
-                raise NumericalFailureError(
-                    f"norm drifted to {n!r} after gate {gate.name}"
-                )
+        self.apply_all([gate], check_norm=check_norm)
 
     def apply_all(self, gates, check_norm: bool = True) -> None:
+        """Apply `gates` in order, on int configurations inside this call."""
+        gates = list(gates)
+        slots = list(dict.fromkeys(
+            [s for cfg in self.amps for s, _ in cfg] + [s for g in gates for s in g.slots]
+        ))
+        offset = {s: 2 * i for i, s in enumerate(slots)}
+        ops = []
         for g in gates:
-            self.apply(g, check_norm=check_norm)
+            _, idle, fn = _GATES[g.name]
+            offsets = tuple(offset[s] for s in g.slots)
+            ops.append((fn, offsets, g.params, sum({3 << offsets[i] for i in idle})))
+        self.amps = {
+            sum(level << offset[s] for s, level in cfg): a for cfg, a in self.amps.items()
+        }
+        try:
+            for g, op in zip(gates, ops):
+                self.amps = apply_gate(self.amps, op)
+                self.max_support = max(self.max_support, len(self.amps))
+                if check_norm:
+                    n = self.norm()
+                    if abs(n - 1.0) > 1e-10:
+                        raise NumericalFailureError(
+                            f"norm drifted to {n!r} after gate {g.name}"
+                        )
+        finally:
+            self.amps = {_to_frozenset(c, slots): a for c, a in self.amps.items()}
 
-    def amplitude(self, cfg: Config) -> complex:
+    def amplitude(self, cfg: frozenset) -> complex:
         return self.amps.get(cfg, 0.0 + 0.0j)
 
     def copy(self) -> "SparseState":

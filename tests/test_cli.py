@@ -191,6 +191,14 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     ("heralding", {"n_range": [1]}),
     ("montecarlo", {"grid": 5}),
     ("montecarlo", {"grid": [{"n": 2, "T1_m": "2us"}]}),
+    ("router-sim", {"kappa_mhz": "x"}),
+    ("router-sim", {"control_init": [[1], 2]}),
+    ("route-fidelity", {"kappa_grid_mhz": {"min": "a", "max": 1000, "points": 5}}),
+    ("route-fidelity", {"kappa_grid_mhz": {"min": 0, "max": 1000, "points": 5}}),
+    ("heralding", {"T1_m_list": 5}),
+    ("schedule", {"encodings": 5}),
+    ("route-fidelity", {"shapes": 5}),
+    ("query-sim", {"n": 1, "address": [[1, 2, 3], 0]}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2

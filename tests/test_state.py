@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import dense_amplitudes
 from phonon_qram.state import GATE_ARITY, GateRecord, SparseState
 
 A, B, C, D = ("s", 0), ("s", 1), ("s", 2), ("s", 3)
@@ -109,6 +110,81 @@ def test_random_circuits_preserve_norm(data):
             gslots = (slots[i], slots[(i + 1 + j) % 4])
         state.apply(GateRecord(name, gslots, 0.0))
     assert state.norm() == pytest.approx(1.0, abs=1e-9)
+
+
+# Slots for the dense-oracle comparison.  Only the two F3 slots ever hold
+# |f>: ladder_ef acts on them alone and swap stays inside one group, so the
+# oracle's level count per slot (three for F3, two for G2) always holds.
+F3 = [("f", 0), ("f", 1)]
+G2 = [("s", i) for i in range(7)]
+# routing gate -> (controls, sources, destinations); its slots come in that order
+ROUTING = {"route": (1, 1, 2), "uproute": (1, 2, 1), "route2": (2, 1, 2),
+           "uproute2": (2, 2, 1), "qroute": (1, 1, 2)}
+
+
+def _draw_gate(data, may):
+    """One gate within the oracle's domain.  `may` over-approximates the
+    slots excited in some branch; a routing destination is drawn outside
+    it, so it is empty in every branch when the excitation hops, and a
+    routing source is a G2 slot, so it never holds |f>."""
+    free = [s for s in G2 if s not in may]
+    kinds = [k for k, (_, _, nd) in ROUTING.items() if len(free) >= nd]
+    name = data.draw(st.sampled_from(sorted(GATE_ARITY.keys() - ROUTING.keys()) + kinds))
+
+    def pick(pool, k):
+        return tuple(data.draw(st.permutations(pool))[:k])
+
+    params = ()
+    if name in ROUTING:
+        nc, ns, nd = ROUTING[name]
+        dst = pick(free, nd)
+        src = pick([s for s in G2 if s not in dst], ns)
+        ctrl = pick([s for s in F3 + G2 if s not in dst + src], nc)
+        slots = ctrl + src + dst
+        may |= set(dst)
+        if name in ("route", "uproute"):
+            params = (data.draw(st.booleans()),)
+    elif name == "ladder_ef":
+        slots = pick(F3, 1)
+    elif GATE_ARITY[name] == 1:
+        slots = pick(F3 + G2, 1)
+        if name in ("h_ge", "ladder_ge"):
+            may |= set(slots)
+    else:
+        if name == "swap":
+            pool = data.draw(st.sampled_from([F3, G2]))
+        else:
+            pool = G2 if name == "dualrail_h" else F3 + G2
+        slots = pick(pool, 2)
+        if name != "cz" and may & set(slots):
+            may |= set(slots)
+    assert GATE_ARITY[name] == len(slots)
+    return GateRecord(name, slots, 0.0, params)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_circuits_match_dense_oracle(data):
+    # every branch has ground slots, so idle branches take the skip path;
+    # the second holds both F3 slots in |f>, so the three-level path runs
+    level = st.sampled_from([0, 1, 2])
+    configs = [frozenset(), frozenset({(F3[0], 2), (F3[1], 2)})]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        levels = [data.draw(level) for _ in F3] + [data.draw(level) % 2 for _ in G2[:3]]
+        configs.append(frozenset((s, l) for s, l in zip(F3 + G2, levels) if l))
+    amps = {c: data.draw(st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0))
+            for c in configs}
+    nrm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    initial = {c: a / nrm for c, a in amps.items()}
+    may = {s for c in initial for s, _ in c}
+    n_gates = data.draw(st.integers(min_value=1, max_value=16))
+    gates = [_draw_gate(data, may) for _ in range(n_gates)]
+
+    state = SparseState(initial)
+    state.apply_all(gates)
+    dense = dense_amplitudes(initial, gates)
+    keys = set(state.amps) | set(dense)
+    assert max(abs(state.amps.get(k, 0.0) - dense.get(k, 0.0)) for k in keys) < 1e-12
 
 
 def test_max_support_tracking():
