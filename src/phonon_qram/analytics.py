@@ -30,8 +30,6 @@ __all__ = [
     "f_decay_no_error_prob",
     "heralding_sweep_rows",
     "dephasing_sweep_rows",
-    "write_heralding_csv",
-    "write_dephasing_csv",
 ]
 
 _US = 1e3  # ns per microsecond
@@ -259,29 +257,3 @@ def dephasing_sweep_rows(
                 dephasing_infidelity_approx(n, t_ns, T2, T2_m_us),
             ))
     return rows
-
-
-def _fmt(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return format(x, ".12g")
-
-
-def write_heralding_csv(rows, path, meta: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(f"# {meta}\n")
-        fh.write("n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def write_dephasing_csv(rows, path, meta: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(f"# {meta}\n")
-        fh.write("n,T2q_us,P_dephasing,approx_first_order\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")

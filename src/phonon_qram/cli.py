@@ -1,5 +1,8 @@
 """Command-line front end: emits figure/table data as CSV and JSON.
 
+This is the one module that writes output files: the layers return rows
+or dicts, and `_write_csv`/`_write_json` own the file format.
+
 Subcommands: route-fidelity, router-sim, query-sim, heralding, montecarlo,
 schedule.  Each takes a strict JSON parameter file (--config): unknown keys
 are rejected, and every duration must carry an explicit ns/us suffix.
@@ -102,6 +105,38 @@ def _outdir(args) -> Path:
     return out
 
 
+def _cell(v) -> str:
+    """str as is, bool as true/false, int as digits, else 12 significant digits."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    return format(v, ".12g")
+
+
+def _write_csv(path, header, rows, meta: str) -> None:
+    """The one CSV writer: a `#` metadata line, a header, one line per row."""
+    with open(path, "w") as fh:
+        fh.write(f"# {meta}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+def _write_sweep(path, rows, meta: str) -> None:
+    cols = ["param", "shape", "infidelity"]
+    if rows and "infidelity_td" in rows[0]:
+        cols.append("infidelity_td")
+    _write_csv(path, cols, ([row[c] for c in cols] for row in rows), meta)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -131,7 +166,7 @@ def cmd_route_fidelity(args) -> int:
         ))
         rows = [{"param": kappa_1d, "shape": packet.shape.value,
                  "infidelity": 1.0 - sim.fidelity}]
-        router.write_sweep_csv(out / "fig1c.csv", rows, meta=_meta(args, cfg))
+        _write_sweep(out / "fig1c.csv", rows, _meta(args, cfg))
         return 0
 
     shapes = [_shape(s) for s in _list(cfg["shapes"], "shapes")]
@@ -146,14 +181,14 @@ def cmd_route_fidelity(args) -> int:
         shapes, fwhm, kappas,
         include_timedomain=bool(cfg["time_domain"]), workers=args.workers,
     )
-    router.write_sweep_csv(out / "fig1c.csv", rows, meta=_meta(args, cfg))
+    _write_sweep(out / "fig1c.csv", rows, _meta(args, cfg))
 
     windows = [_duration_ns(w, "windows") for w in _list(cfg["windows"], "windows")]
     rows = router.sweep_window(
         shapes, fwhm, kappa_1d, windows,
         workers=args.workers,
     )
-    router.write_sweep_csv(out / "fig1d.csv", rows, meta=_meta(args, cfg))
+    _write_sweep(out / "fig1d.csv", rows, _meta(args, cfg))
     return 0
 
 
@@ -190,9 +225,7 @@ def cmd_router_sim(args) -> int:
         "leakage": sim.leakage,
         "final_state": {k: [v.real, v.imag] for k, v in sim.final_state.items()},
     }
-    out = _outdir(args) / "router_sim.json"
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(_outdir(args) / "router_sim.json", payload)
     return 0
 
 
@@ -252,9 +285,10 @@ def cmd_query_sim(args) -> int:
     addresses = (
         [np.eye(N, dtype=complex)[j] for j in range(N)] if addr is None else [addr]
     )
-    records = []
+    records, results = [], []
     for v in addresses:
         res = query(qcfg, v, data)
+        results.append(res)
         records.append({
             "address": [[a.real, a.imag] for a in v],
             "address_bus": [
@@ -267,10 +301,9 @@ def cmd_query_sim(args) -> int:
         })
     payload = {"params": cfg, "meta": _meta(args, cfg), "queries": records}
     out = _outdir(args)
-    with open(out / "query_sim.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_json(out / "query_sim.json", payload)
     if cfg["export_trace"]:
-        trace_to_json(query(qcfg, addresses[0], data).trace, out / "query_trace.json")
+        _write_json(out / "query_trace.json", trace_to_json(results[0].trace))
     return 0
 
 
@@ -297,12 +330,16 @@ def cmd_heralding(args) -> int:
         T1m = _lifetime_us(T1m_raw, "T1_m_list")
         rows.extend(analytics.heralding_sweep_rows(ns, t, T1q, T1m, enc))
     out = _outdir(args)
-    analytics.write_heralding_csv(rows, out / "fig4a.csv", meta=_meta(args, cfg))
+    _write_csv(out / "fig4a.csv",
+               "n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz".split(","),
+               rows, _meta(args, cfg))
 
     T2s = [_lifetime_us(x, "T2_q_list") for x in _list(cfg["T2_q_list"], "T2_q_list")]
     T2m = _lifetime_us(cfg["T2_m"], "T2_m")
     drows = analytics.dephasing_sweep_rows(ns, t, T2s, T2m)
-    analytics.write_dephasing_csv(drows, out / "fig4b.csv", meta=_meta(args, cfg))
+    _write_csv(out / "fig4b.csv",
+               "n,T2q_us,P_dephasing,approx_first_order".split(","),
+               drows, _meta(args, cfg))
     return 0
 
 
@@ -323,8 +360,7 @@ def cmd_montecarlo(args) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     t = _duration_ns(cfg["t"], "t")
     enc = _encoding(cfg["encoding"])
-    lines = ["n,encoding,t_ns,T1q_us,T1m_us,trials,p_hat,stderr,p_closed,"
-             "dev_sigma,agree_3sigma"]
+    rows = []
     grid = cfg["grid"]
     if not (isinstance(grid, list) and all(
             isinstance(p, dict) and set(p) == {"n", "T1_q", "T1_m"} for p in grid)):
@@ -341,15 +377,11 @@ def cmd_montecarlo(args) -> int:
         else:
             p_closed = analytics.success_prob_standard_vacuum(n, t, T1q, T1m)
         dev = abs(p_hat - p_closed) / se if se > 0 else 0.0
-        lines.append(
-            f"{n},{enc.value},{t:.12g},{T1q:.12g},{T1m:.12g},{trials},"
-            f"{p_hat:.12g},{se:.12g},{p_closed:.12g},{dev:.12g},"
-            f"{str(dev < 3.0).lower()}"
-        )
-    out = _outdir(args) / "montecarlo.csv"
-    with open(out, "w") as fh:
-        fh.write(f"# {_meta(args, cfg)}\n")
-        fh.write("\n".join(lines) + "\n")
+        rows.append((n, enc.value, t, T1q, T1m, trials,
+                     p_hat, se, p_closed, dev, bool(dev < 3.0)))
+    header = ("n,encoding,t_ns,T1q_us,T1m_us,trials,p_hat,stderr,p_closed,"
+              "dev_sigma,agree_3sigma").split(",")
+    _write_csv(_outdir(args) / "montecarlo.csv", header, rows, _meta(args, cfg))
     return 0
 
 
@@ -359,22 +391,28 @@ def cmd_schedule(args) -> int:
     cfg = _load_config(args.config, defaults)
     n = _number(int, cfg["n"], "n")
     t = _duration_ns(cfg["t"], "t")
+    encs = [_encoding(name) for name in _list(cfg["encodings"], "encodings")]
+    tags = ["standard" if enc.is_standard else "hybrid" for enc in encs]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"encodings {cfg['encodings']!r} share an output file; "
+                          "give at most one standard and one non-standard")
     out = _outdir(args)
     report = {}
-    for name in _list(cfg["encodings"], "encodings"):
-        enc = _encoding(name)
+    for enc, tag in zip(encs, tags):
         sched = scheduling.build_schedule(n, enc, t)
-        tag = "standard" if enc.is_standard else "hybrid"
-        scheduling.schedule_to_csv(sched, out / f"schedule_{tag}.csv",
-                                   meta=_meta(args, cfg))
-        scheduling.dump_gantt(sched, out / f"schedule_{tag}_gantt.json")
+        _write_csv(out / f"schedule_{tag}.csv",
+                   ["k", "level", "slot_start", "direction", "rail"],
+                   ((e.k, e.level, e.slot_start, e.direction, e.rail)
+                    for e in sched.entries),
+                   _meta(args, cfg))
+        _write_json(out / f"schedule_{tag}_gantt.json",
+                    scheduling.schedule_to_gantt_json(sched))
         report[tag] = {
             "makespan_slots": sched.makespan_slots,
             "makespan_ns": sched.makespan,
             "problems": scheduling.validate_schedule(sched),
         }
-    with open(out / "schedule_report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(out / "schedule_report.json", report)
     return 0
 
 

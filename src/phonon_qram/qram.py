@@ -16,7 +16,6 @@ emissions and control settings on `scheduling.start_slot`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -514,8 +513,9 @@ def read_quantum(state: SparseState, cfg: QramConfig, data: DataRegister) -> Spa
 # ---------------------------------------------------------------------------
 # trace export
 
-def trace_to_json(gates, path=None):
-    payload = [
+def trace_to_json(gates):
+    """JSON-ready list of gate records."""
+    return [
         {
             "time_t": g.time,
             "gate": g.name,
@@ -524,7 +524,3 @@ def trace_to_json(gates, path=None):
         }
         for g in gates
     ]
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    return payload

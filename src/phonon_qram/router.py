@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParameterError, ResolutionError
 from .wavepackets import (
@@ -33,12 +32,11 @@ __all__ = [
     "RouterSimConfig",
     "RouterSimResult",
     "beam_splitter",
-    "scatter_arm",
+    "scatter_state",
     "simulate_routing",
     "auto_window",
     "sweep_kappa",
     "sweep_window",
-    "write_sweep_csv",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -120,10 +118,11 @@ def beam_splitter(left_amp, right_amp):
     return complex(out_l), complex(out_r)
 
 
-def _scatter_state(b_half: np.ndarray, dt: float, kappa: float) -> np.ndarray:
+def scatter_state(b_half: np.ndarray, dt: float, kappa: float) -> np.ndarray:
     """Internal scatterer amplitude c on the full-step grid.
 
-    ``b_half`` holds the input field on the half-step grid (2N+1 samples).
+    Solves ``c' = -(kappa/2) c + sqrt(kappa) b_in``; the reflected field is
+    ``b_in - sqrt(kappa) c``.  ``b_half`` holds the input field on the half-step grid (2N+1 samples).
     Uses the exact one-pole exponential integrator with quadratic (Simpson)
     interpolation of the input over each step; 4th-order accurate.
     """
@@ -143,32 +142,6 @@ def _scatter_state(b_half: np.ndarray, dt: float, kappa: float) -> np.ndarray:
     )
     c = lfilter([1.0], [1.0, -decay], drive)
     return np.concatenate([[0.0], c])
-
-
-def scatter_arm(
-    b_in: np.ndarray, resp: ReflectionResponse, dt: float
-) -> np.ndarray:
-    """Reflect a sampled field off the resonant scatterer.
-
-    Implements ``b_out(t) = b_in(t) - kappa int_0^inf e^{-kappa s/2}
-    b_in(t-s) ds`` via the one-state ODE ``c' = -(kappa/2) c + sqrt(kappa)
-    b_in``, ``b_out = b_in - sqrt(kappa) c``.
-    """
-    kappa = resp.kappa_max
-    if dt * kappa > 0.1:
-        raise ResolutionError(
-            f"dt*kappa = {dt * kappa:.3f} > 0.1; grid too coarse"
-        )
-    b_in = np.asarray(b_in)
-    n = len(b_in) - 1
-    if n < 2:
-        raise InvalidParameterError("field must have at least 3 samples")
-    t = np.arange(len(b_in)) * dt
-    spline = CubicSpline(t, b_in)
-    t_half = np.arange(2 * n + 1) * (dt / 2.0)
-    b_half = spline(t_half)
-    c = _scatter_state(b_half, dt, kappa)
-    return b_in - math.sqrt(kappa) * c
 
 
 def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
@@ -192,7 +165,7 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
         f_l, f_r = beam_splitter(np.zeros_like(u_half), u_half)
 
     # control |g>: both arms free; control |e>: left arm scatters
-    c_state = _scatter_state(f_l, dt, kappa)
+    c_state = scatter_state(f_l, dt, kappa)
     f_l_scat = f_l[::2] - math.sqrt(kappa) * c_state
     f_l_free, f_r_free = f_l[::2], f_r[::2]
 
@@ -313,20 +286,3 @@ def sweep_window(
         {"param": w, "shape": s.value, "infidelity": v}
         for (s, _, _, w), v in zip(jobs, vals)
     ]
-
-
-def write_sweep_csv(path, rows, meta: str = "") -> None:
-    """Write sweep rows as CSV with 12 significant digits."""
-    cols = ["param", "shape", "infidelity"]
-    if rows and "infidelity_td" in rows[0]:
-        cols.append("infidelity_td")
-    with open(path, "w") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append(v if isinstance(v, str) else f"{v:.12g}")
-            fh.write(",".join(cells) + "\n")

@@ -10,7 +10,6 @@ routed sequentially.  Idle time is attributed to transmon residence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -24,7 +23,6 @@ __all__ = [
     "build_schedule",
     "residence_intervals",
     "validate_schedule",
-    "schedule_to_csv",
     "schedule_to_gantt_json",
 ]
 
@@ -38,7 +36,6 @@ class ScheduleEntry:
     level: int
     slot_start: int
     direction: str  # "in" | "out"
-    medium: str = "waveguide"
     rail: int = 0
 
 
@@ -152,15 +149,6 @@ def validate_schedule(schedule: Schedule) -> list[str]:
     return problems
 
 
-def schedule_to_csv(schedule: Schedule, path, meta: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if meta is not None:
-            fh.write(f"# {meta}\n")
-        fh.write("k,level,slot_start,direction,medium\n")
-        for e in schedule.entries:
-            fh.write(f"{e.k},{e.level},{e.slot_start},{e.direction},{e.medium}\n")
-
-
 def schedule_to_gantt_json(schedule: Schedule):
     """Gantt-ready structure: one lane per excitation."""
     lanes = []
@@ -181,8 +169,3 @@ def schedule_to_gantt_json(schedule: Schedule):
         "makespan_ns": schedule.makespan,
         "lanes": lanes,
     }
-
-
-def dump_gantt(schedule: Schedule, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(schedule_to_gantt_json(schedule), fh, indent=2)

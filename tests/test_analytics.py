@@ -10,15 +10,11 @@ from phonon_qram.analytics import (
     f_decay_no_error_prob,
     heralding_rate,
     heralding_report,
-    heralding_sweep_rows,
     query_time,
     success_prob_hybrid,
     success_prob_standard_logical,
     success_prob_standard_vacuum,
     thermal_infidelity_bound,
-    write_dephasing_csv,
-    write_heralding_csv,
-    dephasing_sweep_rows,
 )
 from phonon_qram.errors import InvalidParameterError
 from phonon_qram.qram_types import Encoding
@@ -200,25 +196,3 @@ def test_thermal_distortion_fdecay_formulas():
         distortion_query_infidelity(-1e-3, 5)
     with pytest.raises(InvalidParameterError):
         f_decay_no_error_prob(4, -1.0, 50.0)
-
-
-def test_heralding_csv(tmp_path):
-    rows = heralding_sweep_rows(range(1, 5), 350.0, math.inf, 2.0)
-    path = tmp_path / "h.csv"
-    write_heralding_csv(rows, path, meta="tool test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# tool test"
-    assert lines[1] == "n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz"
-    assert len(lines) == 2 + 4
-    cells = lines[2].split(",")
-    assert cells[0] == "1" and cells[1] == "2"
-    assert cells[3] == "inf"
-
-
-def test_dephasing_csv(tmp_path):
-    rows = dephasing_sweep_rows([1, 2], 350.0, [10.0, 100.0])
-    path = tmp_path / "d.csv"
-    write_dephasing_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,T2q_us,P_dephasing,approx_first_order"
-    assert len(lines) == 1 + 4

@@ -1,9 +1,15 @@
 import json
+import math
 
 import pytest
 
-from phonon_qram import __version__
+from phonon_qram import __version__, cli
+from phonon_qram.analytics import dephasing_sweep_rows, heralding_sweep_rows
 from phonon_qram.cli import main
+from phonon_qram.qram_types import Encoding
+from phonon_qram.router import sweep_kappa
+from phonon_qram.scheduling import build_schedule
+from phonon_qram.wavepackets import PulseShape
 
 
 def run(tmp_path, *argv, config=None):
@@ -20,6 +26,24 @@ def meta_line(path):
     line = path.read_text().splitlines()[0]
     assert line.startswith(f"# phonon-qram {__version__} | ")
     return line
+
+
+def csv_table(path):
+    """Header and rows of a CLI CSV, after checking its metadata line."""
+    meta_line(path)
+    header, *rows = path.read_text().splitlines()[1:]
+    return header, [r.split(",") for r in rows]
+
+
+def assert_cells_match(cells, row):
+    """Cells written from `row` read back to its values: ints and strings
+    exactly, floats (inf included) to the 12 written digits."""
+    assert len(cells) == len(row)
+    for cell, v in zip(cells, row):
+        if isinstance(v, (int, str)):
+            assert cell == str(v)
+        else:
+            assert float(cell) == pytest.approx(v, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +76,17 @@ def test_route_fidelity_sweeps(tmp_path):
     meta_line(tmp_path / "fig1d.csv")
 
 
+def test_route_fidelity_time_domain_columns(tmp_path):
+    config = {"shapes": ["gaussian"], "windows": ["350ns"],
+              "kappa_grid_mhz": {"min": 200.0, "max": 200.0, "points": 1}}
+    assert run(tmp_path, "route-fidelity", config=config) == 0
+    header, rows = csv_table(tmp_path / "fig1c.csv")
+    assert header == "param,shape,infidelity,infidelity_td"
+    (expected,) = sweep_kappa([PulseShape.GAUSSIAN], 50.0,
+                              [200.0 * 2 * math.pi * 1e-3], include_timedomain=True)
+    assert_cells_match(rows[0], [expected[c] for c in header.split(",")])
+
+
 def test_router_sim(tmp_path):
     rc = run(tmp_path, "router-sim", config={"window": "1200ns"})
     assert rc == 0
@@ -73,10 +108,19 @@ def test_query_sim_scan(tmp_path):
         assert entry["bus"] == config["data"][j]
 
 
-def test_query_sim_trace_export(tmp_path):
+def test_query_sim_trace_export(tmp_path, monkeypatch):
+    calls = []
+    real_query = cli.query
+
+    def counting_query(*a):
+        calls.append(a)
+        return real_query(*a)
+
+    monkeypatch.setattr(cli, "query", counting_query)
     config = {"n": 1, "data": [0, 1], "address": "1", "export_trace": True}
     rc = run(tmp_path, "query-sim", config=config)
     assert rc == 0
+    assert len(calls) == 1  # the trace comes from the one query run
     trace = json.loads((tmp_path / "query_trace.json").read_text())
     assert trace and all("gate" in g for g in trace)
 
@@ -85,12 +129,21 @@ def test_heralding_outputs(tmp_path):
     config = {"n_range": [1, 3], "T1_m_list": ["2us", "inf"], "T2_q_list": ["100us"]}
     rc = run(tmp_path, "heralding", config=config)
     assert rc == 0
-    a_lines = (tmp_path / "fig4a.csv").read_text().splitlines()
-    assert a_lines[1] == "n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz"
-    assert len(a_lines) == 2 + 3 * 2
-    b_lines = (tmp_path / "fig4b.csv").read_text().splitlines()
-    assert b_lines[1] == "n,T2q_us,P_dephasing,approx_first_order"
-    assert len(b_lines) == 2 + 3
+    header, rows = csv_table(tmp_path / "fig4a.csv")
+    assert header == "n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz"
+    assert len(rows) == 3 * 2
+    expected = (heralding_sweep_rows(range(1, 4), 350.0, 100.0, 2.0)
+                + heralding_sweep_rows(range(1, 4), 350.0, 100.0, math.inf))
+    for cells, row in zip(rows, expected):
+        assert_cells_match(cells, row)
+    assert rows[0][:2] == ["1", "2"]     # ints as plain digits
+    assert rows[-1][4] == "inf"          # T1m_us
+    header, rows = csv_table(tmp_path / "fig4b.csv")
+    assert header == "n,T2q_us,P_dephasing,approx_first_order"
+    assert len(rows) == 3
+    expected = dephasing_sweep_rows(range(1, 4), 350.0, [100.0])
+    for cells, row in zip(rows, expected):
+        assert_cells_match(cells, row)
 
 
 def test_heralding_finite_memory_dephasing(tmp_path):
@@ -119,9 +172,9 @@ def test_montecarlo_agrees_and_is_deterministic(tmp_path):
     rc = run(tmp_path, "montecarlo", config=config)
     assert rc == 0
     text1 = (tmp_path / "montecarlo.csv").read_text()
-    lines = text1.splitlines()
-    assert lines[1].startswith("n,encoding,")
-    row = lines[2].split(",")
+    header, (row,) = csv_table(tmp_path / "montecarlo.csv")
+    assert header.startswith("n,encoding,")
+    assert row[0] == "2" and row[5] == "20000"  # n, trials
     assert row[-1] == "true"  # agree_3sigma
     rc = run(tmp_path, "montecarlo", config=config)
     assert rc == 0
@@ -136,10 +189,20 @@ def test_schedule_report(tmp_path):
     assert report["standard"]["makespan_slots"] == 22
     assert report["hybrid"]["problems"] == []
     assert report["standard"]["problems"] == []
-    for tag in ("hybrid", "standard"):
-        meta_line(tmp_path / f"schedule_{tag}.csv")
+    for tag, enc in (("hybrid", Encoding.HYBRID_DUAL_RAIL),
+                     ("standard", Encoding.STANDARD_DUAL_RAIL_VACUUM)):
+        sched = build_schedule(4, enc)
+        header, rows = csv_table(tmp_path / f"schedule_{tag}.csv")
+        assert header == "k,level,slot_start,direction,rail"
+        assert len(rows) == len(sched.entries)
         gantt = json.loads((tmp_path / f"schedule_{tag}_gantt.json").read_text())
         assert gantt["n"] == 4
+        assert gantt["makespan_ns"] == pytest.approx(sched.makespan)
+        assert len(gantt["lanes"]) == sched.n + 1
+    # both rails of a standard dual-rail qubit keep their own rows
+    assert {r[4] for r in rows} == {"0", "1"}
+    hops = [(r[0], r[1], r[3], r[4]) for r in rows]  # k, level, direction, rail
+    assert len(set(hops)) == len(hops)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +262,10 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     ("schedule", {"encodings": 5}),
     ("route-fidelity", {"shapes": 5}),
     ("query-sim", {"n": 1, "address": [[1, 2, 3], 0]}),
+    # two encodings that would write the same schedule files
+    ("schedule", {"encodings": ["single_rail", "hybrid_dual_rail"]}),
+    ("schedule", {"encodings": ["standard_dual_rail_vacuum",
+                                "standard_dual_rail_logical"]}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2

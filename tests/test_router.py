@@ -10,11 +10,10 @@ from phonon_qram.router import (
     Source,
     auto_window,
     beam_splitter,
-    scatter_arm,
+    scatter_state,
     simulate_routing,
     sweep_kappa,
     sweep_window,
-    write_sweep_csv,
 )
 from phonon_qram.wavepackets import (
     PulseShape,
@@ -22,6 +21,7 @@ from phonon_qram.wavepackets import (
     WavePacket,
     distortion_fidelity,
     envelope_freq,
+    envelope_time,
     reflection_transfer,
 )
 
@@ -51,23 +51,28 @@ def test_beam_splitter_preserves_norm(a, b):
     )
 
 
+def scattered_arm(packet, kappa, dt, steps):
+    """Input and reflected field on the full-step grid, driven by analytic
+    half-step samples of the packet envelope."""
+    t_half = np.arange(2 * steps + 1) * (dt / 2.0)
+    b_half = np.asarray(envelope_time(packet, t_half), dtype=complex)
+    b_in = b_half[::2]
+    return b_in, b_in - math.sqrt(kappa) * scatter_state(b_half, dt, kappa)
+
+
 def test_scatter_arm_against_fft_oracle():
     # independent route: apply r(omega) in the frequency domain via FFT
     packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0, center=600.0)
     resp = ReflectionResponse(KAPPA_200)
     dt = 0.02
-    t = np.arange(0.0, 1200.0 + dt / 2, dt)
-    from phonon_qram.wavepackets import envelope_time
-
-    b_in = np.asarray(envelope_time(packet, t), dtype=complex)
-    b_out = scatter_arm(b_in, resp, dt)
+    b_in, b_out = scattered_arm(packet, KAPPA_200, dt, 60000)
 
     npad = 1 << 17
     spec = np.fft.fft(b_in, npad)
     # numpy's fft uses exp(-i 2 pi k n / N); our convention is exp(+i w t),
     # so numpy bin frequencies enter r(omega) with a sign flip
     w = -2 * np.pi * np.fft.fftfreq(npad, dt)
-    oracle = np.fft.ifft(spec * reflection_transfer(resp, w))[: len(t)]
+    oracle = np.fft.ifft(spec * reflection_transfer(resp, w))[: len(b_in)]
     assert np.max(np.abs(b_out - oracle)) < 1e-8
 
 
@@ -75,19 +80,20 @@ def test_scatter_arm_preserves_norm():
     packet = WavePacket(PulseShape.SECH, fwhm=50.0, center=600.0)
     resp = ReflectionResponse(KAPPA_200)
     dt = 0.02
-    t = np.arange(0.0, 1200.0 + dt / 2, dt)
-    from phonon_qram.wavepackets import envelope_time
-
-    b_in = np.asarray(envelope_time(packet, t), dtype=complex)
-    b_out = scatter_arm(b_in, resp, dt)
+    b_in, b_out = scattered_arm(packet, resp.kappa_max, dt, 60000)
     n_in = np.trapezoid(np.abs(b_in) ** 2, dx=dt)
     n_out = np.trapezoid(np.abs(b_out) ** 2, dx=dt)
     assert n_out == pytest.approx(n_in, rel=1e-9)
 
 
 def test_scatter_arm_rejects_coarse_grid():
+    # a forced step with dt*kappa = 1 under-resolves the scatterer
+    cfg = RouterSimConfig(
+        packet=WavePacket(PulseShape.GAUSSIAN, fwhm=50.0),
+        kappa_max=100.0, window=350.0, dt=0.01,
+    )
     with pytest.raises(ResolutionError):
-        scatter_arm(np.zeros(100), ReflectionResponse(kappa_max=100.0), dt=0.01)
+        simulate_routing(cfg)
 
 
 def test_control_ground_routes_left():
@@ -190,17 +196,3 @@ def test_sweep_workers_agree_with_serial():
         [PulseShape.GAUSSIAN, PulseShape.SECH], 50.0, kappas, workers=2
     )
     assert serial == parallel
-
-
-def test_write_sweep_csv(tmp_path):
-    rows = sweep_kappa(
-        [PulseShape.GAUSSIAN], 50.0, [KAPPA_200], include_timedomain=True
-    )
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, rows, meta="tool test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# tool test"
-    assert lines[1] == "param,shape,infidelity,infidelity_td"
-    cells = lines[2].split(",")
-    assert float(cells[0]) == pytest.approx(KAPPA_200)
-    assert float(cells[2]) == pytest.approx(rows[0]["infidelity"])

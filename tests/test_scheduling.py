@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +7,7 @@ from phonon_qram.scheduling import (
     Schedule,
     ScheduleEntry,
     build_schedule,
-    dump_gantt,
     residence_intervals,
-    schedule_to_csv,
     validate_schedule,
 )
 
@@ -109,19 +105,3 @@ def test_invalid_parameters():
         build_schedule(3, Encoding.HYBRID_DUAL_RAIL, t=0.0)
     with pytest.raises(InvalidParameterError):
         residence_intervals(build_schedule(2, Encoding.HYBRID_DUAL_RAIL), 5)
-
-
-def test_csv_and_gantt_exports(tmp_path):
-    sched = build_schedule(2, Encoding.STANDARD_DUAL_RAIL_VACUUM)
-    csv_path = tmp_path / "sched.csv"
-    schedule_to_csv(sched, csv_path, meta="tool test")
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "# tool test"
-    assert lines[1] == "k,level,slot_start,direction,medium"
-    assert len(lines) == 2 + len(sched.entries)
-
-    gantt_path = tmp_path / "gantt.json"
-    dump_gantt(sched, gantt_path)
-    doc = json.loads(gantt_path.read_text())
-    assert doc["makespan_ns"] == pytest.approx(sched.makespan)
-    assert len(doc["lanes"]) == sched.n + 1
