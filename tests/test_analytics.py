@@ -1,8 +1,10 @@
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonon_qram import __version__
 from phonon_qram.analytics import (
     dephasing_infidelity_approx,
     dephasing_no_error_prob,
@@ -16,6 +18,7 @@ from phonon_qram.analytics import (
     success_prob_standard_vacuum,
     thermal_infidelity_bound,
 )
+from phonon_qram.cli import main
 from phonon_qram.errors import InvalidParameterError
 from phonon_qram.qram_types import Encoding
 
@@ -196,3 +199,31 @@ def test_thermal_distortion_fdecay_formulas():
         distortion_query_infidelity(-1e-3, 5)
     with pytest.raises(InvalidParameterError):
         f_decay_no_error_prob(4, -1.0, 50.0)
+
+
+def heralding_outputs(tmp_path, config):
+    """Run the heralding command and return the lines of fig4a and fig4b."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["heralding", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    return ((tmp_path / "fig4a.csv").read_text().splitlines(),
+            (tmp_path / "fig4b.csv").read_text().splitlines())
+
+
+def test_heralding_csv(tmp_path):
+    lines, _ = heralding_outputs(tmp_path, {"n_range": [1, 4], "T1_q": "inf",
+                                            "T1_m_list": ["2us"]})
+    assert lines[0].startswith(f"# phonon-qram {__version__} | ")
+    assert lines[1] == "n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz"
+    assert len(lines) == 2 + 4
+    cells = lines[2].split(",")
+    assert cells[0] == "1" and cells[1] == "2"
+    assert cells[3] == "inf"
+
+
+def test_dephasing_csv(tmp_path):
+    _, lines = heralding_outputs(tmp_path, {"n_range": [1, 2],
+                                            "T2_q_list": ["10us", "100us"]})
+    assert lines[0].startswith(f"# phonon-qram {__version__} | ")
+    assert lines[1] == "n,T2q_us,P_dephasing,approx_first_order"
+    assert len(lines) == 2 + 4

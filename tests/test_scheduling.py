@@ -1,6 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonon_qram import __version__
+from phonon_qram.cli import main
 from phonon_qram.errors import InvalidParameterError
 from phonon_qram.qram_types import Encoding
 from phonon_qram.scheduling import (
@@ -105,3 +109,18 @@ def test_invalid_parameters():
         build_schedule(3, Encoding.HYBRID_DUAL_RAIL, t=0.0)
     with pytest.raises(InvalidParameterError):
         residence_intervals(build_schedule(2, Encoding.HYBRID_DUAL_RAIL), 5)
+
+
+def test_csv_and_gantt_exports(tmp_path):
+    sched = build_schedule(2, Encoding.STANDARD_DUAL_RAIL_VACUUM)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"n": 2, "encodings": ["standard_dual_rail_vacuum"]}))
+    assert main(["schedule", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "schedule_standard.csv").read_text().splitlines()
+    assert lines[0].startswith(f"# phonon-qram {__version__} | ")
+    assert lines[1] == "k,level,slot_start,direction,rail"
+    assert len(lines) == 2 + len(sched.entries)
+
+    doc = json.loads((tmp_path / "schedule_standard_gantt.json").read_text())
+    assert doc["makespan_ns"] == pytest.approx(sched.makespan)
+    assert len(doc["lanes"]) == sched.n + 1
