@@ -408,6 +408,7 @@ def cmd_schedule(args) -> int:
         _write_json(out / f"schedule_{tag}_gantt.json",
                     scheduling.schedule_to_gantt_json(sched))
         report[tag] = {
+            "encoding": enc.value,
             "makespan_slots": sched.makespan_slots,
             "makespan_ns": sched.makespan,
             "problems": scheduling.validate_schedule(sched),

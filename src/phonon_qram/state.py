@@ -8,8 +8,16 @@ space is astronomically large.
 
 Frozensets are the format at this module's boundary.  Inside
 `SparseState.apply_all` every slot gets a fixed 2-bit field of an int, so
-a level lookup is a shift and a mask, and a gate whose idle slots are all
-ground carries a branch over without calling its semantics.
+a level lookup is a shift and a mask.  Each gate updates the amplitude map
+in place: one scan of the keys finds the active branches (some idle slot
+excited; every branch for a gate with no idle slots), only those are
+popped, and their images are summed and merged back.  The other branches
+are never visited again.  Only keys the gate wrote are pruned at 1e-14;
+the entry map is pruned once when it is converted to ints.  The map
+carries a running squared norm that moves by the weight of every key the
+gate popped, wrote or removed, including an untouched key an image lands
+on.  It is checked against 1 to 1e-10 after every gate, and at the end of
+`apply_all` it must match a full recomputation to 1e-12.
 
 Gates are recorded as `GateRecord`s so an entire protocol can be exported,
 replayed against an independent dense simulation, or cross-checked against
@@ -180,19 +188,51 @@ _GATES = {
 GATE_ARITY = {name: arity for name, (arity, _, _) in _GATES.items()}
 
 
-def apply_gate(amps: dict, op: tuple) -> dict:
+class _Amps(dict):
+    """Int-keyed amplitude map that carries its running squared norm."""
+
+    __slots__ = ("norm2",)
+
+
+def apply_gate(amps: _Amps, op: tuple) -> _Amps:
     """Apply one compiled gate `op` = (semantics, bit offsets, params, idle
-    mask) to an int-keyed amplitude map."""
+    mask) to the int-keyed amplitude map `amps` in place and return it.
+
+    Only active branches (some idle slot excited, or every branch if the
+    gate has no idle slots) are popped; their images are summed and merged
+    back, pruned at 1e-14.  `amps.norm2` moves by the squared weight of
+    every key popped, written or removed, including an untouched key that
+    an image lands on."""
     fn, offsets, params, idle = op
+    if idle:
+        pop = amps.pop
+        old = [(c, pop(c)) for c in [c for c in amps if c & idle]]
+    else:
+        old = list(amps.items())
+        amps.clear()
     out: dict = {}
     get = out.get
-    for cfg, amp in amps.items():
-        if idle and not cfg & idle:
-            out[cfg] = get(cfg, 0.0) + amp
-            continue
+    delta = 0.0
+    for cfg, amp in old:
+        m = abs(amp)
+        delta -= m * m
         for new_cfg, factor in fn(cfg, offsets, params):
             out[new_cfg] = get(new_cfg, 0.0) + amp * factor
-    return {c: a for c, a in out.items() if abs(a) > 1e-14}
+    get = amps.get
+    for cfg, amp in out.items():
+        prev = get(cfg)
+        if prev is not None:
+            m = abs(prev)
+            delta -= m * m
+            amp += prev
+        m = abs(amp)
+        if m > 1e-14:
+            amps[cfg] = amp
+            delta += m * m
+        elif prev is not None:
+            del amps[cfg]
+    amps.norm2 += delta
+    return amps
 
 
 def _to_frozenset(cfg: int, slots: list) -> frozenset:
@@ -219,11 +259,15 @@ class SparseState:
     def support(self) -> int:
         return len(self.amps)
 
-    def apply(self, gate: GateRecord, check_norm: bool = True) -> None:
-        self.apply_all([gate], check_norm=check_norm)
+    def apply(self, gate: GateRecord) -> None:
+        self.apply_all([gate])
 
-    def apply_all(self, gates, check_norm: bool = True) -> None:
-        """Apply `gates` in order, on int configurations inside this call."""
+    def apply_all(self, gates) -> None:
+        """Apply `gates` in order, on int configurations inside this call.
+
+        Raises `NumericalFailureError` when the running norm leaves 1 by
+        more than 1e-10 after a gate, or when it ends more than 1e-12 from
+        the norm recomputed over every branch."""
         gates = list(gates)
         slots = list(dict.fromkeys(
             [s for cfg in self.amps for s, _ in cfg] + [s for g in gates for s in g.slots]
@@ -234,21 +278,26 @@ class SparseState:
             _, idle, fn = _GATES[g.name]
             offsets = tuple(offset[s] for s in g.slots)
             ops.append((fn, offsets, g.params, sum({3 << offsets[i] for i in idle})))
-        self.amps = {
-            sum(level << offset[s] for s, level in cfg): a for cfg, a in self.amps.items()
-        }
+        amps = _Amps(
+            (sum(level << offset[s] for s, level in cfg), a)
+            for cfg, a in self.amps.items() if abs(a) > 1e-14
+        )
+        self.amps = amps
+        amps.norm2 = self.norm() ** 2
         try:
             for g, op in zip(gates, ops):
-                self.amps = apply_gate(self.amps, op)
-                self.max_support = max(self.max_support, len(self.amps))
-                if check_norm:
-                    n = self.norm()
-                    if abs(n - 1.0) > 1e-10:
-                        raise NumericalFailureError(
-                            f"norm drifted to {n!r} after gate {g.name}"
-                        )
+                amps = apply_gate(amps, op)
+                self.max_support = max(self.max_support, len(amps))
+                n = math.sqrt(max(amps.norm2, 0.0))
+                if abs(n - 1.0) > 1e-10:
+                    raise NumericalFailureError(f"norm drifted to {n!r} after gate {g.name}")
+            n, full = math.sqrt(max(amps.norm2, 0.0)), self.norm()
+            if abs(n - full) > 1e-12:
+                raise NumericalFailureError(
+                    f"running norm {n!r} differs from recomputed norm {full!r}"
+                )
         finally:
-            self.amps = {_to_frozenset(c, slots): a for c, a in self.amps.items()}
+            self.amps = {_to_frozenset(c, slots): a for c, a in amps.items()}
 
     def amplitude(self, cfg: frozenset) -> complex:
         return self.amps.get(cfg, 0.0 + 0.0j)

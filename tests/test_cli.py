@@ -189,6 +189,8 @@ def test_schedule_report(tmp_path):
     assert report["standard"]["makespan_slots"] == 22
     assert report["hybrid"]["problems"] == []
     assert report["standard"]["problems"] == []
+    assert report["hybrid"]["encoding"] == "hybrid_dual_rail"
+    assert report["standard"]["encoding"] == "standard_dual_rail_vacuum"
     for tag, enc in (("hybrid", Encoding.HYBRID_DUAL_RAIL),
                      ("standard", Encoding.STANDARD_DUAL_RAIL_VACUUM)):
         sched = build_schedule(4, enc)
@@ -203,6 +205,18 @@ def test_schedule_report(tmp_path):
     assert {r[4] for r in rows} == {"0", "1"}
     hops = [(r[0], r[1], r[3], r[4]) for r in rows]  # k, level, direction, rail
     assert len(set(hops)) == len(hops)
+
+
+def test_single_rail_schedule_report_names_its_encoding(tmp_path):
+    # a single-rail schedule shares the hybrid file names; the report says which
+    assert run(tmp_path, "schedule", config={"n": 3, "encodings": ["single_rail"]}) == 0
+    report = json.loads((tmp_path / "schedule_report.json").read_text())
+    assert list(report) == ["hybrid"]
+    assert report["hybrid"]["encoding"] == "single_rail"
+    sched = build_schedule(3, Encoding.SINGLE_RAIL)
+    assert report["hybrid"]["makespan_slots"] == sched.makespan_slots
+    _, rows = csv_table(tmp_path / "schedule_hybrid.csv")
+    assert len(rows) == len(sched.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +258,15 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     cfg = {"encoding": "single_rail", "trials": 10,
            "grid": [{"n": 2, "T1_q": "100us", "T1_m": "2us"}]}
     assert run(tmp_path, "montecarlo", config=cfg) == 2
+
+
+def test_standard_logical_montecarlo_rejected(tmp_path):
+    # the loss model has no pre-loaded routers, so its samples must not be
+    # compared with the vacuum closed form
+    cfg = {"encoding": "standard_dual_rail_logical", "trials": 2000,
+           "grid": [{"n": 3, "T1_q": "100us", "T1_m": "2us"}]}
+    assert run(tmp_path, "montecarlo", config=cfg) == 2
+    assert not (tmp_path / "montecarlo.csv").exists()
 
 
 @pytest.mark.parametrize("cmd, config", [

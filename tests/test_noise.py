@@ -61,6 +61,16 @@ def test_single_rail_has_no_detection():
         inject_loss(cfg, 0, 10.0)
 
 
+def test_standard_logical_is_rejected_by_both_samplers():
+    # the loss model does not cover the logical variant's pre-loaded routers
+    cfg = QramConfig(n=3, encoding=Encoding.STANDARD_DUAL_RAIL_LOGICAL)
+    noise = NoiseModel(T1_q=100e3, T1_m=2e3)
+    with pytest.raises(InvalidParameterError):
+        sample_trajectory(cfg, noise, seed=0)
+    with pytest.raises(InvalidParameterError):
+        estimate_success_prob(cfg, noise, 100, seed=0)
+
+
 def test_forced_loss_detection_bases():
     hyb = inject_loss(QramConfig(n=3, encoding=HYB), excitation=1, time_ns=100.0)
     assert hyb.detected and hyb.detection_basis == "address_1:f"

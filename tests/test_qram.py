@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copy_engine import copy_run
 from dense_oracle import dense_amplitudes
 from phonon_qram.errors import (
     InvalidParameterError,
@@ -281,6 +282,39 @@ def test_norm_guard_trips_on_non_unitary_record():
     state.amps[frozenset({(("reg", 0), 1)})] = 1.0
     with pytest.raises(NumericalFailureError):
         state.apply(GateRecord("h_ge", (("reg", 0),), 0.0))
+
+
+def _unit(rng, size):
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return v / np.linalg.norm(v)
+
+
+def _assert_matches_copy_engine(cfg, address, data):
+    ref, ref_support = copy_run(initial_state(cfg, address, data).amps,
+                                build_query_gates(cfg, data))
+    res = query(cfg, address, data)
+    assert set(res.state.amps) == set(ref)
+    assert max(abs(res.state.amps[k] - a) for k, a in ref.items()) <= 1e-14
+    assert res.max_support == ref_support
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_superposed_classical_query_matches_copy_engine(n, enc):
+    # past the dense oracle's n <= 2: every amplitude and the support count
+    # against a per-gate copy of the whole map
+    rng = np.random.default_rng(100 + n)
+    bits = [int(b) for b in rng.integers(0, 2, 2 ** n)]
+    _assert_matches_copy_engine(QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n),
+                                DataRegister.classical(bits))
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_superposed_quantum_query_matches_copy_engine(enc):
+    rng = np.random.default_rng(11)
+    cells = [tuple(_unit(rng, 2)) for _ in range(4)]
+    _assert_matches_copy_engine(QramConfig(n=2, encoding=enc), _unit(rng, 4),
+                                DataRegister.quantum(cells))
 
 
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=255))

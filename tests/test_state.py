@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_amplitudes
+from phonon_qram.errors import NumericalFailureError
 from phonon_qram.state import GATE_ARITY, GateRecord, SparseState
 
 A, B, C, D = ("s", 0), ("s", 1), ("s", 2), ("s", 3)
@@ -67,6 +68,23 @@ def test_uproute_inverts_route():
         s.apply(GateRecord("route", (A, B, C, D), 0.0, (False,)))
         s.apply(GateRecord("uproute", (A, C, D, B), 0.0, (False,)))
         assert s.amplitude(frozenset(items)) == pytest.approx(1.0)
+
+
+def test_route_into_occupied_destination_raises():
+    # ctrl A in |g> sends the B excitation to C, onto a branch that already
+    # holds it there: the two branches merge and the norm leaves 1
+    s = make({frozenset({(B, 1)}): 2 ** -0.5, frozenset({(C, 1)}): 2 ** -0.5})
+    with pytest.raises(NumericalFailureError):
+        s.apply(GateRecord("route", (A, B, C, D), 0.0, (False,)))
+
+
+def test_running_norm_counts_the_branch_an_image_lands_on():
+    # the same merge with orthogonal phases keeps the weight at 1, so it
+    # passes both norm checks only if the running norm also drops the old
+    # weight of the untouched branch the image lands on
+    s = make({frozenset({(B, 1)}): 2 ** -0.5, frozenset({(C, 1)}): 1j * 2 ** -0.5})
+    s.apply(GateRecord("route", (A, B, C, D), 0.0, (False,)))
+    assert s.amps == pytest.approx({frozenset({(C, 1)}): (1 + 1j) * 2 ** -0.5})
 
 
 def test_dualrail_h():
