@@ -10,7 +10,6 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
     PhononQramError,
-    ProtocolOrderError,
     ResolutionError,
 )
 from .qram_types import DataMode, Encoding
@@ -29,7 +28,7 @@ from .analytics import HeraldingReport, heralding_report, query_time
 __all__ = [
     "__version__",
     "ConfigError", "InvalidParameterError", "NumericalFailureError",
-    "PhononQramError", "ProtocolOrderError", "ResolutionError",
+    "PhononQramError", "ResolutionError",
     "DataMode", "Encoding",
     "PulseShape", "ReflectionResponse", "WavePacket", "distortion_fidelity",
     "RouterSimConfig", "RouterSimResult", "Source", "simulate_routing",

@@ -283,7 +283,7 @@ def cmd_query_sim(args) -> int:
     addr = _parse_address(cfg["address"], N, qcfg.n)
 
     addresses = (
-        [np.eye(N, dtype=complex)[j] for j in range(N)] if addr is None else [addr]
+        list(np.eye(N, dtype=complex)) if addr is None else [addr]
     )
     records, results = [], []
     for v in addresses:
@@ -439,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="JSON parameter file")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
         if name == "route-fidelity":
+            sp.add_argument("--workers", type=int, default=1)
             sp.add_argument("--window", default=None,
                             help="single-point routing window, e.g. 350ns")
             sp.add_argument("--shape", dest="pulse_shape", default=None,

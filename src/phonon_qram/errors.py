@@ -19,7 +19,3 @@ class NumericalFailureError(PhononQramError):
 
 class ResolutionError(NumericalFailureError):
     """Integration grid too coarse for the requested coupling rate."""
-
-
-class ProtocolOrderError(PhononQramError):
-    """A QRAM protocol step was applied out of order."""

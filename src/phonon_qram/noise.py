@@ -18,9 +18,8 @@ to the dual-rail check.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "sample_trajectory",
     "inject_loss",
     "estimate_success_prob",
-    "write_verdicts_jsonl",
 ]
 
 _US_TO_NS = 1e3
@@ -225,18 +223,3 @@ def estimate_success_prob(
     p_hat = float(ok.mean())
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return p_hat, stderr
-
-
-def write_verdicts_jsonl(path, verdicts, seeds=None) -> None:
-    with open(path, "w") as fh:
-        for i, v in enumerate(verdicts):
-            rec = {
-                "seed": None if seeds is None else seeds[i],
-                "events": [
-                    {"time_ns": e.time_ns, "location": e.location, "kind": e.kind}
-                    for e in v.events
-                ],
-                "detected": v.detected,
-                "detection_basis": v.detection_basis,
-            }
-            fh.write(json.dumps(rec) + "\n")

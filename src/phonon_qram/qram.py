@@ -5,13 +5,16 @@ control transmon (holds an address bit) and an ancilla (a parking slot for
 an excitation in flight); level-n "ancillas" are the leaf waveguide
 positions where the read happens.  A query releases the address qubits one
 per routing step, pipelined so that excitation k (0-based, bus = n) is
-routed k levels down, parks as the level-k control, and everything is
-unwound in reverse on the way out.  Routing here is ideal: distortion and
+routed k levels down and parks as the level-k control.  After the read the
+query is uncomputed: the way out is the inward half's gates inverted and
+played in reverse order.  Routing here is ideal: distortion and
 decoherence are composed on top analytically or by Monte Carlo elsewhere.
 
 Timestamps on the emitted gate records are in units of the routing step t.
-Waveguide hops sit on the entries of `scheduling.build_schedule`, and
-emissions and control settings on `scheduling.start_slot`.
+In-hops sit on the "in" entries of `scheduling.build_schedule`, and
+emissions and control settings on `scheduling.start_slot`.  Mirroring maps
+an instant at tau to M - tau and a hop over [tau, tau + 1) to M - tau - 1,
+for makespan M, which lands every out-hop on its "out" entry.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, ProtocolOrderError
+from .errors import InvalidParameterError
 from .qram_types import DataMode, Encoding
 from .scheduling import build_schedule, makespan_slots, start_slot
 from .state import GateRecord, SparseState
@@ -33,20 +36,12 @@ __all__ = [
     "query",
     "build_query_gates",
     "initial_state",
-    "set_address",
-    "route_address",
-    "read_classical",
-    "read_quantum",
-    "hybrid_release",
     "trace_to_json",
 ]
 
-# tie-breaking priorities for gates sharing a timestamp; the root control
-# (excitation 0) is set before the pipeline starts and torn down after it
-# drains, hence the out-of-band priorities
-_P_EMIT0, _P_SET0 = -2, -1
-_P_EMIT, _P_SET, _P_IN, _P_READ, _P_ABSORB, _P_UNSET, _P_OUT = range(7)
-_P_UNSET0, _P_ABSORB0, _P_DECODE = 8, 9, 10
+# tie-breaking priorities for inward gates sharing a timestamp; the root
+# control (excitation 0) is set before the pipeline starts
+_P_EMIT0, _P_SET0, _P_EMIT, _P_SET, _P_IN = range(-2, 3)
 
 
 @dataclass(frozen=True)
@@ -165,26 +160,6 @@ def _route_level(cfg: QramConfig, lvl: int, time: float, rail=None):
     return gates
 
 
-def _uproute_level(cfg: QramConfig, lvl: int, time: float, rail=None):
-    gates = []
-    invert = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
-    for idx in range(2 ** lvl):
-        left, right = _anc(lvl + 1, 2 * idx, rail), _anc(lvl + 1, 2 * idx + 1, rail)
-        if cfg.encoding.is_standard:
-            gates.append(GateRecord(
-                "uproute2",
-                (_ctrl(lvl, idx, 0), _ctrl(lvl, idx, 1), left, right,
-                 _anc(lvl, idx, rail)),
-                time,
-            ))
-        else:
-            gates.append(GateRecord(
-                "uproute", (_ctrl(lvl, idx), left, right, _anc(lvl, idx)),
-                time, (invert,),
-            ))
-    return gates
-
-
 def _set_level(cfg: QramConfig, k: int, time: float, rail=None):
     return [
         GateRecord("swap_ge", (_anc(k, idx, rail), _ctrl(k, idx, rail)), time)
@@ -203,19 +178,8 @@ def _release_block(cfg: QramConfig, slot, time: float):
     ]
 
 
-def _unrelease_block(cfg: QramConfig, slot, time: float):
-    root = _anc(0, 0)
-    return [
-        GateRecord("ladder_ef", (slot,), time),
-        GateRecord("swap_ge", (slot, root), time),
-        GateRecord("ladder_ge", (slot,), time),
-        GateRecord("ladder_ef", (slot,), time),
-    ]
-
-
-def _emit_block(cfg: QramConfig, k: int, time: float, rail=None, reverse=False,
-                quantum_bus=False):
-    """Transfer of register k into / out of the root ancilla."""
+def _emit_block(cfg: QramConfig, k: int, time: float, rail=None, quantum_bus=False):
+    """Transfer of register k into the root ancilla."""
     slot = _reg(k, rail)
     hybrid = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
     # the hybrid bus in quantum mode is emitted plainly: the entangling
@@ -224,8 +188,6 @@ def _emit_block(cfg: QramConfig, k: int, time: float, rail=None, reverse=False,
     plain = (not hybrid) or (k == cfg.n and quantum_bus)
     if plain:
         return [GateRecord("swap_ge", (slot, _anc(0, 0, rail)), time)]
-    if reverse:
-        return _unrelease_block(cfg, slot, time)
     return _release_block(cfg, slot, time)
 
 
@@ -259,11 +221,33 @@ def _read_block(cfg: QramConfig, data: DataRegister, time: float):
     return gates
 
 
+# inverse of each inward gate; the ladders and swap_ge are involutions
+_INVERSE = {
+    "swap_ge": "swap_ge",
+    "ladder_ge": "ladder_ge",
+    "ladder_ef": "ladder_ef",
+    "route": "uproute",
+    "route2": "uproute2",
+}
+
+
+def _mirror(g: GateRecord, M: int) -> GateRecord:
+    """Inverse of inward gate `g` at its time-reversed slot in a makespan-M
+    query.  An instant at tau maps to M - tau; a hop over [tau, tau + 1)
+    maps to M - tau - 1, with its source slot moved last."""
+    name = _INVERSE[g.name]
+    if name == g.name:
+        return GateRecord(name, g.slots, M - g.time, g.params)
+    s = g.slots
+    return GateRecord(name, s[:-3] + s[-2:] + s[-3:-2], M - g.time - 1, g.params)
+
+
 # ---------------------------------------------------------------------------
 # full protocol
 
 def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
-    """Chronological gate list for a complete query (in, read, out)."""
+    """Chronological gate list for a complete query: the inward half, the
+    read, the mirrored inverse of the inward half, then the bus decode."""
     data.validate(cfg.N)
     qbus = data.mode is DataMode.QUANTUM
     n, M = cfg.n, cfg.makespan_slots
@@ -281,39 +265,32 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
             s = start_slot(k, r or 0, cfg.encoding)
             add(s, _P_EMIT0 if k == 0 else _P_EMIT,
                 _emit_block(cfg, k, s, rail=r, quantum_bus=qbus))
-            add(M - s, _P_ABSORB0 if k == 0 else _P_ABSORB,
-                _emit_block(cfg, k, M - s, rail=r, reverse=True, quantum_bus=qbus))
             if k < n:
                 add(s + k, _P_SET0 if k == 0 else _P_SET,
                     _set_level(cfg, k, s + k, rail=r))
-                add(M - (s + k), _P_UNSET0 if k == 0 else _P_UNSET,
-                    _set_level(cfg, k, M - (s + k), rail=r))
 
     for e in build_schedule(n, cfg.encoding, cfg.t).entries:
-        r = e.rail if std else None
         if e.direction == "in":
             # within a slot, deeper hops go first so the next ancilla down
             # is already vacant
             add(e.slot_start, _P_IN,
-                _route_level(cfg, e.level, e.slot_start, rail=r), sub=-e.level)
-        else:
-            # mirror of the in-side rule: hops nearer the root first
-            add(e.slot_start, _P_OUT,
-                _uproute_level(cfg, e.level, e.slot_start, rail=r), sub=e.level)
+                _route_level(cfg, e.level, e.slot_start, rail=e.rail if std else None),
+                sub=-e.level)
 
-    add(M // 2, _P_READ, _read_block(cfg, data, M // 2))
+    ev.sort(key=lambda e: e[:3])
+    inward = [g for *_x, g in ev]
+    gates = (inward + _read_block(cfg, data, M // 2)
+             + [_mirror(g, M) for g in reversed(inward)])
 
     # decode the bus back to the computational basis
     if data.mode is DataMode.CLASSICAL:
         if std:
-            add(M, _P_DECODE, [GateRecord("dualrail_h", (_reg(n, 0), _reg(n, 1)), M)])
+            gates.append(GateRecord("dualrail_h", (_reg(n, 0), _reg(n, 1)), M))
         else:
-            add(M, _P_DECODE, [GateRecord("h_ge", (_reg(n),), M)])
+            gates.append(GateRecord("h_ge", (_reg(n),), M))
             if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
-                add(M, _P_DECODE, [GateRecord("z_ge", (_reg(n),), M)])
-
-    ev.sort(key=lambda e: e[:3])
-    return [g for *_x, g in ev]
+                gates.append(GateRecord("z_ge", (_reg(n),), M))
+    return gates
 
 
 def initial_state(cfg: QramConfig, address, data: DataRegister) -> SparseState:
@@ -449,65 +426,6 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
     res = _decode_final(cfg, data, state)
     res.trace = gates
     return res
-
-
-# ---------------------------------------------------------------------------
-# individual protocol operations (spec'd as state -> state maps)
-
-def _check_hybrid_root_ground(state: SparseState) -> None:
-    root = _anc(0, 0)
-    for conf in state.amps:
-        for slot, level in conf:
-            if slot == root and level:
-                raise ProtocolOrderError("root ancilla not in ground state")
-
-
-def hybrid_release(state: SparseState, cfg: QramConfig, k: int) -> SparseState:
-    if cfg.encoding is not Encoding.HYBRID_DUAL_RAIL:
-        raise InvalidParameterError("hybrid_release requires the hybrid encoding")
-    _check_hybrid_root_ground(state)
-    out = state.copy()
-    out.apply_all(_release_block(cfg, _reg(k), 0.0))
-    return out
-
-
-def set_address(state: SparseState, cfg: QramConfig, k: int) -> SparseState:
-    if not 0 <= k < cfg.n:
-        raise ProtocolOrderError(f"no control level {k} in a depth-{cfg.n} tree")
-    out = state.copy()
-    rails = (0, 1) if cfg.encoding.is_standard else (None,)
-    for r in rails:
-        out.apply_all(_set_level(cfg, k, 0.0, rail=r))
-    return out
-
-
-def route_address(state: SparseState, cfg: QramConfig, k: int) -> SparseState:
-    """One conditional hop from level-k ancillas to level k+1."""
-    if k >= cfg.n:
-        raise ProtocolOrderError(
-            f"cannot route past level {cfg.n - 1} in a depth-{cfg.n} tree"
-        )
-    out = state.copy()
-    rails = (0, 1) if cfg.encoding.is_standard else (None,)
-    for r in rails:
-        out.apply_all(_route_level(cfg, k, 0.0, rail=r))
-    return out
-
-
-def read_classical(state: SparseState, cfg: QramConfig, data: DataRegister) -> SparseState:
-    if data.mode is not DataMode.CLASSICAL:
-        raise InvalidParameterError("read_classical requires classical data")
-    out = state.copy()
-    out.apply_all(_read_block(cfg, data, 0.0))
-    return out
-
-
-def read_quantum(state: SparseState, cfg: QramConfig, data: DataRegister) -> SparseState:
-    if data.mode is not DataMode.QUANTUM:
-        raise InvalidParameterError("read_quantum requires quantum data")
-    out = state.copy()
-    out.apply_all(_read_block(cfg, data, 0.0))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,16 @@ def test_window_without_shape(tmp_path):
     assert run(tmp_path, "route-fidelity", "--window", "350ns") == 2
 
 
+def test_workers_is_a_route_fidelity_option(tmp_path):
+    # only route-fidelity runs a worker pool; elsewhere argparse rejects it
+    for cmd in ("router-sim", "query-sim", "heralding", "montecarlo", "schedule"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, cmd, "--workers", "2")
+        assert exc.value.code == 2, cmd
+    assert run(tmp_path, "route-fidelity", "--workers", "1",
+               "--window", "350ns", "--shape", "gaussian") == 0
+
+
 def test_single_rail_montecarlo_rejected(tmp_path):
     cfg = {"encoding": "single_rail", "trials": 10,
            "grid": [{"n": 2, "T1_q": "100us", "T1_m": "2us"}]}

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from phonon_qram.noise import (
     estimate_success_prob,
     inject_loss,
     sample_trajectory,
-    write_verdicts_jsonl,
 )
 from phonon_qram.qram import QramConfig
 from phonon_qram.qram_types import Encoding
@@ -168,21 +166,3 @@ def test_no_decay_means_unit_success():
     assert se == 0.0
     with pytest.raises(InvalidParameterError):
         estimate_success_prob(cfg, NoiseModel(), trials=0, seed=0)
-
-
-def test_write_verdicts_jsonl(tmp_path):
-    cfg = QramConfig(n=2, encoding=HYB)
-    noise = NoiseModel(T1_q=5.0, T1_m=0.5)
-    seeds = list(range(8))
-    verdicts = [sample_trajectory(cfg, noise, seed=s) for s in seeds]
-    path = tmp_path / "verdicts.jsonl"
-    write_verdicts_jsonl(path, verdicts, seeds=seeds)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 8
-    rec = json.loads(lines[0])
-    assert set(rec) == {"seed", "events", "detected", "detection_basis"}
-    # detection flag in the file matches the loss content of the record
-    for line, v in zip(lines, verdicts):
-        rec = json.loads(line)
-        has_loss = any(e["kind"] == "loss" for e in rec["events"])
-        assert rec["detected"] == has_loss == (not v.lossless)

@@ -6,25 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from copy_engine import copy_run
 from dense_oracle import dense_amplitudes
-from phonon_qram.errors import (
-    InvalidParameterError,
-    NumericalFailureError,
-    ProtocolOrderError,
-)
+from phonon_qram.errors import InvalidParameterError, NumericalFailureError
 from phonon_qram.qram import (
     DataRegister,
     QramConfig,
     build_query_gates,
-    hybrid_release,
     initial_state,
     query,
-    read_classical,
-    read_quantum,
-    route_address,
-    set_address,
     trace_to_json,
 )
-from phonon_qram.qram_types import DataMode, Encoding
+from phonon_qram.qram_types import Encoding
 from phonon_qram.state import GateRecord, SparseState
 
 ALL_ENCODINGS = list(Encoding)
@@ -181,83 +172,6 @@ def test_dense_oracle_replay(enc, n, quantum):
 
 
 # ---------------------------------------------------------------------------
-# individual protocol operations
-
-def test_hybrid_release_entangles_with_root():
-    cfg = QramConfig(n=1, encoding=Encoding.HYBRID_DUAL_RAIL)
-    a, b = 0.6, 0.8
-    state = SparseState({
-        frozenset(): a,
-        frozenset({(("reg", 0), 1)}): b,
-    })
-    out = hybrid_release(state, cfg, 0)
-    # a|g>|e>_root + b|e>|g>_root
-    assert out.amplitude(frozenset({(("anc", 0, 0), 1)})) == pytest.approx(a)
-    assert out.amplitude(frozenset({(("reg", 0), 1)})) == pytest.approx(b)
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hybrid_release_requires_ground_root():
-    cfg = QramConfig(n=1, encoding=Encoding.HYBRID_DUAL_RAIL)
-    state = SparseState({frozenset({(("anc", 0, 0), 1)}): 1.0})
-    with pytest.raises(ProtocolOrderError):
-        hybrid_release(state, cfg, 0)
-
-
-def test_hybrid_release_wrong_encoding():
-    cfg = QramConfig(n=1, encoding=Encoding.SINGLE_RAIL)
-    with pytest.raises(InvalidParameterError):
-        hybrid_release(SparseState({frozenset(): 1.0}), cfg, 0)
-
-
-def test_route_follows_control_polarity():
-    # single-rail: control |g> routes left, |e> routes right
-    cfg = QramConfig(n=2, encoding=Encoding.SINGLE_RAIL)
-    for bit, child in ((0, 0), (1, 1)):
-        items = {(("anc", 0, 0), 1)}
-        if bit:
-            items.add((("ctrl", 0, 0), 1))
-        state = SparseState({frozenset(items): 1.0})
-        out = route_address(state, cfg, 0)
-        expect = {(("anc", 1, child), 1)}
-        if bit:
-            expect.add((("ctrl", 0, 0), 1))
-        assert out.amplitude(frozenset(expect)) == pytest.approx(1.0)
-
-
-def test_hybrid_route_polarity_is_inverted():
-    # hybrid: the |e> component of the released pair goes left
-    cfg = QramConfig(n=2, encoding=Encoding.HYBRID_DUAL_RAIL)
-    state = SparseState({
-        frozenset({(("anc", 0, 0), 1), (("ctrl", 0, 0), 1)}): 1.0
-    })
-    out = route_address(state, cfg, 0)
-    assert out.amplitude(
-        frozenset({(("anc", 1, 0), 1), (("ctrl", 0, 0), 1)})
-    ) == pytest.approx(1.0)
-
-
-def test_route_past_leaf_raises():
-    cfg = QramConfig(n=2, encoding=Encoding.SINGLE_RAIL)
-    state = SparseState({frozenset(): 1.0})
-    with pytest.raises(ProtocolOrderError):
-        route_address(state, cfg, 2)
-    with pytest.raises(ProtocolOrderError):
-        set_address(state, cfg, 2)
-
-
-def test_read_mode_mismatch():
-    cfg = QramConfig(n=1, encoding=Encoding.SINGLE_RAIL)
-    state = SparseState({frozenset(): 1.0})
-    cdata = DataRegister.classical([0, 1])
-    qdata = DataRegister.quantum([(1, 0), (0, 1)])
-    with pytest.raises(InvalidParameterError):
-        read_classical(state, cfg, qdata)
-    with pytest.raises(InvalidParameterError):
-        read_quantum(state, cfg, cdata)
-
-
-# ---------------------------------------------------------------------------
 # validation and bookkeeping
 
 def test_config_and_register_validation():
@@ -315,6 +229,26 @@ def test_superposed_quantum_query_matches_copy_engine(enc):
     cells = [tuple(_unit(rng, 2)) for _ in range(4)]
     _assert_matches_copy_engine(QramConfig(n=2, encoding=enc), _unit(rng, 4),
                                 DataRegister.quantum(cells))
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_superposed_query_is_linear_in_the_address(enc):
+    # the query map is linear in the address amplitudes: a superposed query
+    # equals the alpha-weighted sum of its N basis-address queries
+    rng = np.random.default_rng(23)
+    cases = [(n, DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)]))
+             for n in (4, 5)]
+    cases.append((2, DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(4)])))
+    for n, data in cases:
+        cfg = QramConfig(n=n, encoding=enc)
+        alpha = _unit(rng, 2 ** n)
+        total: dict = {}
+        for j, a in enumerate(alpha):
+            for k, amp in query(cfg, basis_address(n, j), data).state.amps.items():
+                total[k] = total.get(k, 0.0) + a * amp
+        got = query(cfg, alpha, data).state.amps
+        assert max(abs(got.get(k, 0.0) - total.get(k, 0.0))
+                   for k in set(got) | set(total)) <= 1e-12
 
 
 @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=255))

@@ -6,7 +6,7 @@ from dense_oracle import dense_amplitudes
 from phonon_qram.errors import NumericalFailureError
 from phonon_qram.state import GATE_ARITY, GateRecord, SparseState
 
-A, B, C, D = ("s", 0), ("s", 1), ("s", 2), ("s", 3)
+A, B, C, D, E = ("s", 0), ("s", 1), ("s", 2), ("s", 3), ("s", 4)
 
 
 def make(amps):
@@ -59,15 +59,33 @@ def test_route_polarity(invert, child):
     assert s.amplitude(frozenset({(A, 1), (target, 1)})) == pytest.approx(1.0)
 
 
-def test_uproute_inverts_route():
-    for ctrl_level in (0, 1):
-        items = {(B, 1)}
-        if ctrl_level:
-            items.add((A, 1))
-        s = make({frozenset(items): 1.0})
-        s.apply(GateRecord("route", (A, B, C, D), 0.0, (False,)))
-        s.apply(GateRecord("uproute", (A, C, D, B), 0.0, (False,)))
-        assert s.amplitude(frozenset(items)) == pytest.approx(1.0)
+# (hop, params, control sets to try); the hop's slots are (controls...,
+# src, left, right) and its inverse takes (controls..., left, right, src),
+# the order the query's unwind uses
+HOP_CASES = {
+    "route-invert=False": ("route", (False,), [(), (A,)]),
+    "route-invert=True": ("route", (True,), [(), (A,)]),
+    "route2-c0": ("route2", (), [(A,)]),
+    "route2-c1": ("route2", (), [(B,)]),
+    "route2-neither": ("route2", (), [()]),
+}
+
+
+@pytest.mark.parametrize("case", HOP_CASES)
+def test_uproute_inverts_route(case):
+    name, params, ctrl_sets = HOP_CASES[case]
+    slots = (A, B, C, D) if name == "route" else (A, B, C, D, E)
+    src = slots[-3]
+    for ctrls in ctrl_sets:
+        items = frozenset({(src, 1)} | {(c, 1) for c in ctrls})
+        s = make({items: 1.0})
+        s.apply(GateRecord(name, slots, 0.0, params))
+        # every hop leaves src except route2 with both controls ground
+        moved = name == "route" or bool(ctrls)
+        assert abs(s.amplitude(items)) == pytest.approx(0.0 if moved else 1.0)
+        s.apply(GateRecord("up" + name, slots[:-3] + slots[-2:] + slots[-3:-2],
+                           1.0, params))
+        assert s.amplitude(items) == pytest.approx(1.0)
 
 
 def test_route_into_occupied_destination_raises():
