@@ -43,11 +43,21 @@ def _duration_ns(value, key: str) -> float:
 
 
 def _number(kind, value, key: str):
-    """`kind(value)` (int, float or complex), or a config error."""
+    """`kind(value)` (int, float or complex), or a config error; an int
+    must not drop a fractional part."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"{key}: expected int, got {value!r}")
+    return out
+
+
+def _bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected true or false, got {value!r}")
+    return value
 
 
 def _list(value, key: str) -> list:
@@ -151,6 +161,7 @@ def cmd_route_fidelity(args) -> int:
         "time_domain": True,
     }
     cfg = _load_config(args.config, defaults)
+    time_domain = _bool(cfg["time_domain"], "time_domain")
     fwhm = _duration_ns(cfg["fwhm"], "fwhm")
     kappa_1d = _number(float, cfg["kappa_1d_mhz"], "kappa_1d_mhz") * _TWO_PI_MHZ
     out = _outdir(args)
@@ -179,7 +190,7 @@ def cmd_route_fidelity(args) -> int:
     kappas = np.geomspace(lo, hi, int(grid["points"])) * _TWO_PI_MHZ
     rows = router.sweep_kappa(
         shapes, fwhm, kappas,
-        include_timedomain=bool(cfg["time_domain"]), workers=args.workers,
+        include_timedomain=time_domain, workers=args.workers,
     )
     _write_sweep(out / "fig1c.csv", rows, _meta(args, cfg))
 
@@ -260,7 +271,7 @@ def cmd_query_sim(args) -> int:
         "t": "350ns",
         "encoding": "single_rail",
         "mode": "classical",
-        "data": [0, 1, 1, 0],
+        "data": None,  # classical default: address parity, popcount(j) % 2
         "address": "scan",
         "export_trace": False,
     }
@@ -271,6 +282,11 @@ def cmd_query_sim(args) -> int:
         encoding=_encoding(cfg["encoding"]),
     )
     N = qcfg.N
+    export_trace = _bool(cfg["export_trace"], "export_trace")
+    if cfg["data"] is None:
+        if cfg["mode"] == "quantum":
+            raise ConfigError("quantum mode needs an explicit data register")
+        cfg["data"] = [j.bit_count() % 2 for j in range(N)]
     try:
         if cfg["mode"] == "classical":
             data = DataRegister.classical(cfg["data"])
@@ -302,7 +318,7 @@ def cmd_query_sim(args) -> int:
     payload = {"params": cfg, "meta": _meta(args, cfg), "queries": records}
     out = _outdir(args)
     _write_json(out / "query_sim.json", payload)
-    if cfg["export_trace"]:
+    if export_trace:
         _write_json(out / "query_trace.json", trace_to_json(results[0].trace))
     return 0
 
@@ -376,7 +392,10 @@ def cmd_montecarlo(args) -> int:
             p_closed, _, _ = analytics.success_prob_hybrid(n, t, T1q, T1m)
         else:
             p_closed = analytics.success_prob_standard_vacuum(n, t, T1q, T1m)
-        dev = abs(p_hat - p_closed) / se if se > 0 else 0.0
+        # sigma from the closed form: at few trials p_hat, and so se, can be 0
+        sigma = math.sqrt(p_closed * (1.0 - p_closed) / trials)
+        dev = (abs(p_hat - p_closed) / sigma if sigma > 0
+               else 0.0 if p_hat == p_closed else math.inf)
         rows.append((n, enc.value, t, T1q, T1m, trials,
                      p_hat, se, p_closed, dev, bool(dev < 3.0)))
     header = ("n,encoding,t_ns,T1q_us,T1m_us,trials,p_hat,stderr,p_closed,"

@@ -7,8 +7,11 @@ positions where the read happens.  A query releases the address qubits one
 per routing step, pipelined so that excitation k (0-based, bus = n) is
 routed k levels down and parks as the level-k control.  After the read the
 query is uncomputed: the way out is the inward half's gates inverted and
-played in reverse order.  Routing here is ideal: distortion and
-decoherence are composed on top analytically or by Monte Carlo elsewhere.
+played in reverse order.  A classical cell never enters the state: a 1-bit
+is a `z_ge` on the leaf that holds the |+> bus, which the decode turns into
+the bit; a quantum cell is a data slot, routed into the tree when queried.
+Routing here is ideal: distortion and decoherence are composed on top
+analytically or by Monte Carlo elsewhere.
 
 Timestamps on the emitted gate records are in units of the routing step t.
 In-hops sit on the "in" entries of `scheduling.build_schedule`, and
@@ -77,6 +80,9 @@ class DataRegister:
 
     @classmethod
     def classical(cls, bits) -> "DataRegister":
+        bits = tuple(bits)
+        if any(b not in (0, 1) for b in bits):
+            raise InvalidParameterError("classical data bits must be 0/1")
         return cls(DataMode.CLASSICAL, bits=tuple(int(b) for b in bits))
 
     @classmethod
@@ -192,17 +198,17 @@ def _emit_block(cfg: QramConfig, k: int, time: float, rail=None, quantum_bus=Fal
 
 
 def _read_block(cfg: QramConfig, data: DataRegister, time: float):
-    gates = []
     N = cfg.N
     std = cfg.encoding.is_standard
     if data.mode is DataMode.CLASSICAL:
-        for j in range(N):
-            leaf = _anc(cfg.n, j, 1) if std else _anc(cfg.n, j)
-            gates.append(GateRecord("cz", (leaf, _data(j)), time))
-        return gates
+        # a classical cell never enters the state: a 1-bit is a phase on the
+        # leaf that holds the bus (rail 1 for standard dual-rail)
+        return [GateRecord("z_ge", (_anc(cfg.n, j, 1 if std else None),), time)
+                for j in range(N) if data.bits[j]]
     # quantum read: park the bus excitation as a data-side control, emit
     # every data qubit, route the queried one into the tree and the rest
     # back into place
+    gates = []
     rails = (0, 1) if std else (None,)
     for j in range(N):
         for r in rails:
@@ -294,7 +300,8 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
 
 
 def initial_state(cfg: QramConfig, address, data: DataRegister) -> SparseState:
-    """Address amplitudes + bus prep + data register loading."""
+    """Address amplitudes + bus prep + quantum data register loading; a
+    classical register puts nothing in the state."""
     data.validate(cfg.N)
     amps = np.asarray(address, dtype=complex)
     if amps.shape != (cfg.N,):
@@ -332,29 +339,17 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> SparseState:
             out.append((items, a / math.sqrt(2)))
             out.append((items + [(_reg(n), 1)], a / math.sqrt(2)))
 
-    if not quantum:
-        loaded = [
-            (items + [( _data(j), 1) for j in range(cfg.N) if data.bits[j]], a)
-            for items, a in out
-        ]
-    else:
-        loaded = []
-        for items, a in out:
-            partial = [(items, a)]
-            for j in range(cfg.N):
-                aj, bj = data.qubits[j]
-                nxt = []
-                for it, amp in partial:
-                    if abs(aj) > 0:
-                        zero = it + [(_data(j, 0), 1)] if std else it
-                        nxt.append((zero, amp * aj))
-                    if abs(bj) > 0:
-                        one = it + [(_data(j, 1), 1)] if std else it + [(_data(j), 1)]
-                        nxt.append((one, amp * bj))
-                partial = nxt
-            loaded.extend(partial)
-
-    return SparseState({frozenset(items): a for items, a in loaded})
+    # a quantum register expands every branch over its cells, one at a time;
+    # a classical register has no qubits and adds nothing
+    for j, (aj, bj) in enumerate(data.qubits):
+        nxt = []
+        for it, amp in out:
+            if abs(aj) > 0:
+                nxt.append((it + [(_data(j, 0), 1)] if std else it, amp * aj))
+            if abs(bj) > 0:
+                nxt.append((it + [(_data(j, 1 if std else None), 1)], amp * bj))
+        out = nxt
+    return SparseState({frozenset(items): a for items, a in out})
 
 
 _TREE_SLOTS = ("ctrl", "anc", "dwg")

@@ -98,7 +98,8 @@ class RouterSimResult:
     """Outcome of one routing simulation.
 
     ``final_state`` maps three-qubit basis strings (Q_L, Q_R, Q_C) to
-    captured amplitudes; ``leakage`` is the norm lost to uncaptured field.
+    captured amplitudes; ``leakage`` is the norm lost to uncaptured field;
+    ``traces["time"]`` is the full-step time grid.
     """
 
     final_state: dict[str, complex]
@@ -172,7 +173,6 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
     out_g = beam_splitter(f_l_free, f_r_free)
     out_e = beam_splitter(f_l_scat, f_r_free)
 
-    t_full = t_half[::2]
     u_full = u_half[::2]
 
     def overlap(fld: np.ndarray) -> complex:
@@ -196,21 +196,11 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
     captured = sum(abs(v) ** 2 for v in final.values())
     leakage = 1.0 - captured
 
-    emitted = np.concatenate(
-        [[0.0], np.cumsum(np.abs(u_full[:-1]) ** 2 + np.abs(u_full[1:]) ** 2) * dt / 2]
-    )
-    wa, wb = abs(alpha) ** 2, abs(beta) ** 2
-    traces = {
-        "time": t_full,
-        "source_qubit": 1.0 - emitted,
-        "control_qubit": wb * (1.0 + np.abs(c_state) ** 2),
-        "emitted_norm": emitted,
-    }
     return RouterSimResult(
         final_state=final,
         fidelity=float(fidelity),
         leakage=float(leakage),
-        traces=traces,
+        traces={"time": t_half[::2]},
     )
 
 

@@ -56,17 +56,13 @@ class GateRecord:
 # `c & ~(3 << a | 3 << b) | 1 << b` moves an e excitation from a to b.
 # Each returns a list of (config, amplitude_factor) branches.
 
-def _swap(c, s, p):
-    a, b = s
-    return [(c & ~(3 << a | 3 << b) | (c >> a & 3) << b | (c >> b & 3) << a, 1.0)]
-
-
 def _swap_ge(c, s, p):
     # swap restricted to the {g, e} manifold; identity if either slot is f
     a, b = s
-    if c >> a & 3 == 2 or c >> b & 3 == 2:
+    la, lb = c >> a & 3, c >> b & 3
+    if la == 2 or lb == 2:
         return [(c, 1.0)]
-    return _swap(c, s, p)
+    return [(c & ~(3 << a | 3 << b) | la << b | lb << a, 1.0)]
 
 
 def _h_ge(c, s, p):
@@ -92,11 +88,6 @@ def _ladder_ge(c, s, p):
 def _ladder_ef(c, s, p):
     (a,) = s
     return [(c if c >> a & 3 == 0 else c ^ 3 << a, 1.0)]
-
-
-def _cz(c, s, p):
-    a, b = s
-    return [(c, -1.0 if c >> a & 3 == 1 and c >> b & 3 == 1 else 1.0)]
 
 
 def _route(c, s, p):
@@ -170,13 +161,11 @@ def _dualrail_h(c, s, p):
 # every branch whose slots at the idle positions are all ground; an empty
 # tuple means it never is.
 _GATES = {
-    "swap": (2, (0, 1), _swap),
     "swap_ge": (2, (0, 1), _swap_ge),
     "h_ge": (1, (), _h_ge),
     "z_ge": (1, (0,), _z_ge),
     "ladder_ge": (1, (), _ladder_ge),
     "ladder_ef": (1, (0,), _ladder_ef),
-    "cz": (2, (0,), _cz),
     "route": (4, (1,), _route),
     "uproute": (4, (1, 2), _uproute),
     "route2": (5, (2,), _route2),

@@ -22,9 +22,6 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 def _semantics(name, levels, params):
     """Map an input level tuple to [(output levels, amplitude)]."""
     ls = list(levels)
-    if name == "swap":
-        a, b = ls
-        return [((b, a), 1.0)]
     if name == "swap_ge":
         a, b = ls
         if a == 2 or b == 2:
@@ -46,9 +43,6 @@ def _semantics(name, levels, params):
     if name == "ladder_ef":
         (a,) = ls
         return [((a,), 1.0)] if a == 0 else [((3 - a,), 1.0)]
-    if name == "cz":
-        a, b = ls
-        return [((a, b), -1.0 if a == 1 and b == 1 else 1.0)]
     # the routing-style gates are controlled swaps of a source slot with
     # one neighbor picked by the control: a manifestly unitary extension
     # that agrees with the engine on all protocol-reachable states (the

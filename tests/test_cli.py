@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +183,43 @@ def test_montecarlo_agrees_and_is_deterministic(tmp_path):
     assert (tmp_path / "montecarlo.csv").read_text() == text1
 
 
+def test_montecarlo_disagrees_when_the_estimate_has_no_spread(tmp_path):
+    # one trial gives p_hat = 1 and a zero stderr; sigma comes from the
+    # closed form, so p_hat is not marked as agreeing with p_closed = 0.024
+    config = {"trials": 1, "grid": [{"n": 7, "T1_q": "100us", "T1_m": "2us"}]}
+    assert run(tmp_path, "montecarlo", "--seed", "114", config=config) == 0
+    header, (row,) = csv_table(tmp_path / "montecarlo.csv")
+    cells = dict(zip(header.split(","), row))
+    assert float(cells["p_hat"]) == 1.0
+    assert float(cells["p_closed"]) == pytest.approx(0.024, abs=1e-3)
+    p = float(cells["p_closed"])
+    assert float(cells["dev_sigma"]) == pytest.approx((1 - p) / math.sqrt(p * (1 - p)))
+    assert cells["agree_3sigma"] == "false"
+
+
+def test_query_sim_default_data_is_address_parity(tmp_path):
+    # without `data` the register is popcount(j) % 2, whatever n is
+    assert run(tmp_path, "query-sim", config={"n": 3}) == 0
+    doc = json.loads((tmp_path / "query_sim.json").read_text())
+    parity = [0, 1, 1, 0, 1, 0, 0, 1]
+    assert doc["params"]["data"] == parity
+    assert [rec["address_bus"][0]["bus"] for rec in doc["queries"]] == parity
+    assert run(tmp_path, "query-sim", config={"mode": "quantum"}) == 2
+
+
+def test_only_cli_opens_files():
+    # the layers return rows or dicts; cli.py is the one module that opens files
+    openers = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "open":
+                    openers.add(path.name)
+    assert openers == {"cli.py"}
+
+
 def test_schedule_report(tmp_path):
     rc = run(tmp_path, "schedule", config={"n": 4})
     assert rc == 0
@@ -299,6 +338,12 @@ def test_standard_logical_montecarlo_rejected(tmp_path):
     ("schedule", {"encodings": ["single_rail", "hybrid_dual_rail"]}),
     ("schedule", {"encodings": ["standard_dual_rail_vacuum",
                                 "standard_dual_rail_logical"]}),
+    # values that would otherwise run something other than what was asked
+    ("query-sim", {"data": [0.5, 1, 1, 0]}),
+    ("montecarlo", {"trials": 1.5}),
+    ("query-sim", {"n": 2.9}),
+    ("query-sim", {"export_trace": "no"}),
+    ("route-fidelity", {"time_domain": "no"}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2

@@ -75,6 +75,28 @@ def test_superposition_query_weights(enc):
         assert abs(wrong) < 1e-10
 
 
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_classical_read_is_a_phase_on_the_leaf(enc):
+    # a classical cell never enters the state: no key holds a data slot, and
+    # the read is one z_ge per 1-bit on the leaf that holds the bus
+    rng = np.random.default_rng(31)
+    rail = (1,) if enc.is_standard else ()
+    for n in range(1, 5):
+        cfg = QramConfig(n=n, encoding=enc)
+        bits = [int(b) for b in rng.integers(0, 2, 2 ** n)]
+        data = DataRegister.classical(bits)
+        gates = build_query_gates(cfg, data)
+        assert all(g.name != "cz" for g in gates)
+        assert [g for g in gates if g.name == "z_ge" and g.slots[0][0] == "anc"] == [
+            GateRecord("z_ge", (("anc", n, j) + rail,), cfg.makespan_slots // 2)
+            for j in range(2 ** n) if bits[j]
+        ]
+        address = _unit(rng, 2 ** n)
+        keys = list(initial_state(cfg, address, data).amps)
+        keys += list(query(cfg, address, data).state.amps)
+        assert all(slot[0] != "data" for key in keys for slot, _ in key)
+
+
 def test_support_size_stays_bounded():
     n = 3
     cfg = QramConfig(n=n, encoding=Encoding.SINGLE_RAIL)
