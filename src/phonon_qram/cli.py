@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, InvalidParameterError, NumericalFailureError
 from .qram_types import DataMode, Encoding
-from .wavepackets import PulseShape, ReflectionResponse, WavePacket, distortion_fidelity
+from .wavepackets import PulseShape, WavePacket
 from . import analytics, noise, router, scheduling
 from .qram import DataRegister, QramConfig, query, trace_to_json
 
@@ -44,7 +44,9 @@ def _duration_ns(value, key: str) -> float:
 
 def _number(kind, value, key: str):
     """`kind(value)` (int, float or complex), or a config error; an int
-    must not drop a fractional part."""
+    must not drop a fractional part, and a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -61,8 +63,8 @@ def _bool(value, key: str) -> bool:
 
 
 def _list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{key}: expected a non-empty list, got {value!r}")
     return value
 
 
@@ -166,39 +168,22 @@ def cmd_route_fidelity(args) -> int:
     kappa_1d = _number(float, cfg["kappa_1d_mhz"], "kappa_1d_mhz") * _TWO_PI_MHZ
     out = _outdir(args)
 
-    if args.window is not None or args.pulse_shape is not None:
-        # single-point mode
-        if args.window is None or args.pulse_shape is None:
-            raise ConfigError("--window and --shape must be given together")
-        packet = WavePacket(_shape(args.pulse_shape), fwhm)
-        sim = router.simulate_routing(router.RouterSimConfig(
-            packet=packet, kappa_max=kappa_1d,
-            window=_duration_ns(args.window, "--window"),
-        ))
-        rows = [{"param": kappa_1d, "shape": packet.shape.value,
-                 "infidelity": 1.0 - sim.fidelity}]
-        _write_sweep(out / "fig1c.csv", rows, _meta(args, cfg))
-        return 0
-
     shapes = [_shape(s) for s in _list(cfg["shapes"], "shapes")]
     grid = cfg["kappa_grid_mhz"]
-    if not isinstance(grid, dict) or _number(int, grid.get("points", 0), "points") < 1:
-        raise ConfigError("kappa_grid_mhz needs min/max/points with points >= 1")
-    lo, hi = (_number(float, grid.get(k), f"kappa_grid_mhz.{k}") for k in ("min", "max"))
+    if not (isinstance(grid, dict) and set(grid) == {"min", "max", "points"}):
+        raise ConfigError(f"kappa_grid_mhz needs exactly min, max and points: {grid!r}")
+    points = _number(int, grid["points"], "kappa_grid_mhz.points")
+    if points < 1:
+        raise ConfigError(f"kappa_grid_mhz.points must be >= 1, got {points}")
+    lo, hi = (_number(float, grid[k], f"kappa_grid_mhz.{k}") for k in ("min", "max"))
     if not (lo > 0 and hi > 0):
         raise ConfigError(f"kappa_grid_mhz min/max must be > 0, got {lo}, {hi}")
-    kappas = np.geomspace(lo, hi, int(grid["points"])) * _TWO_PI_MHZ
-    rows = router.sweep_kappa(
-        shapes, fwhm, kappas,
-        include_timedomain=time_domain, workers=args.workers,
-    )
+    kappas = np.geomspace(lo, hi, points) * _TWO_PI_MHZ
+    rows = router.sweep_kappa(shapes, fwhm, kappas, include_timedomain=time_domain)
     _write_sweep(out / "fig1c.csv", rows, _meta(args, cfg))
 
     windows = [_duration_ns(w, "windows") for w in _list(cfg["windows"], "windows")]
-    rows = router.sweep_window(
-        shapes, fwhm, kappa_1d, windows,
-        workers=args.workers,
-    )
+    rows = router.sweep_window(shapes, fwhm, kappa_1d, windows)
     _write_sweep(out / "fig1d.csv", rows, _meta(args, cfg))
     return 0
 
@@ -337,6 +322,8 @@ def cmd_heralding(args) -> int:
     if not (isinstance(cfg["n_range"], list) and len(cfg["n_range"]) == 2):
         raise ConfigError(f"n_range must be [lo, hi], got {cfg['n_range']!r}")
     lo, hi = (_number(int, x, "n_range") for x in cfg["n_range"])
+    if lo > hi:
+        raise ConfigError(f"n_range must have lo <= hi, got {cfg['n_range']!r}")
     ns = range(lo, hi + 1)
     t = _duration_ns(cfg["t"], "t")
     T1q = _lifetime_us(cfg["T1_q"], "T1_q")
@@ -377,9 +364,8 @@ def cmd_montecarlo(args) -> int:
     t = _duration_ns(cfg["t"], "t")
     enc = _encoding(cfg["encoding"])
     rows = []
-    grid = cfg["grid"]
-    if not (isinstance(grid, list) and all(
-            isinstance(p, dict) and set(p) == {"n", "T1_q", "T1_m"} for p in grid)):
+    grid = _list(cfg["grid"], "grid")
+    if not all(isinstance(p, dict) and set(p) == {"n", "T1_q", "T1_m"} for p in grid):
         raise ConfigError(f"grid must be a list of {{n, T1_q, T1_m}} points: {grid!r}")
     for i, point in enumerate(grid):
         n = _number(int, point["n"], "n")
@@ -458,12 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="JSON parameter file")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        if name == "route-fidelity":
-            sp.add_argument("--workers", type=int, default=1)
-            sp.add_argument("--window", default=None,
-                            help="single-point routing window, e.g. 350ns")
-            sp.add_argument("--shape", dest="pulse_shape", default=None,
-                            choices=[s.value for s in PulseShape])
         sp.set_defaults(fn=fn)
     return p
 

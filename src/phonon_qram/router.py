@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# a grid step costs about 280 bytes of arrays, so this caps one call near 3 GB
+_MAX_STEPS = 10**7
 
 
 class Source(enum.Enum):
@@ -153,7 +154,12 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
         raise ResolutionError(
             f"dt*kappa = {dt * kappa:.3f} > 0.1; grid too coarse"
         )
-    n = max(int(math.ceil(config.window / dt)), 1000)
+    steps = config.window / dt
+    if not steps <= _MAX_STEPS:
+        raise ResolutionError(
+            f"window/dt = {steps:.3g} steps; the grid limit is {_MAX_STEPS:.0e}"
+        )
+    n = max(math.ceil(steps), 1000)
     dt = config.window / n
     t_half = np.arange(2 * n + 1) * (dt / 2.0)
     packet = WavePacket(config.packet.shape, config.packet.fwhm, config.window / 2.0)
@@ -209,34 +215,12 @@ def auto_window(packet: WavePacket, kappa_max: float) -> float:
     return 20.0 * packet.fwhm + 120.0 / kappa_max
 
 
-def _infidelity_analytic(args) -> float:
-    shape, fwhm, kappa = args
-    packet = WavePacket(shape, fwhm)
-    return 1.0 - distortion_fidelity(packet, ReflectionResponse(kappa))
-
-
-def _infidelity_timedomain(args) -> float:
-    shape, fwhm, kappa, window = args
-    packet = WavePacket(shape, fwhm)
-    win = window if window is not None else auto_window(packet, kappa)
-    cfg = RouterSimConfig(packet=packet, kappa_max=kappa, window=win)
+def _infidelity_timedomain(packet: WavePacket, kappa: float, window: float) -> float:
+    cfg = RouterSimConfig(packet=packet, kappa_max=kappa, window=window)
     return 1.0 - simulate_routing(cfg).fidelity
 
 
-def _map(fn, items, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def sweep_kappa(
-    shapes,
-    fwhm: float,
-    kappas,
-    include_timedomain: bool = False,
-    workers: int = 1,
-):
+def sweep_kappa(shapes, fwhm: float, kappas, include_timedomain: bool = False):
     """Infidelity vs kappa_max, one row per (kappa, shape).
 
     Rows are dicts with ``param`` (kappa in rad/ns), ``shape``,
@@ -245,34 +229,25 @@ def sweep_kappa(
     """
     if not len(kappas) or not len(shapes):
         raise InvalidParameterError("empty sweep grid")
-    jobs = [(s, fwhm, k) for s in shapes for k in kappas]
-    analytic = _map(_infidelity_analytic, jobs, workers)
-    rows = [
-        {"param": k, "shape": s.value, "infidelity": v}
-        for (s, _, k), v in zip(jobs, analytic)
-    ]
-    if include_timedomain:
-        td = _map(
-            _infidelity_timedomain, [(s, f, k, None) for s, f, k in jobs], workers
-        )
-        for row, v in zip(rows, td):
-            row["infidelity_td"] = v
+    rows = []
+    for s in shapes:
+        packet = WavePacket(s, fwhm)
+        for k in kappas:
+            fidelity = distortion_fidelity(packet, ReflectionResponse(k))
+            row = {"param": k, "shape": s.value, "infidelity": 1.0 - fidelity}
+            if include_timedomain:
+                row["infidelity_td"] = _infidelity_timedomain(
+                    packet, k, auto_window(packet, k))
+            rows.append(row)
     return rows
 
 
-def sweep_window(
-    shapes,
-    fwhm: float,
-    kappa_max: float,
-    windows,
-    workers: int = 1,
-):
+def sweep_window(shapes, fwhm: float, kappa_max: float, windows):
     """Infidelity vs routing window at fixed kappa_max."""
     if not len(windows) or not len(shapes):
         raise InvalidParameterError("empty sweep grid")
-    jobs = [(s, fwhm, kappa_max, w) for s in shapes for w in windows]
-    vals = _map(_infidelity_timedomain, jobs, workers)
     return [
-        {"param": w, "shape": s.value, "infidelity": v}
-        for (s, _, _, w), v in zip(jobs, vals)
+        {"param": w, "shape": s.value,
+         "infidelity": _infidelity_timedomain(WavePacket(s, fwhm), kappa_max, w)}
+        for s in shapes for w in windows
     ]

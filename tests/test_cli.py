@@ -1,6 +1,8 @@
 import ast
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -52,14 +54,11 @@ def assert_cells_match(cells, row):
 # happy paths
 
 def test_route_fidelity_single_point(tmp_path):
-    rc = run(tmp_path, "route-fidelity", "--window", "1050ns", "--shape", "gaussian")
-    assert rc == 0
-    lines = (tmp_path / "fig1c.csv").read_text().splitlines()
-    meta_line(tmp_path / "fig1c.csv")
-    assert lines[1] == "param,shape,infidelity"
-    kappa, shape, infid = lines[2].split(",")
-    assert shape == "gaussian"
-    assert float(infid) == pytest.approx(1.01e-3, rel=0.1)
+    # one routing point is a router-sim run; route-fidelity writes only sweeps
+    assert run(tmp_path, "router-sim", config={"window": "1050ns"}) == 0
+    doc = json.loads((tmp_path / "router_sim.json").read_text())
+    assert doc["params"]["shape"] == "gaussian"
+    assert 1.0 - doc["fidelity"] == pytest.approx(1.01e-3, rel=0.1)
 
 
 def test_route_fidelity_sweeps(tmp_path):
@@ -289,18 +288,38 @@ def test_malformed_json(tmp_path):
     assert main(["schedule", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
-def test_window_without_shape(tmp_path):
-    assert run(tmp_path, "route-fidelity", "--window", "350ns") == 2
+def test_no_subcommand_takes_workers_window_or_shape(tmp_path):
+    # route-fidelity runs one serial sweep; argparse rejects the old flags
+    for cmd in SUBCOMMANDS:
+        for flag, value in (("--workers", "2"), ("--window", "350ns"),
+                            ("--shape", "gaussian")):
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, cmd, flag, value)
+            assert exc.value.code == 2, (cmd, flag)
 
 
-def test_workers_is_a_route_fidelity_option(tmp_path):
-    # only route-fidelity runs a worker pool; elsewhere argparse rejects it
-    for cmd in ("router-sim", "query-sim", "heralding", "montecarlo", "schedule"):
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, cmd, "--workers", "2")
-        assert exc.value.code == 2, cmd
-    assert run(tmp_path, "route-fidelity", "--workers", "1",
-               "--window", "350ns", "--shape", "gaussian") == 0
+def readme_command_lines():
+    """Every `phonon-qram` command line in README.md's sh blocks, without
+    trailing comments; the `<subcommand>` synopsis line is left out."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("phonon-qram ") and "<subcommand>" not in line:
+                lines.append(line)
+    return lines
+
+
+def test_readme_command_lines_parse():
+    lines = readme_command_lines()
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_single_rail_montecarlo_rejected(tmp_path):
@@ -344,9 +363,56 @@ def test_standard_logical_montecarlo_rejected(tmp_path):
     ("query-sim", {"n": 2.9}),
     ("query-sim", {"export_trace": "no"}),
     ("route-fidelity", {"time_domain": "no"}),
+    # a JSON boolean is not a number
+    ("montecarlo", {"trials": True,
+                    "grid": [{"n": 2, "T1_q": "100us", "T1_m": "2us"}]}),
+    ("query-sim", {"n": True}),
+    ("schedule", {"n": True}),
+    ("router-sim", {"kappa_mhz": True}),
+    ("router-sim", {"control_init": [True, False]}),
+    ("route-fidelity", {"kappa_grid_mhz": {"min": 10, "max": 100, "points": True}}),
+    # inputs that select nothing, or keys the grid does not know
+    ("route-fidelity", {"kappa_grid_mhz": {"min": 10, "max": 100, "points": 2,
+                                           "bogus": 1}}),
+    ("heralding", {"n_range": [5, 2]}),
+    ("montecarlo", {"grid": []}),
+    ("heralding", {"T1_m_list": []}),
+    ("schedule", {"encodings": []}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2
+
+
+# Small, fast configs: each top-level key in turn is replaced by a value of
+# the wrong kind. No key that sizes work (n, n_range, trials) gets a big number.
+SMALL_CONFIGS = {
+    "route-fidelity": {"fwhm": "50ns", "shapes": ["gaussian"],
+                       "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1},
+                       "windows": ["350ns"], "kappa_1d_mhz": 200.0,
+                       "time_domain": False},
+    "router-sim": {"shape": "gaussian", "fwhm": "50ns", "kappa_mhz": 200.0,
+                   "window": "350ns", "control_init": [1.0, 0.0],
+                   "source": "left", "dt": None},
+    "query-sim": {"n": 1, "t": "350ns", "encoding": "single_rail",
+                  "mode": "classical", "data": [0, 1], "address": "1",
+                  "export_trace": False},
+    "heralding": {"n_range": [1, 2], "t": "350ns", "T1_q": "100us",
+                  "T1_m_list": ["inf"], "T2_q_list": ["100us"], "T2_m": "inf",
+                  "encoding": "hybrid_dual_rail"},
+    "montecarlo": {"grid": [{"n": 2, "T1_q": "100us", "T1_m": "2us"}],
+                   "t": "350ns", "encoding": "hybrid_dual_rail", "trials": 10},
+    "schedule": {"n": 2, "t": "350ns", "encodings": ["hybrid_dual_rail"]},
+}
+SUBCOMMANDS = list(SMALL_CONFIGS)
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_every_config_key_keeps_the_exit_code_contract(tmp_path, cmd):
+    assert run(tmp_path, cmd, config=SMALL_CONFIGS[cmd]) == 0
+    for key in SMALL_CONFIGS[cmd]:
+        for value in (True, None, "x"):
+            config = {**SMALL_CONFIGS[cmd], key: value}
+            assert run(tmp_path, cmd, config=config) in (0, 2, 3), (key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +422,14 @@ def test_resolution_failure_exit_code(tmp_path):
     # a user-forced step far above the 0.1/kappa floor is a numerical failure
     cfg = {"window": "20000ns", "dt": "10ns"}
     assert run(tmp_path, "router-sim", config=cfg) == 3
+
+
+@pytest.mark.parametrize("cmd, config", [
+    ("router-sim", {"kappa_mhz": 1e308}),
+    ("router-sim", {"kappa_mhz": 1e290}),
+    ("route-fidelity", {"kappa_1d_mhz": 1e308, "time_domain": False,
+                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+])
+def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
+    # the step count is checked before any array is built
+    assert run(tmp_path, cmd, config=config) == 3

@@ -187,12 +187,3 @@ def test_sweep_kappa_rows_and_empty_grid():
         sweep_kappa([PulseShape.GAUSSIAN], 50.0, [])
     with pytest.raises(InvalidParameterError):
         sweep_window([], 50.0, KAPPA_200, [600.0])
-
-
-def test_sweep_workers_agree_with_serial():
-    kappas = [100 * TWO_PI_MHZ, KAPPA_200]
-    serial = sweep_kappa([PulseShape.GAUSSIAN, PulseShape.SECH], 50.0, kappas)
-    parallel = sweep_kappa(
-        [PulseShape.GAUSSIAN, PulseShape.SECH], 50.0, kappas, workers=2
-    )
-    assert serial == parallel
