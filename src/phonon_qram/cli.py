@@ -29,6 +29,9 @@ from .qram import DataRegister, QramConfig, query, trace_to_json
 
 _DUR_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(ns|us)\s*$")
 _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
+# query-sim sizes its data register and a scan by N = 2**n; refuse larger n
+# before anything of that size is built
+_MAX_QUERY_N = 16
 
 
 def _duration_ns(value, key: str) -> float:
@@ -166,8 +169,6 @@ def cmd_route_fidelity(args) -> int:
     time_domain = _bool(cfg["time_domain"], "time_domain")
     fwhm = _duration_ns(cfg["fwhm"], "fwhm")
     kappa_1d = _number(float, cfg["kappa_1d_mhz"], "kappa_1d_mhz") * _TWO_PI_MHZ
-    out = _outdir(args)
-
     shapes = [_shape(s) for s in _list(cfg["shapes"], "shapes")]
     grid = cfg["kappa_grid_mhz"]
     if not (isinstance(grid, dict) and set(grid) == {"min", "max", "points"}):
@@ -179,12 +180,14 @@ def cmd_route_fidelity(args) -> int:
     if not (lo > 0 and hi > 0):
         raise ConfigError(f"kappa_grid_mhz min/max must be > 0, got {lo}, {hi}")
     kappas = np.geomspace(lo, hi, points) * _TWO_PI_MHZ
-    rows = router.sweep_kappa(shapes, fwhm, kappas, include_timedomain=time_domain)
-    _write_sweep(out / "fig1c.csv", rows, _meta(args, cfg))
-
     windows = [_duration_ns(w, "windows") for w in _list(cfg["windows"], "windows")]
-    rows = router.sweep_window(shapes, fwhm, kappa_1d, windows)
-    _write_sweep(out / "fig1d.csv", rows, _meta(args, cfg))
+
+    # both sweeps run before either file is written, so a failure writes nothing
+    c_rows = router.sweep_kappa(shapes, fwhm, kappas, include_timedomain=time_domain)
+    d_rows = router.sweep_window(shapes, fwhm, kappa_1d, windows)
+    out = _outdir(args)
+    _write_sweep(out / "fig1c.csv", c_rows, _meta(args, cfg))
+    _write_sweep(out / "fig1d.csv", d_rows, _meta(args, cfg))
     return 0
 
 
@@ -225,6 +228,12 @@ def cmd_router_sim(args) -> int:
     return 0
 
 
+def _basis(N: int, j: int) -> np.ndarray:
+    v = np.zeros(N, complex)
+    v[j] = 1.0
+    return v
+
+
 def _parse_address(spec, N: int, n: int):
     """'scan' | bitstring | list of amplitudes."""
     if spec == "scan":
@@ -232,9 +241,7 @@ def _parse_address(spec, N: int, n: int):
     if isinstance(spec, str):
         if len(spec) != n or any(c not in "01" for c in spec):
             raise ConfigError(f"malformed address string {spec!r} for n={n}")
-        v = np.zeros(N, complex)
-        v[int(spec, 2)] = 1.0
-        return v
+        return _basis(N, int(spec, 2))
     if isinstance(spec, list):
         if len(spec) != N:
             raise ConfigError(f"address needs {N} amplitudes")
@@ -261,8 +268,11 @@ def cmd_query_sim(args) -> int:
         "export_trace": False,
     }
     cfg = _load_config(args.config, defaults)
+    n = _number(int, cfg["n"], "n")
+    if n > _MAX_QUERY_N:
+        raise ConfigError(f"n must be <= {_MAX_QUERY_N}, got {cfg['n']!r}")
     qcfg = QramConfig(
-        n=_number(int, cfg["n"], "n"),
+        n=n,
         t=_duration_ns(cfg["t"], "t"),
         encoding=_encoding(cfg["encoding"]),
     )
@@ -283,9 +293,7 @@ def cmd_query_sim(args) -> int:
         raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
     addr = _parse_address(cfg["address"], N, qcfg.n)
 
-    addresses = (
-        list(np.eye(N, dtype=complex)) if addr is None else [addr]
-    )
+    addresses = (_basis(N, j) for j in range(N)) if addr is None else [addr]
     records, results = [], []
     for v in addresses:
         res = query(qcfg, v, data)

@@ -143,6 +143,17 @@ def _spectral_tail_norm(packet: WavePacket, w: float) -> float:
     return 1.0 - math.tanh(min(x, 700.0))
 
 
+def _spectral_power(packet: WavePacket):
+    """|envelope_freq(packet, w)|**2 as a plain-float function of scalar w."""
+    if packet.shape is PulseShape.GAUSSIAN:
+        kw = packet.width_param
+        peak = (1.0 / (2.0 * math.pi * kw**2)) ** 0.25
+        return lambda w: (peak * math.exp(-(w * w) / (4.0 * kw**2))) ** 2
+    tau = packet.width_param
+    peak = math.sqrt(math.pi * tau) / 2.0
+    return lambda w: (peak / math.cosh(min(abs(w) * math.pi * tau / 2.0, 700.0))) ** 2
+
+
 def distortion_fidelity(packet: WavePacket, resp: ReflectionResponse) -> float:
     """Infinite-window routing fidelity of a symmetric packet.
 
@@ -150,11 +161,10 @@ def distortion_fidelity(packet: WavePacket, resp: ReflectionResponse) -> float:
     adaptive quadrature to relative accuracy 1e-8.
     """
     kappa = resp.kappa_max
-    sym = WavePacket(packet.shape, packet.fwhm)  # drop center phase
+    power = _spectral_power(packet)
 
     def integrand(w: float) -> float:
-        a = abs(envelope_freq(sym, w)) ** 2
-        return a * w * w / (kappa * kappa + 4.0 * w * w)
+        return power(w) * w * w / (kappa * kappa + 4.0 * w * w)
 
     cut = 50.0 * packet.spectral_std
     # integrand <= |u|^2/4 beyond the cut; bound the discarded tail

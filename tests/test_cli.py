@@ -1,8 +1,11 @@
 import ast
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,6 +285,40 @@ def test_empty_kappa_grid(tmp_path):
     assert run(tmp_path, "route-fidelity", config=cfg) == 2
 
 
+def test_route_fidelity_config_error_creates_no_directory(tmp_path):
+    out = tmp_path / "fresh"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"shapes": []}))
+    assert main(["route-fidelity", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+# Runs the CLI in a child whose address space is capped at 1 GB, so a
+# regression that sizes work by 2**n fails there and not in the machine.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from phonon_qram.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("n", [17, 1e308])
+def test_query_sim_refuses_n_above_16(tmp_path, n):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"n": n}))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "query-sim", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "n must be <= 16" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -433,3 +470,12 @@ def test_resolution_failure_exit_code(tmp_path):
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
     # the step count is checked before any array is built
     assert run(tmp_path, cmd, config=config) == 3
+
+
+def test_route_fidelity_failure_writes_no_csv(tmp_path):
+    # the kappa sweep succeeds and the window sweep fails: neither file is written
+    config = {"kappa_1d_mhz": 1e308, "time_domain": False,
+              "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}
+    assert run(tmp_path, "route-fidelity", config=config) == 3
+    assert not (tmp_path / "fig1c.csv").exists()
+    assert not (tmp_path / "fig1d.csv").exists()

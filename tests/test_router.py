@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from field_router import field_run
 from hypothesis import given, settings, strategies as st
 
 from phonon_qram.errors import InvalidParameterError, ResolutionError
@@ -10,6 +11,7 @@ from phonon_qram.router import (
     Source,
     auto_window,
     beam_splitter,
+    default_dt,
     scatter_state,
     simulate_routing,
     sweep_kappa,
@@ -159,6 +161,29 @@ def test_timedomain_matches_analytic_fidelity():
             td = simulate_routing(cfg).fidelity
             an = distortion_fidelity(packet, ReflectionResponse(kappa))
             assert td == pytest.approx(an, abs=1e-9)
+
+
+@pytest.mark.parametrize("source", list(Source))
+@pytest.mark.parametrize("control_init", [(2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)])
+@pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
+def test_two_overlaps_match_the_full_field_pipeline(source, control_init, shape):
+    # every output field is a multiple of u or of its reflection, so the two
+    # overlaps <u|u>, <u|r> must give what four field overlaps give
+    packet = WavePacket(shape, fwhm=50.0)
+    for mhz in (10, 200, 1000):
+        kappa = mhz * TWO_PI_MHZ
+        for window in (auto_window(packet, kappa), 150.0):
+            dt = min(default_dt(kappa, packet.fwhm), window / 1000.0)
+            cfg = RouterSimConfig(packet=packet, kappa_max=kappa, window=window, dt=dt,
+                                  control_init=control_init, source=source)
+            res = simulate_routing(cfg)
+            final, fidelity, leakage, steps = field_run(cfg)
+            assert res.final_state.keys() == final.keys()
+            for k, v in final.items():
+                assert abs(res.final_state[k] - v) < 1e-13, (mhz, window, k)
+            assert abs(res.fidelity - fidelity) < 1e-13
+            assert abs(res.leakage - leakage) < 1e-13
+            assert len(res.traces["time"]) == steps
 
 
 def test_config_validation():

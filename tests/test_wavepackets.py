@@ -14,6 +14,7 @@ from phonon_qram.wavepackets import (
     envelope_time,
     reflection_transfer,
 )
+from phonon_qram.wavepackets import _spectral_power
 
 TWO_PI_MHZ = 2 * math.pi * 1e-3
 
@@ -55,6 +56,20 @@ def test_spectral_std_matches_numerical_moment(shape):
     u2 = np.abs(envelope_freq(p, w)) ** 2
     second = np.trapezoid(w ** 2 * u2, w)
     assert math.sqrt(second) == pytest.approx(p.spectral_std, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_scalar_spectral_power_matches_envelope_freq(shape):
+    # the plain-float |u(w)|^2 of the distortion integrand; the grid runs
+    # past |w| pi tau / 2 = 710, where the sech needs its 700 clip
+    p = WavePacket(shape, fwhm=50.0, center=37.0)
+    w_clip = 710.0 / (math.pi * (p.fwhm / 2.0) / 2.0)
+    w = np.concatenate([np.linspace(-0.5, 0.5, 1001),
+                        np.geomspace(1e-4, 3.0 * w_clip, 2000)])
+    power = _spectral_power(p)
+    got = np.array([power(x) for x in w])
+    np.testing.assert_allclose(got, np.abs(envelope_freq(p, w)) ** 2,
+                               rtol=1e-14, atol=0.0)
 
 
 @given(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
