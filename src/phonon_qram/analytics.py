@@ -1,6 +1,6 @@
 """Closed-form query times, heralding rates, and infidelity scalings.
 
-All lifetimes (T1, T2) are in microseconds, all durations (t, T, t_f) in
+All lifetimes (T1, T2) are in microseconds, all durations (t, T) in
 nanoseconds, and rates in hertz; the unit suffix is part of every argument
 name so that nothing silently mixes scales.  math.inf is a valid lifetime
 and disables the corresponding channel.
@@ -20,14 +20,10 @@ __all__ = [
     "query_time",
     "success_prob_hybrid",
     "success_prob_standard_vacuum",
-    "success_prob_standard_logical",
     "heralding_report",
     "heralding_rate",
     "dephasing_no_error_prob",
     "dephasing_infidelity_approx",
-    "thermal_infidelity_bound",
-    "distortion_query_infidelity",
-    "f_decay_no_error_prob",
     "heralding_sweep_rows",
     "dephasing_sweep_rows",
 ]
@@ -99,16 +95,6 @@ def success_prob_standard_vacuum(
     return math.exp(-(n + 1) * (T / Tq - n * t_ns / Tq + n * t_ns / Tm))
 
 
-def success_prob_standard_logical(n: int, t_ns: float, T1_q_us: float) -> float:
-    """Logical-subspace initialization: every router holds an excitation,
-    so the no-decay probability collapses as exp(-2^n T/T1_q).  This is an
-    order-of-magnitude scaling, implemented literally."""
-    _check_nt(n, t_ns)
-    _check_pos(T1_q_us=T1_q_us)
-    T = query_time(n, t_ns, Encoding.STANDARD_DUAL_RAIL_LOGICAL)
-    return math.exp(-(2 ** n) * T / (T1_q_us * _US))
-
-
 def heralding_rate(P_no_error: float, T_ns: float) -> float:
     """Successful queries per second: P/T."""
     _check_pos(T_ns=T_ns)
@@ -128,9 +114,6 @@ def heralding_report(
     elif encoding is Encoding.STANDARD_DUAL_RAIL_VACUUM:
         P = success_prob_standard_vacuum(n, t_ns, T1_q_us, T1_m_us)
         P_min = P_max = P
-    elif encoding is Encoding.STANDARD_DUAL_RAIL_LOGICAL:
-        P = success_prob_standard_logical(n, t_ns, T1_q_us)
-        P_min = P_max = P
     else:
         raise InvalidParameterError(
             "single-rail has no heralding: losses are undetectable"
@@ -142,7 +125,7 @@ def heralding_report(
 
 
 # ---------------------------------------------------------------------------
-# dephasing / thermal / distortion / |f>-decay
+# dephasing
 
 def _p_no_dephase(t_ns: float, T2_us: float) -> float:
     """Single qubit: Kraus {sqrt(1-p/2) I, sqrt(p/2) Z}, p = 1-e^{-t/T2}."""
@@ -193,38 +176,6 @@ def dephasing_infidelity_approx(
     _check_pos(T2_q_us=T2_q_us, T2_m_us=T2_m_us)
     rate = (7 * n - 4) / (T2_q_us * _US) + n / (T2_m_us * _US)
     return (n + 1) * t_ns * rate / 4.0
-
-
-def thermal_infidelity_bound(
-    n: int, t_ns: float, T1_us: float, n_th: float
-) -> float:
-    """Upper estimate 4 n_th n(n+1) T/T1 ~ 16 n_th n^3 t/T1 for thermal
-    excitations hitting idle routers."""
-    _check_nt(n, t_ns)
-    _check_pos(T1_us=T1_us)
-    if n_th < 0:
-        raise InvalidParameterError(f"n_th must be >= 0, got {n_th}")
-    T = query_time(n, t_ns, Encoding.HYBRID_DUAL_RAIL)
-    return 4.0 * n_th * n * (n + 1) * T / (T1_us * _US)
-
-
-def distortion_query_infidelity(epsilon: float, n: int) -> float:
-    """Routing-distortion accumulation over a query: 1-F ~ eps * n(n-1)."""
-    if epsilon < 0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    return epsilon * n * (n - 1)
-
-
-def f_decay_no_error_prob(n: int, t_f_ns: float, T1_q_us: float) -> float:
-    """No |f>->|e> decay during the n entangling releases: exp(-n t_f/T1_q)."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if t_f_ns < 0:
-        raise InvalidParameterError(f"t_f must be >= 0, got {t_f_ns}")
-    _check_pos(T1_q_us=T1_q_us)
-    return math.exp(-n * t_f_ns / (T1_q_us * _US))
 
 
 # ---------------------------------------------------------------------------

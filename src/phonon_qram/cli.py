@@ -32,6 +32,9 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # query-sim sizes its data register and a scan by N = 2**n; refuse larger n
 # before anything of that size is built
 _MAX_QUERY_N = 16
+# schedule, heralding and montecarlo grow as n**2 or loop over n; every
+# default has n <= 10, so refuse n above this before anything is built
+_MAX_N = 64
 
 
 def _duration_ns(value, key: str) -> float:
@@ -332,22 +335,24 @@ def cmd_heralding(args) -> int:
     lo, hi = (_number(int, x, "n_range") for x in cfg["n_range"])
     if lo > hi:
         raise ConfigError(f"n_range must have lo <= hi, got {cfg['n_range']!r}")
+    if hi > _MAX_N:
+        raise ConfigError(f"n must be <= {_MAX_N}, got {cfg['n_range']!r}")
     ns = range(lo, hi + 1)
     t = _duration_ns(cfg["t"], "t")
     T1q = _lifetime_us(cfg["T1_q"], "T1_q")
+    T1ms = [_lifetime_us(x, "T1_m_list") for x in _list(cfg["T1_m_list"], "T1_m_list")]
+    T2s = [_lifetime_us(x, "T2_q_list") for x in _list(cfg["T2_q_list"], "T2_q_list")]
+    T2m = _lifetime_us(cfg["T2_m"], "T2_m")
     enc = _encoding(cfg["encoding"])
-    rows = []
-    for T1m_raw in _list(cfg["T1_m_list"], "T1_m_list"):
-        T1m = _lifetime_us(T1m_raw, "T1_m_list")
-        rows.extend(analytics.heralding_sweep_rows(ns, t, T1q, T1m, enc))
+
+    # both tables are built before either file is written, so an error writes nothing
+    rows = [row for T1m in T1ms
+            for row in analytics.heralding_sweep_rows(ns, t, T1q, T1m, enc)]
+    drows = analytics.dephasing_sweep_rows(ns, t, T2s, T2m)
     out = _outdir(args)
     _write_csv(out / "fig4a.csv",
                "n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz".split(","),
                rows, _meta(args, cfg))
-
-    T2s = [_lifetime_us(x, "T2_q_list") for x in _list(cfg["T2_q_list"], "T2_q_list")]
-    T2m = _lifetime_us(cfg["T2_m"], "T2_m")
-    drows = analytics.dephasing_sweep_rows(ns, t, T2s, T2m)
     _write_csv(out / "fig4b.csv",
                "n,T2q_us,P_dephasing,approx_first_order".split(","),
                drows, _meta(args, cfg))
@@ -371,14 +376,15 @@ def cmd_montecarlo(args) -> int:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     t = _duration_ns(cfg["t"], "t")
     enc = _encoding(cfg["encoding"])
-    rows = []
     grid = _list(cfg["grid"], "grid")
     if not all(isinstance(p, dict) and set(p) == {"n", "T1_q", "T1_m"} for p in grid):
         raise ConfigError(f"grid must be a list of {{n, T1_q, T1_m}} points: {grid!r}")
-    for i, point in enumerate(grid):
-        n = _number(int, point["n"], "n")
-        T1q = _lifetime_us(point["T1_q"], "T1_q")
-        T1m = _lifetime_us(point["T1_m"], "T1_m")
+    points = [(_number(int, p["n"], "n"), _lifetime_us(p["T1_q"], "T1_q"),
+               _lifetime_us(p["T1_m"], "T1_m")) for p in grid]
+    if max(n for n, _, _ in points) > _MAX_N:
+        raise ConfigError(f"n must be <= {_MAX_N}, got {grid!r}")
+    rows = []
+    for i, (n, T1q, T1m) in enumerate(points):
         qcfg = QramConfig(n=n, t=t, encoding=enc)
         nm = noise.NoiseModel(T1_q=T1q, T1_m=T1m)
         p_hat, se = noise.estimate_success_prob(qcfg, nm, trials, (args.seed, i))
@@ -403,16 +409,18 @@ def cmd_schedule(args) -> int:
                 "encodings": ["hybrid_dual_rail", "standard_dual_rail_vacuum"]}
     cfg = _load_config(args.config, defaults)
     n = _number(int, cfg["n"], "n")
+    if n > _MAX_N:
+        raise ConfigError(f"n must be <= {_MAX_N}, got {cfg['n']!r}")
     t = _duration_ns(cfg["t"], "t")
     encs = [_encoding(name) for name in _list(cfg["encodings"], "encodings")]
     tags = ["standard" if enc.is_standard else "hybrid" for enc in encs]
     if len(set(tags)) < len(tags):
         raise ConfigError(f"encodings {cfg['encodings']!r} share an output file; "
                           "give at most one standard and one non-standard")
+    scheds = [scheduling.build_schedule(n, enc, t) for enc in encs]
     out = _outdir(args)
     report = {}
-    for enc, tag in zip(encs, tags):
-        sched = scheduling.build_schedule(n, enc, t)
+    for sched, tag in zip(scheds, tags):
         _write_csv(out / f"schedule_{tag}.csv",
                    ["k", "level", "slot_start", "direction", "rail"],
                    ((e.k, e.level, e.slot_start, e.direction, e.rail)
@@ -421,7 +429,7 @@ def cmd_schedule(args) -> int:
         _write_json(out / f"schedule_{tag}_gantt.json",
                     scheduling.schedule_to_gantt_json(sched))
         report[tag] = {
-            "encoding": enc.value,
+            "encoding": sched.encoding.value,
             "makespan_slots": sched.makespan_slots,
             "makespan_ns": sched.makespan,
             "problems": scheduling.validate_schedule(sched),

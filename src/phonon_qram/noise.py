@@ -107,11 +107,6 @@ def _check_encoding(cfg: QramConfig) -> None:
             "single-rail carries no error-detection structure; "
             "use a hybrid or standard encoding"
         )
-    if cfg.encoding is Encoding.STANDARD_DUAL_RAIL_LOGICAL:
-        raise InvalidParameterError(
-            "the loss model does not cover the pre-loaded routers of "
-            "standard_dual_rail_logical; use standard_dual_rail_vacuum"
-        )
 
 
 def _register_name(cfg: QramConfig, k: int) -> str:

@@ -13,22 +13,17 @@ class Encoding(Enum):
     Single-rail holds the bit directly in the g/e manifold.  Hybrid
     dual-rail entangles the register transmon with the routed phonon so a
     loss shows up as |f> on the register.  Standard dual-rail spreads the
-    bit over two sequentially-routed rails; the vacuum and logical
-    variants differ only in how the initialization is error-accounted,
-    not in the gate sequence.
+    bit over two sequentially-routed rails with the routers initialized in
+    vacuum, so a loss shows up as |00> on the rail pair.
     """
 
     SINGLE_RAIL = "single_rail"
     HYBRID_DUAL_RAIL = "hybrid_dual_rail"
     STANDARD_DUAL_RAIL_VACUUM = "standard_dual_rail_vacuum"
-    STANDARD_DUAL_RAIL_LOGICAL = "standard_dual_rail_logical"
 
     @property
     def is_standard(self) -> bool:
-        return self in (
-            Encoding.STANDARD_DUAL_RAIL_VACUUM,
-            Encoding.STANDARD_DUAL_RAIL_LOGICAL,
-        )
+        return self is Encoding.STANDARD_DUAL_RAIL_VACUUM
 
 
 class DataMode(Enum):

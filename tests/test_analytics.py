@@ -8,15 +8,11 @@ from phonon_qram import __version__
 from phonon_qram.analytics import (
     dephasing_infidelity_approx,
     dephasing_no_error_prob,
-    distortion_query_infidelity,
-    f_decay_no_error_prob,
     heralding_rate,
     heralding_report,
     query_time,
     success_prob_hybrid,
-    success_prob_standard_logical,
     success_prob_standard_vacuum,
-    thermal_infidelity_bound,
 )
 from phonon_qram.cli import main
 from phonon_qram.errors import InvalidParameterError
@@ -60,14 +56,6 @@ def test_standard_vacuum_against_product_oracle():
         expect *= math.exp(-tk / (T1m * 1e3)) * math.exp(-(T - tk) / (T1q * 1e3))
     assert success_prob_standard_vacuum(n, t, T1q, T1m) == pytest.approx(
         expect, rel=1e-12
-    )
-
-
-def test_standard_logical_scaling():
-    n, t, T1q = 3, 350.0, 100.0
-    T = query_time(n, t, STD)
-    assert success_prob_standard_logical(n, t, T1q) == pytest.approx(
-        math.exp(-(2 ** n) * T / (T1q * 1e3)), rel=1e-12
     )
 
 
@@ -182,23 +170,6 @@ def test_dephasing_approx_brackets_exact_and_keeps_paper_law():
             ) == pytest.approx((n + 1) * (2 * n - 1) / (2 * n * n), rel=1e-12)
     with pytest.raises(InvalidParameterError):
         dephasing_infidelity_approx(3, 350.0, 100.0, 0.0)
-
-
-def test_thermal_distortion_fdecay_formulas():
-    assert thermal_infidelity_bound(3, 350.0, 100.0, 0.01) == pytest.approx(
-        4 * 0.01 * 3 * 4 * query_time(3, 350.0, HYB) / 100e3, rel=1e-12
-    )
-    assert distortion_query_infidelity(1e-3, 5) == pytest.approx(20e-3)
-    assert distortion_query_infidelity(1e-3, 1) == 0.0
-    assert f_decay_no_error_prob(4, 100.0, 50.0) == pytest.approx(
-        math.exp(-4 * 100.0 / 50e3), rel=1e-12
-    )
-    with pytest.raises(InvalidParameterError):
-        thermal_infidelity_bound(3, 350.0, 100.0, -1.0)
-    with pytest.raises(InvalidParameterError):
-        distortion_query_infidelity(-1e-3, 5)
-    with pytest.raises(InvalidParameterError):
-        f_decay_no_error_prob(4, -1.0, 50.0)
 
 
 def heralding_outputs(tmp_path, config):

@@ -155,7 +155,6 @@ DENSE_CASES = [
     (Encoding.HYBRID_DUAL_RAIL, 1, False),
     (Encoding.HYBRID_DUAL_RAIL, 2, False),
     (Encoding.STANDARD_DUAL_RAIL_VACUUM, 1, False),
-    (Encoding.STANDARD_DUAL_RAIL_LOGICAL, 1, False),
     (Encoding.SINGLE_RAIL, 1, True),
     (Encoding.HYBRID_DUAL_RAIL, 1, True),
 ]

@@ -16,7 +16,7 @@ from phonon_qram.scheduling import (
 )
 
 PIPELINED = [Encoding.SINGLE_RAIL, Encoding.HYBRID_DUAL_RAIL]
-STANDARD = [Encoding.STANDARD_DUAL_RAIL_VACUUM, Encoding.STANDARD_DUAL_RAIL_LOGICAL]
+STANDARD = [Encoding.STANDARD_DUAL_RAIL_VACUUM]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
