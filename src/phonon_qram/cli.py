@@ -32,6 +32,14 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # query-sim sizes its data register and a scan by N = 2**n; refuse larger n
 # before anything of that size is built
 _MAX_QUERY_N = 16
+# a quantum query's exported state holds every data cell, 2**N keys per
+# address branch for N = 2**n cells: 2**16 at n = 4, while a basis address
+# at n = 5 exhausts a 1 GB address space
+_MAX_QUANTUM_QUERY_N = 4
+# montecarlo draws trials * (n + 1) losses in one piece; a draw peaks at 33
+# bytes (hybrid; 9 standard) under tracemalloc, so this caps a grid point
+# near 0.66 GB
+_MAX_MC_DRAWS = 2 * 10**7
 # schedule, heralding and montecarlo grow as n**2 or loop over n; every
 # default has n <= 10, so refuse n above this before anything is built
 _MAX_N = 64
@@ -274,6 +282,8 @@ def cmd_query_sim(args) -> int:
     n = _number(int, cfg["n"], "n")
     if n > _MAX_QUERY_N:
         raise ConfigError(f"n must be <= {_MAX_QUERY_N}, got {cfg['n']!r}")
+    if cfg["mode"] == "quantum" and n > _MAX_QUANTUM_QUERY_N:
+        raise ConfigError(f"quantum mode needs n <= {_MAX_QUANTUM_QUERY_N}, got {n}")
     qcfg = QramConfig(
         n=n,
         t=_duration_ns(cfg["t"], "t"),
@@ -383,6 +393,9 @@ def cmd_montecarlo(args) -> int:
                _lifetime_us(p["T1_m"], "T1_m")) for p in grid]
     if max(n for n, _, _ in points) > _MAX_N:
         raise ConfigError(f"n must be <= {_MAX_N}, got {grid!r}")
+    if max(trials * (n + 1) for n, _, _ in points) > _MAX_MC_DRAWS:
+        raise ConfigError(f"trials * (n + 1) must be <= {_MAX_MC_DRAWS:.0e}, got "
+                          f"trials={trials} with n up to {max(n for n, _, _ in points)}")
     rows = []
     for i, (n, T1q, T1m) in enumerate(points):
         qcfg = QramConfig(n=n, t=t, encoding=enc)

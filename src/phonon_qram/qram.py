@@ -13,10 +13,27 @@ the bit; a quantum cell is a data slot, routed into the tree when queried.
 Routing here is ideal: distortion and decoherence are composed on top
 analytically or by Monte Carlo elsewhere.
 
+The protocol is written once as level ops, each the node-parallel gates
+of one (time, gate name, level, rail).  `build_query_gates` is their
+node-by-node expansion into `GateRecord`s, for export and for replay
+against the reference engines in `tests/`.  `query` runs the level ops in
+path coordinates.  In address branch j every excitation stays on j's
+root-to-leaf path, so a branch is keyed by j plus 2-bit fields for the
+registers, the control and ancilla of j's node at each level and rail,
+and, for quantum data, cell j's data slots.  A level op finds its node
+from j's prefix and is one `state.apply_gate` call; a hop into the child
+off j's path excites the trap field and raises `NumericalFailureError`.
+The cells a branch does not query are never touched, so they stay a
+product background of their (a, b).  They are multiplied in only when the
+state is exported to frozenset configurations, the form
+`QueryResult.state` holds.  `QueryResult.max_support` counts path
+branches: at most 2N, with classical or quantum data.
+
 Timestamps on the emitted gate records are in units of the routing step t.
-In-hops sit on the "in" entries of `scheduling.build_schedule`, and
-emissions and control settings on `scheduling.start_slot`.  Mirroring maps
-an instant at tau to M - tau and a hop over [tau, tau + 1) to M - tau - 1,
+Emissions and control settings sit on `scheduling.start_slot`, and the hop
+of excitation k out of level l on start_slot + l, where
+`scheduling.build_schedule` puts its "in" entries.  Mirroring maps an
+instant at tau to M - tau and a hop over [tau, tau + 1) to M - tau - 1,
 for makespan M, which lands every out-hop on its "out" entry.
 """
 
@@ -24,12 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from . import state
+from .errors import InvalidParameterError, NumericalFailureError
 from .qram_types import DataMode, Encoding
-from .scheduling import build_schedule, makespan_slots, start_slot
+from .scheduling import makespan_slots, start_slot
 from .state import GateRecord, SparseState
 
 __all__ = [
@@ -111,30 +130,44 @@ class DataRegister:
 
 
 # ---------------------------------------------------------------------------
-# slot naming
+# the protocol as level ops
 
-def _reg(k, rail=None):
-    return ("reg", k) if rail is None else ("reg", k, rail)
+class _LevelOp(NamedTuple):
+    """Gate `name` at `time` on every node in `nodes`, the node indices at
+    tree level `level`, one gate per node and template, templates innermost.
 
+    A template is a tuple of slot patterns (kind, where, rail): a register
+    ("reg", k, rail); a tree slot ("ctrl" | "anc", where, rail) of the node
+    itself (where None) or of its child `where` one level down; a data-cell
+    slot (kind, None, rail) of the leaf node's cell."""
 
-def _ctrl(lvl, idx, rail=None):
-    return ("ctrl", lvl, idx) if rail is None else ("ctrl", lvl, idx, rail)
-
-
-def _anc(lvl, idx, rail=None):
-    return ("anc", lvl, idx) if rail is None else ("anc", lvl, idx, rail)
-
-
-def _data(j, rail=None):
-    return ("data", j) if rail is None else ("data", j, rail)
-
-
-def _dctrl(j, rail=None):
-    return ("dctrl", j) if rail is None else ("dctrl", j, rail)
+    time: float
+    name: str
+    level: int
+    params: tuple
+    nodes: Sequence[int]
+    templates: tuple
 
 
-def _dwg(j, rail=None):
-    return ("dwg", j) if rail is None else ("dwg", j, rail)
+_CELL = ("data", "dctrl", "dwg")
+
+
+def _op(time, name, level, *templates, params=(), nodes=None) -> _LevelOp:
+    return _LevelOp(time, name, level, params,
+                    range(2 ** level) if nodes is None else nodes, templates)
+
+
+def _slots(pattern, level: int, nodes) -> list:
+    """Absolute slot name of `pattern` at each of `nodes` of `level`."""
+    kind, where, rail = pattern
+    tail = () if rail is None else (rail,)
+    if kind == "reg":
+        return [("reg", where) + tail] * len(nodes)
+    if kind in _CELL:
+        return [(kind, node) + tail for node in nodes]
+    if where is None:
+        return [(kind, level, node) + tail for node in nodes]
+    return [(kind, level + 1, 2 * node + where) + tail for node in nodes]
 
 
 def _bit(j: int, k: int, n: int) -> int:
@@ -142,89 +175,51 @@ def _bit(j: int, k: int, n: int) -> int:
     return (j >> (n - 1 - k)) & 1
 
 
-# ---------------------------------------------------------------------------
-# gate-block builders
-
-def _route_level(cfg: QramConfig, lvl: int, time: float, rail=None):
+def _route_level(cfg: QramConfig, lvl: int, time: float, rail=None) -> _LevelOp:
     """One conditional hop from level lvl to lvl+1, over every node."""
-    gates = []
+    hop = (("anc", None, rail), ("anc", 0, rail), ("anc", 1, rail))
+    if cfg.encoding.is_standard:
+        return _op(time, "route2", lvl, (("ctrl", None, 0), ("ctrl", None, 1)) + hop)
     invert = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
-    for idx in range(2 ** lvl):
-        left, right = _anc(lvl + 1, 2 * idx, rail), _anc(lvl + 1, 2 * idx + 1, rail)
-        if cfg.encoding.is_standard:
-            gates.append(GateRecord(
-                "route2",
-                (_ctrl(lvl, idx, 0), _ctrl(lvl, idx, 1), _anc(lvl, idx, rail),
-                 left, right),
-                time,
-            ))
-        else:
-            gates.append(GateRecord(
-                "route", (_ctrl(lvl, idx), _anc(lvl, idx), left, right),
-                time, (invert,),
-            ))
-    return gates
+    return _op(time, "route", lvl, (("ctrl", None, None),) + hop, params=(invert,))
 
 
-def _set_level(cfg: QramConfig, k: int, time: float, rail=None):
-    return [
-        GateRecord("swap_ge", (_anc(k, idx, rail), _ctrl(k, idx, rail)), time)
-        for idx in range(2 ** k)
-    ]
-
-
-def _release_block(cfg: QramConfig, slot, time: float):
-    """Entangling release: (a|g>+b|e>)|g>_root -> a|g>|e>_root + b|e>|g>_root."""
-    root = _anc(0, 0)
-    return [
-        GateRecord("ladder_ef", (slot,), time),
-        GateRecord("ladder_ge", (slot,), time),
-        GateRecord("swap_ge", (slot, root), time),
-        GateRecord("ladder_ef", (slot,), time),
-    ]
+def _set_level(k: int, time: float, rail=None) -> _LevelOp:
+    return _op(time, "swap_ge", k, (("anc", None, rail), ("ctrl", None, rail)))
 
 
 def _emit_block(cfg: QramConfig, k: int, time: float, rail=None, quantum_bus=False):
     """Transfer of register k into the root ancilla."""
-    slot = _reg(k, rail)
+    reg, root = ("reg", k, rail), ("anc", None, rail)
     hybrid = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
     # the hybrid bus in quantum mode is emitted plainly: the entangling
     # release would keep the |e> component in the register instead of
     # sending an excitation down the tree
-    plain = (not hybrid) or (k == cfg.n and quantum_bus)
-    if plain:
-        return [GateRecord("swap_ge", (slot, _anc(0, 0, rail)), time)]
-    return _release_block(cfg, slot, time)
+    if not hybrid or (k == cfg.n and quantum_bus):
+        return [_op(time, "swap_ge", 0, (reg, root))]
+    # entangling release: (a|g>+b|e>)|g>_root -> a|g>|e>_root + b|e>|g>_root
+    return [_op(time, "ladder_ef", 0, (reg,)), _op(time, "ladder_ge", 0, (reg,)),
+            _op(time, "swap_ge", 0, (reg, root)), _op(time, "ladder_ef", 0, (reg,))]
 
 
 def _read_block(cfg: QramConfig, data: DataRegister, time: float):
-    N = cfg.N
-    std = cfg.encoding.is_standard
+    n, std = cfg.n, cfg.encoding.is_standard
     if data.mode is DataMode.CLASSICAL:
         # a classical cell never enters the state: a 1-bit is a phase on the
         # leaf that holds the bus (rail 1 for standard dual-rail)
-        return [GateRecord("z_ge", (_anc(cfg.n, j, 1 if std else None),), time)
-                for j in range(N) if data.bits[j]]
+        ones = tuple(j for j in range(cfg.N) if data.bits[j])
+        return [_op(time, "z_ge", n, (("anc", None, 1 if std else None),), nodes=ones)]
     # quantum read: park the bus excitation as a data-side control, emit
     # every data qubit, route the queried one into the tree and the rest
     # back into place
-    gates = []
     rails = (0, 1) if std else (None,)
-    for j in range(N):
-        for r in rails:
-            gates.append(GateRecord("swap_ge", (_anc(cfg.n, j, r), _dctrl(j, r)), time))
-    for j in range(N):
-        for r in rails:
-            gates.append(GateRecord("swap_ge", (_data(j, r), _dwg(j, r)), time))
-    marker_rail = 1 if std else None
-    for j in range(N):
-        for r in rails:
-            gates.append(GateRecord(
-                "qroute",
-                (_dctrl(j, marker_rail), _dwg(j, r), _anc(cfg.n, j, r), _data(j, r)),
-                time,
-            ))
-    return gates
+    marker = 1 if std else None
+    return [
+        _op(time, "swap_ge", n, *[(("anc", None, r), ("dctrl", None, r)) for r in rails]),
+        _op(time, "swap_ge", n, *[(("data", None, r), ("dwg", None, r)) for r in rails]),
+        _op(time, "qroute", n, *[(("dctrl", None, marker), ("dwg", None, r),
+                                  ("anc", None, r), ("data", None, r)) for r in rails]),
+    ]
 
 
 # inverse of each inward gate; the ladders and swap_ge are involutions
@@ -237,34 +232,36 @@ _INVERSE = {
 }
 
 
-def _mirror(g: GateRecord, M: int) -> GateRecord:
-    """Inverse of inward gate `g` at its time-reversed slot in a makespan-M
-    query.  An instant at tau maps to M - tau; a hop over [tau, tau + 1)
-    maps to M - tau - 1, with its source slot moved last."""
-    name = _INVERSE[g.name]
-    if name == g.name:
-        return GateRecord(name, g.slots, M - g.time, g.params)
-    s = g.slots
-    return GateRecord(name, s[:-3] + s[-2:] + s[-3:-2], M - g.time - 1, g.params)
+def _mirror(op: _LevelOp, M: int) -> _LevelOp:
+    """Inverse of inward op `op` at its time-reversed slot in a makespan-M
+    query, its gates in reverse order.  An instant at tau maps to M - tau;
+    a hop over [tau, tau + 1) maps to M - tau - 1, with its source slot
+    moved last."""
+    name = _INVERSE[op.name]
+    templates = op.templates[::-1]
+    if name == op.name:
+        return _LevelOp(M - op.time, name, op.level, op.params, op.nodes[::-1], templates)
+    return _LevelOp(M - op.time - 1, name, op.level, op.params, op.nodes[::-1],
+                    tuple(t[:-3] + t[-2:] + t[-3:-2] for t in templates))
 
 
 # ---------------------------------------------------------------------------
 # full protocol
 
-def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
-    """Chronological gate list for a complete query: the inward half, the
+def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
+    """Chronological level ops of a complete query: the inward half, the
     read, the mirrored inverse of the inward half, then the bus decode."""
     data.validate(cfg.N)
     qbus = data.mode is DataMode.QUANTUM
     n, M = cfg.n, cfg.makespan_slots
     std = cfg.encoding.is_standard
     rails = (0, 1) if std else (None,)
-    # (time, priority, sub-priority, gate); the stable sort below keeps
-    # insertion order among gates whose keys tie
-    ev: list[tuple[int, int, int, GateRecord]] = []
+    # (time, priority, sub-priority, op); the stable sort below keeps
+    # insertion order among ops whose keys tie
+    ev: list[tuple[int, int, int, _LevelOp]] = []
 
-    def add(time, pri, gates, sub=0):
-        ev.extend((time, pri, sub, g) for g in gates)
+    def add(time, pri, ops, sub=0):
+        ev.extend((time, pri, sub, op) for op in ops)
 
     for k in range(n + 1):
         for r in rails:
@@ -272,36 +269,162 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
             add(s, _P_EMIT0 if k == 0 else _P_EMIT,
                 _emit_block(cfg, k, s, rail=r, quantum_bus=qbus))
             if k < n:
-                add(s + k, _P_SET0 if k == 0 else _P_SET,
-                    _set_level(cfg, k, s + k, rail=r))
-
-    for e in build_schedule(n, cfg.encoding, cfg.t).entries:
-        if e.direction == "in":
+                add(s + k, _P_SET0 if k == 0 else _P_SET, [_set_level(k, s + k, rail=r)])
+            # excitation k hops from level lvl over [s + lvl, s + lvl + 1);
             # within a slot, deeper hops go first so the next ancilla down
             # is already vacant
-            add(e.slot_start, _P_IN,
-                _route_level(cfg, e.level, e.slot_start, rail=e.rail if std else None),
-                sub=-e.level)
+            for lvl in range(k):
+                add(s + lvl, _P_IN, [_route_level(cfg, lvl, s + lvl, rail=r)], sub=-lvl)
 
     ev.sort(key=lambda e: e[:3])
-    inward = [g for *_x, g in ev]
-    gates = (inward + _read_block(cfg, data, M // 2)
-             + [_mirror(g, M) for g in reversed(inward)])
+    inward = [op for *_x, op in ev]
+    ops = (inward + _read_block(cfg, data, M // 2)
+           + [_mirror(op, M) for op in reversed(inward)])
 
     # decode the bus back to the computational basis
     if data.mode is DataMode.CLASSICAL:
         if std:
-            gates.append(GateRecord("dualrail_h", (_reg(n, 0), _reg(n, 1)), M))
+            ops.append(_op(M, "dualrail_h", 0, (("reg", n, 0), ("reg", n, 1))))
         else:
-            gates.append(GateRecord("h_ge", (_reg(n),), M))
+            ops.append(_op(M, "h_ge", 0, (("reg", n, None),)))
             if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
-                gates.append(GateRecord("z_ge", (_reg(n),), M))
+                ops.append(_op(M, "z_ge", 0, (("reg", n, None),)))
+    return ops
+
+
+def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
+    """Chronological gate list for a complete query: the inward half, the
+    read, the mirrored inverse of the inward half, then the bus decode.
+    It is the node-by-node expansion of the level ops `query` runs."""
+    rows: dict = {}  # (template, level) -> the template's slots at every node
+    gates: list[GateRecord] = []
+    for op in _protocol(cfg, data):
+        per_template = []
+        for t in op.templates:
+            r = rows.get((t, op.level))
+            if r is None:
+                nodes = range(2 ** op.level)
+                r = rows[t, op.level] = list(zip(*[_slots(p, op.level, nodes) for p in t]))
+            per_template.append(r)
+        name, time, params = op.name, op.time, op.params
+        gates += [GateRecord(name, r[node], time, params)
+                  for node in op.nodes for r in per_template]
     return gates
 
 
-def initial_state(cfg: QramConfig, address, data: DataRegister) -> SparseState:
-    """Address amplitudes + bus prep + quantum data register loading; a
-    classical register puts nothing in the state."""
+# ---------------------------------------------------------------------------
+# path coordinates
+
+class PathState:
+    """Amplitudes keyed by address branch j and the slots on j's path.
+
+    A key is `j << width | fields`: field 0 is the trap, then 2 bits each
+    for every register, the control and ancilla of j's node at each level
+    (per rail), and for quantum data cell j's slots.  The other cells of a
+    quantum register are never touched by the query, so they are a product
+    background of their (a, b), kept in `cells` and multiplied in only by
+    `export`."""
+
+    def __init__(self, cfg: QramConfig, cells: tuple):
+        n = cfg.n
+        rails = (0, 1) if cfg.encoding.is_standard else (None,)
+        self.n, self.std, self.cells = n, cfg.encoding.is_standard, cells
+        self.fields = [None] + [
+            (kind, lvl, r)
+            for kind, lvls in (("reg", n + 1), ("ctrl", n), ("anc", n + 1))
+            for lvl in range(lvls) for r in rails
+        ] + [(kind, None, r) for kind in (_CELL if cells else ()) for r in rails]
+        self.offset = {f: 2 * i for i, f in enumerate(self.fields)}
+        self.width = 2 * len(self.fields)
+        self.amps = state.Amps()
+        self._ops: dict = {}  # compiled templates; a query repeats them
+
+    def bit(self, field) -> int:
+        return 1 << self.offset[field]
+
+    def support(self) -> int:
+        return len(self.amps)
+
+    def _offset(self, pattern, level: int, child) -> int:
+        """Bit offset of `pattern` at a level-`level` node, in a branch
+        whose path goes on to `child`; the trap for the other child."""
+        kind, where, rail = pattern
+        if kind in _CELL or kind == "reg":
+            return self.offset[(kind, where, rail)]
+        if where is None:
+            return self.offset[(kind, level, rail)]
+        return self.offset[(kind, level + 1, rail)] if where == child else 0
+
+    def compile(self, op: _LevelOp) -> list[tuple]:
+        """One `state.apply_gate` op per template of `op`.  A branch finds
+        its node from its address prefix; the child off its path is the
+        trap, and a node with no gate leaves the branch alone."""
+        n, level, width = self.n, op.level, self.width
+        partial = len(op.nodes) < 2 ** level
+        out = []
+        for t in op.templates:
+            key = (op.name, op.params, level, t, op.nodes if partial else None)
+            compiled = self._ops.get(key)
+            if compiled is None:
+                variants = [tuple(self._offset(p, level, c) for p in t) for c in (0, 1)]
+                if partial:
+                    # a gate on some nodes of a level; no child is on a path
+                    offs = tuple(self._offset(p, level, None) for p in t)
+                    member = set(op.nodes)
+                    table = [offs if i in member else None for i in range(2 ** level)]
+                    shift, mask = width + n - level, 2 ** level - 1
+                elif variants[0] != variants[1]:
+                    table, shift, mask = variants, width + n - 1 - level, 1
+                else:
+                    table, shift, mask = variants[:1], 0, 0
+                compiled = self._ops[key] = state.compile_gate(
+                    op.name, op.params, table, shift, mask)
+            out.append(compiled)
+        return out
+
+    def export(self) -> SparseState:
+        """The same state over absolute slots, as frozenset configurations."""
+        n, width = self.n, self.width
+        background: dict = {}  # j -> product branches of the other cells
+        out: dict = {}
+        for key, amp in self.amps.items():
+            j, f = key >> width, key & ((1 << width) - 1)
+            items = []
+            while f:
+                i = (f & -f).bit_length() - 1 >> 1
+                kind, lvl, rail = self.fields[i]
+                slot = ((kind, lvl) if kind == "reg" else (kind, j) if kind in _CELL
+                        else (kind, lvl, j >> (n - lvl)))
+                items.append((slot if rail is None else slot + (rail,), f >> 2 * i & 3))
+                f &= ~(3 << 2 * i)
+            if j not in background:
+                background[j] = _background(self.cells, j, self.std)
+            for extra, b in background[j]:
+                cfg = frozenset(items + extra)
+                out[cfg] = out.get(cfg, 0.0) + amp * b
+        return SparseState({c: a for c, a in out.items() if abs(a) > 1e-14})
+
+
+def _background(cells: tuple, j: int, std: bool) -> list:
+    """(configuration items, amplitude) of every product branch of the
+    cells other than j; one empty branch of amplitude 1 for no cells."""
+    out = [([], 1.0)]
+    for i, (a, b) in enumerate(cells):
+        if i == j:
+            continue
+        opts = []
+        if abs(a) > 0:
+            opts.append(([(("data", i, 0), 1)] if std else [], a))
+        if abs(b) > 0:
+            opts.append(([(("data", i, 1) if std else ("data", i), 1)], b))
+        out = [(it + o, amp * f) for it, amp in out for o, f in opts]
+    return out
+
+
+def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
+    """Address amplitudes + bus prep + the queried cell of a quantum data
+    register, per address branch; a classical register puts nothing in
+    the state."""
     data.validate(cfg.N)
     amps = np.asarray(address, dtype=complex)
     if amps.shape != (cfg.N,):
@@ -312,44 +435,37 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> SparseState:
         raise InvalidParameterError("address state not normalized")
     n, std = cfg.n, cfg.encoding.is_standard
     quantum = data.mode is DataMode.QUANTUM
+    path = PathState(cfg, data.qubits)
+    bus = path.bit(("reg", n, 1 if std else None))
 
-    branches: list[tuple[list, complex]] = []
+    out: list[tuple[int, complex]] = []
     for j in range(cfg.N):
         if amps[j] == 0:
             continue
-        items = []
+        key = j << path.width
         for k in range(n):
             b = _bit(j, k, n)
-            if std:
-                items.append((_reg(k, b), 1))
-            elif b:
-                items.append((_reg(k), 1))
-        branches.append((items, amps[j]))
-
-    # bus: |+> probe for classical reads, |1> for quantum reads
-    out: list[tuple[list, complex]] = []
-    for items, a in branches:
+            if std or b:
+                key |= path.bit(("reg", k, b if std else None))
+        # the engine runs on Python complex: a numpy scalar costs several
+        # times more per branch update
+        a = amps[j]
         if quantum:
-            bus = [_reg(n, 1)] if std else [_reg(n)]
-            out.append((items + [(s, 1) for s in bus], a))
-        elif std:
-            out.append((items + [(_reg(n, 0), 1)], a / math.sqrt(2)))
-            out.append((items + [(_reg(n, 1), 1)], a / math.sqrt(2)))
-        else:
-            out.append((items, a / math.sqrt(2)))
-            out.append((items + [(_reg(n), 1)], a / math.sqrt(2)))
-
-    # a quantum register expands every branch over its cells, one at a time;
-    # a classical register has no qubits and adds nothing
-    for j, (aj, bj) in enumerate(data.qubits):
-        nxt = []
-        for it, amp in out:
+            # bus |1> and the queried cell
+            aj, bj = data.qubits[j]
             if abs(aj) > 0:
-                nxt.append((it + [(_data(j, 0), 1)] if std else it, amp * aj))
+                out.append((key | bus | (path.bit(("data", None, 0)) if std else 0),
+                            complex(a * aj)))
             if abs(bj) > 0:
-                nxt.append((it + [(_data(j, 1 if std else None), 1)], amp * bj))
-        out = nxt
-    return SparseState({frozenset(items): a for items, a in out})
+                out.append((key | bus | path.bit(("data", None, 1 if std else None)),
+                            complex(a * bj)))
+        else:
+            # |+> probe on the bus: rail 0 or 1 for standard dual-rail, g or e
+            h = complex(a / math.sqrt(2))
+            out += [(key | (path.bit(("reg", n, 0)) if std else 0), h), (key | bus, h)]
+    path.amps.update((c, a) for c, a in out if abs(a) > 1e-14)
+    path.amps.norm2 = sum(abs(a) ** 2 for a in path.amps.values())
+    return path
 
 
 _TREE_SLOTS = ("ctrl", "anc", "dwg")
@@ -370,7 +486,7 @@ class QueryResult:
         return best[0][1]
 
 
-def _decode_final(cfg: QramConfig, data: DataRegister, state: SparseState) -> QueryResult:
+def _decode_final(cfg: QramConfig, data: DataRegister, final: SparseState) -> QueryResult:
     n, std = cfg.n, cfg.encoding.is_standard
     quantum = data.mode is DataMode.QUANTUM
     # classical mode: exact complex amplitudes per (address, bus) outcome.
@@ -379,7 +495,7 @@ def _decode_final(cfg: QramConfig, data: DataRegister, state: SparseState) -> Qu
     # go through the full sparse state.
     address_bus: dict = {}
     tree_ground = True
-    for conf, amp in state.amps.items():
+    for conf, amp in final.amps.items():
         bits = {}
         bus_level = 0
         for slot, level in conf:
@@ -410,16 +526,35 @@ def _decode_final(cfg: QramConfig, data: DataRegister, state: SparseState) -> Qu
             address_bus[key] = address_bus.get(key, 0.0 + 0.0j) + amp
     if quantum:
         address_bus = {k: math.sqrt(p) for k, p in address_bus.items()}
-    return QueryResult(cfg, state, [], address_bus, tree_ground, state.max_support)
+    return QueryResult(cfg, final, [], address_bus, tree_ground)
 
 
 def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
-    """Run the full pipeline; noiseless, so the outcome is exact."""
+    """Run the full pipeline; noiseless, so the outcome is exact.
+
+    Raises `NumericalFailureError` when a branch leaves its path, when the
+    running norm leaves 1 by more than 1e-10 after an op, or when it ends
+    more than 1e-12 from the norm recomputed over every branch."""
     gates = build_query_gates(cfg, data)
-    state = initial_state(cfg, address, data)
-    state.apply_all(gates)
-    res = _decode_final(cfg, data, state)
-    res.trace = gates
+    path = initial_state(cfg, address, data)
+    amps = path.amps
+    support = len(amps)
+    nrm = math.sqrt(amps.norm2)
+    for level_op in _protocol(cfg, data):
+        for op in path.compile(level_op):
+            amps = state.apply_gate(amps, op)
+            support = max(support, len(amps))
+            nrm = math.sqrt(max(amps.norm2, 0.0))
+            if abs(nrm - 1.0) > 1e-10:
+                raise NumericalFailureError(
+                    f"norm drifted to {nrm!r} after gate {level_op.name}")
+    full = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    if abs(nrm - full) > 1e-12:
+        raise NumericalFailureError(
+            f"running norm {nrm!r} differs from recomputed norm {full!r}")
+    path.amps = amps
+    res = _decode_final(cfg, data, path.export())
+    res.trace, res.max_support = gates, support
     return res
 
 

@@ -1,23 +1,24 @@
-"""Sparse symbolic state vector over a register of three-level slots.
+"""Gate semantics and the in-place sparse update on int-keyed amplitude maps.
 
-A configuration is a frozenset of (slot, level) pairs with level 1 (e) or
-2 (f); any slot not listed is in its ground state.  Because a query only
-ever excites one slot per routed excitation, the support stays small
-(at most ~2N branches for an N-cell memory) even though the full Hilbert
-space is astronomically large.
+A state is a map from configurations to complex amplitudes.  Outside an
+engine a configuration is a frozenset of (slot, level) pairs with level 1
+(e) or 2 (f), any slot not listed being in its ground state: that is
+`SparseState`, the format results are exported in.  Inside an engine a
+configuration is an int in which every tracked slot has a fixed 2-bit
+field, so a level lookup is a shift and a mask; field 0 (bits 0-1) is a
+trap that no branch may excite.  The caller owns the layout: `qram` keys a
+branch by its address and the slots on that address's root-to-leaf path.
 
-Frozensets are the format at this module's boundary.  Inside
-`SparseState.apply_all` every slot gets a fixed 2-bit field of an int, so
-a level lookup is a shift and a mask.  Each gate updates the amplitude map
-in place: one scan of the keys finds the active branches (some idle slot
-excited; every branch for a gate with no idle slots), only those are
-popped, and their images are summed and merged back.  The other branches
-are never visited again.  Only keys the gate wrote are pruned at 1e-14;
-the entry map is pruned once when it is converted to ints.  The map
-carries a running squared norm that moves by the weight of every key the
-gate popped, wrote or removed, including an untouched key an image lands
-on.  It is checked against 1 to 1e-10 after every gate, and at the end of
-`apply_all` it must match a full recomputation to 1e-12.
+`compile_gate` turns a gate into an op whose slot offsets may depend on a
+few bits of the key, so one op can stand for a gate on every node of a
+tree level.  `apply_gate` updates the amplitude map in place: one scan of
+the keys finds the active branches (some idle slot excited; every branch
+for a gate with no idle slots), only those are popped, and their images
+are summed and merged back.  The other branches are never visited again.
+Only keys the gate wrote are pruned at 1e-14.  The map carries a running
+squared norm that moves by the weight of every key the gate popped, wrote
+or removed, including an untouched key an image lands on; the caller
+checks it.  An image that excites the trap raises `NumericalFailureError`.
 
 Gates are recorded as `GateRecord`s so an entire protocol can be exported,
 replayed against an independent dense simulation, or cross-checked against
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import NumericalFailureError
 
-__all__ = ["GateRecord", "SparseState", "GATE_ARITY", "apply_gate"]
+__all__ = ["GateRecord", "SparseState", "GATE_ARITY", "Amps", "apply_gate", "compile_gate"]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -177,22 +178,38 @@ _GATES = {
 GATE_ARITY = {name: arity for name, (arity, _, _) in _GATES.items()}
 
 
-class _Amps(dict):
+class Amps(dict):
     """Int-keyed amplitude map that carries its running squared norm."""
 
     __slots__ = ("norm2",)
 
 
-def apply_gate(amps: _Amps, op: tuple) -> _Amps:
-    """Apply one compiled gate `op` = (semantics, bit offsets, params, idle
-    mask) to the int-keyed amplitude map `amps` in place and return it.
+def compile_gate(name: str, params: tuple, table: list, shift: int = 0,
+                 mask: int = 0) -> tuple:
+    """Op for `apply_gate`: gate `name` with `params`, whose slot bit offsets
+    in a key `c` are `table[c >> shift & mask]`; a None entry means no gate
+    acts on that key.  Offset 0 is the trap field."""
+    _, idle_pos, fn = _GATES[name]
+    idle = 0
+    for offsets in table:
+        if offsets is not None:
+            for i in idle_pos:
+                idle |= 3 << offsets[i]
+    trap = any(offsets is not None and 0 in offsets for offsets in table)
+    return fn, params, idle, shift, mask, table, trap
 
-    Only active branches (some idle slot excited, or every branch if the
-    gate has no idle slots) are popped; their images are summed and merged
-    back, pruned at 1e-14.  `amps.norm2` moves by the squared weight of
-    every key popped, written or removed, including an untouched key that
-    an image lands on."""
-    fn, offsets, params, idle = op
+
+def apply_gate(amps: Amps, op: tuple) -> Amps:
+    """Apply one compiled op (see `compile_gate`) to the int-keyed amplitude
+    map `amps` in place and return it.
+
+    Only active branches (some idle slot excited in one of the op's
+    variants, or every branch if the gate has no idle slots) are popped;
+    their images are summed and merged back, pruned at 1e-14.  `amps.norm2`
+    moves by the squared weight of every key popped, written or removed,
+    including an untouched key that an image lands on.  An image that
+    excites the trap field raises `NumericalFailureError`."""
+    fn, params, idle, shift, mask, table, trap = op
     if idle:
         pop = amps.pop
         old = [(c, pop(c)) for c in [c for c in amps if c & idle]]
@@ -202,11 +219,25 @@ def apply_gate(amps: _Amps, op: tuple) -> _Amps:
     out: dict = {}
     get = out.get
     delta = 0.0
-    for cfg, amp in old:
-        m = abs(amp)
-        delta -= m * m
-        for new_cfg, factor in fn(cfg, offsets, params):
-            out[new_cfg] = get(new_cfg, 0.0) + amp * factor
+    if mask:
+        for cfg, amp in old:
+            m = abs(amp)
+            delta -= m * m
+            offsets = table[cfg >> shift & mask]
+            for new_cfg, factor in (((cfg, 1.0),) if offsets is None
+                                    else fn(cfg, offsets, params)):
+                out[new_cfg] = get(new_cfg, 0.0) + amp * factor
+    else:
+        # one variant: the offsets are the same for every key
+        offsets = table[0]
+        for cfg, amp in old:
+            m = abs(amp)
+            delta -= m * m
+            for new_cfg, factor in fn(cfg, offsets, params):
+                out[new_cfg] = get(new_cfg, 0.0) + amp * factor
+    if trap and any(cfg & 3 for cfg in out):
+        raise NumericalFailureError(
+            f"{fn.__name__[1:]} moved a branch onto a slot it does not track")
     get = amps.get
     for cfg, amp in out.items():
         prev = get(cfg)
@@ -224,74 +255,16 @@ def apply_gate(amps: _Amps, op: tuple) -> _Amps:
     return amps
 
 
-def _to_frozenset(cfg: int, slots: list) -> frozenset:
-    items = []
-    while cfg:
-        i = (cfg & -cfg).bit_length() - 1 >> 1
-        items.append((slots[i], cfg >> 2 * i & 3))
-        cfg &= ~(3 << 2 * i)
-    return frozenset(items)
-
-
 class SparseState:
-    """Mutable amplitude map config -> complex."""
+    """Amplitude map from frozenset configurations to complex amplitudes."""
 
-    __slots__ = ("amps", "max_support")
+    __slots__ = ("amps",)
 
-    def __init__(self, amps: dict | None = None):
-        self.amps = dict(amps) if amps else {frozenset(): 1.0 + 0.0j}
-        self.max_support = len(self.amps)
+    def __init__(self, amps: dict):
+        self.amps = dict(amps)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
 
-    def support(self) -> int:
-        return len(self.amps)
-
-    def apply(self, gate: GateRecord) -> None:
-        self.apply_all([gate])
-
-    def apply_all(self, gates) -> None:
-        """Apply `gates` in order, on int configurations inside this call.
-
-        Raises `NumericalFailureError` when the running norm leaves 1 by
-        more than 1e-10 after a gate, or when it ends more than 1e-12 from
-        the norm recomputed over every branch."""
-        gates = list(gates)
-        slots = list(dict.fromkeys(
-            [s for cfg in self.amps for s, _ in cfg] + [s for g in gates for s in g.slots]
-        ))
-        offset = {s: 2 * i for i, s in enumerate(slots)}
-        ops = []
-        for g in gates:
-            _, idle, fn = _GATES[g.name]
-            offsets = tuple(offset[s] for s in g.slots)
-            ops.append((fn, offsets, g.params, sum({3 << offsets[i] for i in idle})))
-        amps = _Amps(
-            (sum(level << offset[s] for s, level in cfg), a)
-            for cfg, a in self.amps.items() if abs(a) > 1e-14
-        )
-        self.amps = amps
-        amps.norm2 = self.norm() ** 2
-        try:
-            for g, op in zip(gates, ops):
-                amps = apply_gate(amps, op)
-                self.max_support = max(self.max_support, len(amps))
-                n = math.sqrt(max(amps.norm2, 0.0))
-                if abs(n - 1.0) > 1e-10:
-                    raise NumericalFailureError(f"norm drifted to {n!r} after gate {g.name}")
-            n, full = math.sqrt(max(amps.norm2, 0.0)), self.norm()
-            if abs(n - full) > 1e-12:
-                raise NumericalFailureError(
-                    f"running norm {n!r} differs from recomputed norm {full!r}"
-                )
-        finally:
-            self.amps = {_to_frozenset(c, slots): a for c, a in amps.items()}
-
     def amplitude(self, cfg: frozenset) -> complex:
         return self.amps.get(cfg, 0.0 + 0.0j)
-
-    def copy(self) -> "SparseState":
-        s = SparseState(self.amps)
-        s.max_support = self.max_support
-        return s

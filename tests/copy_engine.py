@@ -9,15 +9,13 @@ count at sizes the dense oracle cannot reach.
 
 from __future__ import annotations
 
-from phonon_qram.state import _GATES, _to_frozenset
+from phonon_qram.state import _GATES
+from slot_engine import slot_layout, to_frozenset
 
 
 def copy_run(initial: dict, gates) -> tuple[dict, int]:
     """(final config -> amplitude, max support) of `gates` on `initial`."""
-    slots = list(dict.fromkeys(
-        [s for cfg in initial for s, _ in cfg] + [s for g in gates for s in g.slots]
-    ))
-    offset = {s: 2 * i for i, s in enumerate(slots)}
+    slots, offset = slot_layout(initial, gates)
     amps = {sum(lvl << offset[s] for s, lvl in cfg): a for cfg, a in initial.items()}
     max_support = len(amps)
     for g in gates:
@@ -33,4 +31,4 @@ def copy_run(initial: dict, gates) -> tuple[dict, int]:
                 out[new_cfg] = out.get(new_cfg, 0.0) + amp * factor
         amps = {c: a for c, a in out.items() if abs(a) > 1e-14}
         max_support = max(max_support, len(amps))
-    return {_to_frozenset(c, slots): a for c, a in amps.items()}, max_support
+    return {to_frozenset(c, slots): a for c, a in amps.items()}, max_support

@@ -339,6 +339,26 @@ def test_query_sim_refuses_n_above_16(tmp_path, n):
     assert not out.exists()
 
 
+def test_query_sim_refuses_quantum_mode_above_n_4(tmp_path):
+    # the exported state holds 2^N data-cell branches per address branch
+    config = {"n": 5, "mode": "quantum", "data": [[0.6, 0.8]] * 32, "address": "00000"}
+    proc, out = run_capped(tmp_path, "query-sim", config)
+    assert proc.returncode == 2, proc.stderr
+    assert "quantum mode needs n <= 4" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials, n", [(10000000000, 2), (1000000, 20)])
+def test_montecarlo_refuses_draws_above_the_cap(tmp_path, trials, n):
+    # the loss draw holds trials * (n + 1) elements at once
+    config = {"trials": trials, "grid": [{"n": 1, "T1_q": "100us", "T1_m": "2us"},
+                                         {"n": n, "T1_q": "100us", "T1_m": "2us"}]}
+    proc, out = run_capped(tmp_path, "montecarlo", config)
+    assert proc.returncode == 2, proc.stderr
+    assert "trials * (n + 1) must be <= 2e+07" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd, config", [
     ("schedule", {"n": 100000}),
     ("schedule", {"n": 65}),

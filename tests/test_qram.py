@@ -16,7 +16,8 @@ from phonon_qram.qram import (
     trace_to_json,
 )
 from phonon_qram.qram_types import Encoding
-from phonon_qram.state import GateRecord, SparseState
+from phonon_qram.state import GateRecord
+from slot_engine import SlotState, reference_initial_state
 
 ALL_ENCODINGS = list(Encoding)
 RNG = np.random.default_rng(7)
@@ -92,7 +93,7 @@ def test_classical_read_is_a_phase_on_the_leaf(enc):
             for j in range(2 ** n) if bits[j]
         ]
         address = _unit(rng, 2 ** n)
-        keys = list(initial_state(cfg, address, data).amps)
+        keys = list(initial_state(cfg, address, data).export().amps)
         keys += list(query(cfg, address, data).state.amps)
         assert all(slot[0] != "data" for key in keys for slot, _ in key)
 
@@ -178,18 +179,20 @@ def test_dense_oracle_replay(enc, n, quantum):
         [complex(i + 1, (-1) ** i) for i in range(N)], dtype=complex
     )
     amps /= np.linalg.norm(amps)
-    init = initial_state(cfg, amps, data)
+    init = initial_state(cfg, amps, data).export()
     gates = build_query_gates(cfg, data)
 
-    sparse = init.copy()
-    sparse.apply_all(gates)
+    reference = SlotState(init.amps)
+    reference.apply_all(gates)
     dense = dense_amplitudes(dict(init.amps), gates)
 
-    keys = set(sparse.amps) | set(dense)
-    err = max(
-        abs(sparse.amps.get(k, 0.0) - dense.get(k, 0.0)) for k in keys
-    )
-    assert err < 1e-12
+    # the absolute-slot reference and the path engine, each against dense
+    for sparse in (reference, query(cfg, amps, data).state):
+        keys = set(sparse.amps) | set(dense)
+        err = max(
+            abs(sparse.amps.get(k, 0.0) - dense.get(k, 0.0)) for k in keys
+        )
+        assert err < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def test_config_and_register_validation():
 
 
 def test_norm_guard_trips_on_non_unitary_record():
-    state = SparseState({frozenset(): 1.0})
+    state = SlotState({frozenset(): 1.0})
     # h_ge twice from vacuum interferes back; a single one is fine, but a
     # manual amplitude duplication is caught by the norm guard
     state.amps[frozenset({(("reg", 0), 1)})] = 1.0
@@ -225,12 +228,14 @@ def _unit(rng, size):
 
 
 def _assert_matches_copy_engine(cfg, address, data):
-    ref, ref_support = copy_run(initial_state(cfg, address, data).amps,
+    """Query result and the copy engine's max support, once every final
+    amplitude agrees with the copy engine's."""
+    ref, ref_support = copy_run(initial_state(cfg, address, data).export().amps,
                                 build_query_gates(cfg, data))
     res = query(cfg, address, data)
     assert set(res.state.amps) == set(ref)
     assert max(abs(res.state.amps[k] - a) for k, a in ref.items()) <= 1e-14
-    assert res.max_support == ref_support
+    return res, ref_support
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
@@ -240,16 +245,63 @@ def test_superposed_classical_query_matches_copy_engine(n, enc):
     # against a per-gate copy of the whole map
     rng = np.random.default_rng(100 + n)
     bits = [int(b) for b in rng.integers(0, 2, 2 ** n)]
-    _assert_matches_copy_engine(QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n),
-                                DataRegister.classical(bits))
+    res, ref_support = _assert_matches_copy_engine(
+        QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n), DataRegister.classical(bits))
+    assert res.max_support == ref_support
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
 def test_superposed_quantum_query_matches_copy_engine(enc):
+    # the support counts path branches: the bus and the queried cell, two
+    # per address, where the copy engine holds every cell's 2^N branches
     rng = np.random.default_rng(11)
     cells = [tuple(_unit(rng, 2)) for _ in range(4)]
-    _assert_matches_copy_engine(QramConfig(n=2, encoding=enc), _unit(rng, 4),
-                                DataRegister.quantum(cells))
+    res, _ = _assert_matches_copy_engine(QramConfig(n=2, encoding=enc), _unit(rng, 4),
+                                         DataRegister.quantum(cells))
+    assert res.max_support == 2 * 4
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_query_matches_absolute_slot_engine(enc):
+    # the absolute-slot engine holds the whole tree and every data cell in
+    # each branch and applies one gate record at a time, from an initial
+    # state built cell by cell; the path engine must agree with it
+    rng = np.random.default_rng(43)
+    cases = [(n, DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)]))
+             for n in range(1, 7)]
+    cases += [(n, DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)]))
+              for n in range(1, 4)]
+    for n, data in cases:
+        cfg = QramConfig(n=n, encoding=enc)
+        address = _unit(rng, 2 ** n)
+        ref = SlotState(reference_initial_state(cfg, address, data))
+        init = initial_state(cfg, address, data).export().amps
+        assert set(init) == set(ref.amps)
+        assert max(abs(init[k] - a) for k, a in ref.amps.items()) <= 1e-14
+        ref.apply_all(build_query_gates(cfg, data))
+        got = query(cfg, address, data).state.amps
+        assert set(got) == set(ref.amps), (n, data.mode)
+        assert max(abs(got[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
+
+
+def test_route_into_the_off_path_child_raises(monkeypatch):
+    # hybrid routers with the polarity flipped send every address excitation
+    # into the child off its branch's path: the engine must refuse, not drop
+    # the branch
+    from phonon_qram import qram
+
+    protocol = qram._protocol
+
+    def flipped(cfg, data):
+        return [op._replace(params=(not op.params[0],)) if op.name == "route" else op
+                for op in protocol(cfg, data)]
+
+    monkeypatch.setattr(qram, "_protocol", flipped)
+    cfg = QramConfig(n=2, encoding=Encoding.HYBRID_DUAL_RAIL)
+    gates = build_query_gates(cfg, DataRegister.classical([0, 1, 1, 0]))
+    assert {g.params for g in gates if g.name == "route"} == {(False,)}
+    with pytest.raises(NumericalFailureError, match="slot it does not track"):
+        query(cfg, basis_address(2, 2), DataRegister.classical([0, 1, 1, 0]))
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)

@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_amplitudes
 from phonon_qram.errors import NumericalFailureError
-from phonon_qram.state import GATE_ARITY, GateRecord, SparseState
+from phonon_qram.state import GATE_ARITY, GateRecord
+from slot_engine import SlotState
 
 A, B, C, D, E = ("s", 0), ("s", 1), ("s", 2), ("s", 3), ("s", 4)
 
 
 def make(amps):
-    return SparseState(dict(amps))
+    return SlotState(dict(amps))
 
 
 def test_swap_ge_blocks_on_f():
@@ -139,7 +140,7 @@ def test_random_circuits_preserve_norm(data):
                frozenset({(D, 2)})]
     amps = {c: a for c, a in zip(configs, rng_amps)}
     nrm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    state = SparseState({c: a / nrm for c, a in amps.items()})
+    state = SlotState({c: a / nrm for c, a in amps.items()})
 
     n_gates = data.draw(st.integers(min_value=1, max_value=12))
     for _ in range(n_gates):
@@ -219,7 +220,7 @@ def test_random_circuits_match_dense_oracle(data):
     n_gates = data.draw(st.integers(min_value=1, max_value=16))
     gates = [_draw_gate(data, may) for _ in range(n_gates)]
 
-    state = SparseState(initial)
+    state = SlotState(initial)
     state.apply_all(gates)
     dense = dense_amplitudes(initial, gates)
     keys = set(state.amps) | set(dense)

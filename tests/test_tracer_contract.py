@@ -1,0 +1,60 @@
+"""The benchmark tracer's contract with the package.
+
+`perfbench/tracing.py` rebinds every `(module, attribute)` in `BINDINGS`
+and `state.SparseState.norm`; its hooks call `.support()` on what
+`qram.initial_state` returns and `len()` on `state.apply_gate`'s argument
+and result.  A query must reach `apply_gate` through the `state` module,
+or the tracer sees none of the engine's work.
+"""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+import phonon_qram
+from phonon_qram import qram, state
+from phonon_qram.qram_types import Encoding
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _query():
+    cfg = qram.QramConfig(n=2, encoding=Encoding.HYBRID_DUAL_RAIL)
+    return qram.query(cfg, np.full(4, 0.5, dtype=complex),
+                      qram.DataRegister.classical([0, 1, 1, 0]))
+
+
+def test_tracer_bindings_resolve_and_see_the_engine(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    for mod, attr, _ in tracing.BINDINGS:
+        assert callable(getattr(getattr(phonon_qram, mod), attr)), (mod, attr)
+    assert callable(state.SparseState.norm)
+
+    calls = []
+    apply_gate = state.apply_gate
+
+    def counting(amps, op):
+        calls.append(len(amps))
+        return apply_gate(amps, op)
+
+    monkeypatch.setattr(state, "apply_gate", counting)
+    _query()
+    assert calls
+    monkeypatch.undo()
+
+    # the installed tracer's hooks run on a query and count its work
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = _query()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["qram.gates_emitted"] == len(res.trace)
+    assert metrics["state.apply_gate.calls"] > 0
+    assert metrics["qram.initial_branches"] == 8
+    assert metrics["state.max_support"] == res.max_support
