@@ -32,13 +32,13 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # query-sim sizes its data register and a scan by N = 2**n; refuse larger n
 # before anything of that size is built
 _MAX_QUERY_N = 16
-# a quantum query's exported state holds every data cell, 2**N keys per
-# address branch for N = 2**n cells: 2**16 at n = 4, while a basis address
-# at n = 5 exhausts a 1 GB address space
-_MAX_QUANTUM_QUERY_N = 4
-# montecarlo draws trials * (n + 1) losses in one piece; a draw peaks at 33
+# a quantum query exports up to 2**(N-1) product branches of the unqueried
+# cells per non-zero address amplitude, ~5 KB each (standard dual-rail, n = 4):
+# this caps it near 330 MB, so a basis address runs at n = 4, not at n = 5
+_MAX_QUANTUM_BRANCHES = 2**16
+# montecarlo draws trials * (n + 1) losses in one piece; a draw peaks at 12
 # bytes (hybrid; 9 standard) under tracemalloc, so this caps a grid point
-# near 0.66 GB
+# near 0.24 GB
 _MAX_MC_DRAWS = 2 * 10**7
 # schedule, heralding and montecarlo grow as n**2 or loop over n; every
 # default has n <= 10, so refuse n above this before anything is built
@@ -282,8 +282,6 @@ def cmd_query_sim(args) -> int:
     n = _number(int, cfg["n"], "n")
     if n > _MAX_QUERY_N:
         raise ConfigError(f"n must be <= {_MAX_QUERY_N}, got {cfg['n']!r}")
-    if cfg["mode"] == "quantum" and n > _MAX_QUANTUM_QUERY_N:
-        raise ConfigError(f"quantum mode needs n <= {_MAX_QUANTUM_QUERY_N}, got {n}")
     qcfg = QramConfig(
         n=n,
         t=_duration_ns(cfg["t"], "t"),
@@ -305,6 +303,10 @@ def cmd_query_sim(args) -> int:
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
     addr = _parse_address(cfg["address"], N, qcfg.n)
+    support = 1 if addr is None else int(np.count_nonzero(addr))
+    if data.mode is DataMode.QUANTUM and support * 2 ** (N - 1) > _MAX_QUANTUM_BRANCHES:
+        raise ConfigError(f"quantum mode would export {support} x 2^{N - 1} branches "
+                          f"(address support x 2^(N-1)), over {_MAX_QUANTUM_BRANCHES}")
 
     addresses = (_basis(N, j) for j in range(N)) if addr is None else [addr]
     records, results = [], []

@@ -1,13 +1,20 @@
 """Monte Carlo loss/dephasing/thermal injection on query trajectories.
 
-Rather than discretizing per gate, events are drawn on the continuous
-residence intervals reported by the scheduler: excitation k spends 2kt in
-the phonon waveguide and the rest of the query parked in transmons, so a
-loss clock ticks at 1/T1_m or 1/T1_q depending on where the excitation
-currently lives.  For the hybrid encoding each released qubit is an equal
-superposition of "stayed in the register" and "went down the tree", which
-is sampled as a fair branch choice per trajectory — averaging reproduces
-the closed-form success probability exactly.
+Events are drawn on the residence segments of `scheduling.residence_intervals`
+(no `Schedule` is built), not per gate: excitation k spends 2kt in the phonon
+waveguide and the rest of the query in transmons.  A hybrid released qubit
+is an equal superposition of "stayed in the register" and "went down the
+tree", sampled as a fair branch choice per (trial, excitation); averaging
+reproduces the closed-form success probability exactly.  Excitation k is
+lost when its uniform draw u reaches the keep-probability exp(-hazard) of
+its branch, at the time the hazard reaches -log(u); trials draw all branch
+choices, then all u, as one array each.  A standard dual-rail excitation
+then takes rail 0 or 1 (one slot later) by a fair draw, which moves its
+event times but never a verdict.  Dephasing and thermal events: the
+rate x time cells of every (excitation, medium, kind) are laid end to end,
+one Poisson draw counts the events, and one uniform point per event picks
+its cell and its time in that medium; its location names the excitation,
+the rail (standard dual-rail) and the medium.
 
 Detection is a pure function of the final measurement pattern: a lost
 excitation leaves a register transmon in |f> (hybrid) or a dual-rail pair
@@ -18,6 +25,8 @@ to the dual-rail check.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,7 +95,7 @@ class NoiseModel:
 @dataclass(frozen=True)
 class NoiseEvent:
     time_ns: float
-    location: str  # e.g. "excitation3:waveguide"
+    location: str  # e.g. "excitation3:waveguide", "excitation3:rail1:waveguide"
     kind: str      # "loss" | "dephase" | "thermal"
 
 
@@ -109,84 +118,87 @@ def _check_encoding(cfg: QramConfig) -> None:
         )
 
 
-def _register_name(cfg: QramConfig, k: int) -> str:
-    return "bus" if k == cfg.n else f"address_{k}"
-
-
 def _classify(cfg: QramConfig, lost: list) -> tuple[bool, str | None]:
     """Detection verdict from the final measurement pattern."""
     if not lost:
         return False, None
-    k = lost[0]
-    if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
-        return True, f"{_register_name(cfg, k)}:f"
-    return True, f"{_register_name(cfg, k)}:00"
+    register = "bus" if lost[0] == cfg.n else f"address_{lost[0]}"
+    return True, f"{register}:{'00' if cfg.encoding.is_standard else 'f'}"
+
+
+_MEDIA = ("transmon", "waveguide")
 
 
 def _draw_losses(cfg: QramConfig, noise: NoiseModel, trials: int, rng):
-    """Branch choice and loss verdict for every (trial, excitation).
-
-    Returns (tree, register, in_tree, u, lost): `tree[k]` are excitation
-    k's residence segments when it is routed, `register` the segments of a
-    hybrid qubit that stayed in its register, and excitation k is lost when
-    its uniform draw u >= exp(-hazard) over the segments it occupies.
-    """
-    sched = build_schedule(cfg.n, cfg.encoding, cfg.t)
-    tree = [residence_intervals(sched, k) for k in range(cfg.n + 1)]
-    register = [(0.0, sched.makespan, "transmon")]
-    haz_tree = np.array([sum((end - start) * noise.loss_rate(med)
-                             for start, end, med in segs) for segs in tree])
+    """(branches, dwell, in_tree, u, lost) per (trial, excitation): the
+    rail-0 segments of each excitation routed, then of a hybrid qubit kept
+    in its register (`in_tree` False), and each one's time per medium; a
+    qubit is lost when its u reaches exp(-hazard) of the branch it took."""
+    rate = {m: noise.loss_rate(m) for m in _MEDIA}
+    branches = [residence_intervals(cfg.n, cfg.encoding, cfg.t, k) for k in range(cfg.n + 1)]
+    branches.append([(0.0, cfg.makespan_slots * cfg.t, "transmon")])
+    hazard, dwell = [], []
+    for segs in branches:
+        h, d = 0.0, dict.fromkeys(_MEDIA, 0.0)
+        for start, end, medium in segs:
+            h += (end - start) * rate[medium]
+            d[medium] += end - start
+        hazard.append(h)
+        dwell.append(d)
+    keep = np.exp(-np.array(hazard))
     shape = (trials, cfg.n + 1)
-    if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
-        in_tree = rng.integers(0, 2, size=shape).astype(bool)
-        hazard = np.where(in_tree, haz_tree, sched.makespan * noise.loss_rate("transmon"))
-    else:
-        in_tree = np.broadcast_to(True, shape)
-        hazard = haz_tree
+    if cfg.encoding.is_standard:
+        u = rng.random(shape)
+        return branches, dwell, np.broadcast_to(True, shape), u, u >= keep[:-1]
+    in_tree = rng.integers(0, 2, size=shape).astype(bool)
     u = rng.random(shape)
-    return tree, register, in_tree, u, u >= np.exp(-hazard)
+    return branches, dwell, in_tree, u, (u >= keep[:-1]) & in_tree | (u >= keep[-1]) & ~in_tree
 
 
-def _loss_at(segs, noise: NoiseModel, target: float):
-    """(time, medium) at which the cumulative loss hazard over segs reaches
-    target, or the end of the last lossy segment if rounding overshoots."""
+def _time_at(segs, rate: dict, target: float):
+    """(time, medium) at which the hazard of `rate` (per medium, 0 where
+    absent) summed over segs reaches target, or the end of the last
+    segment with a rate if rounding overshoots."""
     hit = None
     for start, end, medium in segs:
-        rate = noise.loss_rate(medium)
-        if rate > 0:
-            hit = (min(start + target / rate, end), medium)
+        r = rate.get(medium, 0.0)
+        if r > 0:
+            hit = (min(start + target / r, end), medium)
             if hit[0] < end:
                 break
-            target = max(target - rate * (end - start), 0.0)
+            target = max(target - r * (end - start), 0.0)
     return hit
 
 
 def sample_trajectory(cfg: QramConfig, noise: NoiseModel, seed) -> TrajectoryVerdict:
     """Draw one noisy trajectory and evaluate end-of-query detection."""
     _check_encoding(cfg)
+    n, enc, t, std = cfg.n, cfg.encoding, cfg.t, cfg.encoding.is_standard
     rng = np.random.default_rng(seed)
-    tree, register, in_tree, u, lost = _draw_losses(cfg, noise, 1, rng)
-    events: list[NoiseEvent] = []
-    for k in range(cfg.n + 1):
-        segs = tree[k] if in_tree[0, k] else register
-        if lost[0, k]:
-            t_loss, medium = _loss_at(segs, noise, -math.log(u[0, k]))
-            events.append(NoiseEvent(t_loss, f"excitation{k}:{medium}", "loss"))
-        # dephasing / thermal: Poisson counts per segment, classification only
-        for start, end, medium in segs:
-            dur = end - start
-            for kind, rate in (("dephase", noise.dephasing_rate(medium)),
-                               ("thermal", noise.thermal_rate(medium))):
-                if rate <= 0 or dur <= 0:
-                    continue
-                for _ in range(rng.poisson(rate * dur)):
-                    events.append(NoiseEvent(
-                        start + dur * rng.random(),
-                        f"excitation{k}:{medium}", kind,
-                    ))
+    branches, dwell, *draws = _draw_losses(cfg, noise, 1, rng)
+    in_tree, u, lost = (a[0].tolist() for a in draws)
+    rails = (rng.random(n + 1) < 0.5).tolist() if std else [False] * (n + 1)
+    took = [k if in_tree[k] else -1 for k in range(n + 1)]  # -1: kept in the register
+
+    def event(k, kind, rate, target):
+        segs = residence_intervals(n, enc, t, k, 1) if rails[k] else branches[took[k]]
+        time, medium = _time_at(segs, rate, target)
+        rail = f":rail{rails[k]:d}" if std else ""
+        return NoiseEvent(time, f"excitation{k}{rail}:{medium}", kind)
+
+    lost_ks = [k for k in range(n + 1) if lost[k]]
+    loss = {m: noise.loss_rate(m) for m in _MEDIA}
+    events = [event(k, "loss", loss, -math.log(u[k])) for k in lost_ks]
+    rates = [(m, kind, r) for m in _MEDIA for kind, r in
+             (("dephase", noise.dephasing_rate(m)), ("thermal", noise.thermal_rate(m)))]
+    cells = [(k, m, kind, r, r * dwell[took[k]][m]) for k in range(n + 1) for m, kind, r in rates]
+    ends = list(itertools.accumulate(cell[-1] for cell in cells))
+    for x in (rng.random(rng.poisson(ends[-1])) * ends[-1]).tolist():
+        i = bisect.bisect_right(ends, x)
+        k, m, kind, r, _ = cells[i]
+        events.append(event(k, kind, {m: r}, x - (ends[i - 1] if i else 0.0)))
     events.sort(key=lambda e: e.time_ns)
-    detected, basis = _classify(cfg, np.flatnonzero(lost[0]).tolist())
-    return TrajectoryVerdict(tuple(events), detected, basis)
+    return TrajectoryVerdict(tuple(events), *_classify(cfg, lost_ks))
 
 
 def inject_loss(cfg: QramConfig, excitation: int, time_ns: float) -> TrajectoryVerdict:
@@ -198,7 +210,7 @@ def inject_loss(cfg: QramConfig, excitation: int, time_ns: float) -> TrajectoryV
     if not 0 <= time_ns <= sched.makespan:
         raise InvalidParameterError("loss time outside the query window")
     medium = "transmon"
-    for start, end, med in residence_intervals(sched, excitation):
+    for start, end, med in residence_intervals(sched.n, sched.encoding, sched.t, excitation):
         if start <= time_ns < end:
             medium = med
             break
@@ -214,7 +226,11 @@ def estimate_success_prob(
     _check_encoding(cfg)
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    ok = ~_draw_losses(cfg, noise, trials, np.random.default_rng(seed))[-1].any(axis=1)
-    p_hat = float(ok.mean())
+    lost = _draw_losses(cfg, noise, trials, np.random.default_rng(seed))[-1]
+    # column by column: numpy's any(axis=1) is several times slower on rows this short
+    hit = lost[:, 0].copy()
+    for col in lost.T[1:]:
+        hit |= col
+    p_hat = (trials - int(np.count_nonzero(hit))) / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return p_hat, stderr

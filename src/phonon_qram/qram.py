@@ -111,22 +111,16 @@ class DataRegister:
             nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
             if abs(nrm - 1.0) > 1e-9:
                 raise InvalidParameterError("data qubit state not normalized")
-            out.append((complex(a), complex(b)))
+            out.append((complex(a) / nrm, complex(b) / nrm))  # see initial_state
         return cls(DataMode.QUANTUM, qubits=tuple(out))
 
     def validate(self, N: int) -> None:
-        if self.mode is DataMode.CLASSICAL:
-            if len(self.bits) != N:
-                raise InvalidParameterError(
-                    f"data register needs {N} bits, got {len(self.bits)}"
-                )
-            if any(b not in (0, 1) for b in self.bits):
-                raise InvalidParameterError("classical data bits must be 0/1")
-        else:
-            if len(self.qubits) != N:
-                raise InvalidParameterError(
-                    f"data register needs {N} qubit states, got {len(self.qubits)}"
-                )
+        """The cell count; `classical`/`quantum` checked the cells."""
+        classical = self.mode is DataMode.CLASSICAL
+        cells = len(self.bits if classical else self.qubits)
+        if cells != N:
+            kind = "bits" if classical else "qubit states"
+            raise InvalidParameterError(f"data register needs {N} {kind}, got {cells}")
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +425,10 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
         raise InvalidParameterError(
             f"address state needs {cfg.N} amplitudes, got shape {amps.shape}"
         )
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    nrm = np.linalg.norm(amps)
+    if abs(nrm - 1.0) > 1e-9:
         raise InvalidParameterError("address state not normalized")
+    amps = amps / nrm  # normalised on entry: the engine holds the norm to 1e-10
     n, std = cfg.n, cfg.encoding.is_standard
     quantum = data.mode is DataMode.QUANTUM
     path = PathState(cfg, data.qubits)

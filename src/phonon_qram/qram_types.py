@@ -25,6 +25,11 @@ class Encoding(Enum):
     def is_standard(self) -> bool:
         return self is Encoding.STANDARD_DUAL_RAIL_VACUUM
 
+    @property
+    def rails(self) -> tuple:
+        """Rails a qubit can travel on: two only for standard dual-rail."""
+        return (0, 1) if self.is_standard else (0,)
+
 
 class DataMode(Enum):
     CLASSICAL = "classical"

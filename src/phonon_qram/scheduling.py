@@ -72,10 +72,9 @@ def build_schedule(n: int, encoding: Encoding, t: float = 350.0) -> Schedule:
     if not t > 0:
         raise InvalidParameterError(f"t must be > 0, got {t}")
     makespan = makespan_slots(n, encoding)
-    rails = (0, 1) if encoding.is_standard else (0,)
     entries: list[ScheduleEntry] = []
     for k in range(1, n + 1):  # the root control (k = 0) is never routed
-        for rail in rails:
+        for rail in encoding.rails:
             s = start_slot(k, rail, encoding)
             for level in range(k):
                 entries.append(ScheduleEntry(k, level, s + level, "in", rail=rail))
@@ -88,33 +87,19 @@ def build_schedule(n: int, encoding: Encoding, t: float = 350.0) -> Schedule:
     return Schedule(n, t, encoding, tuple(entries), makespan)
 
 
-def residence_intervals(schedule: Schedule, k: int):
-    """Partition [0, T] for excitation k into (start, end, medium) in ns.
-
-    The excitation spends k contiguous slots in the waveguide on the way in
-    and k on the way out (rail 0 timing for standard dual-rail); everything
-    else is transmon residence.
-    """
-    if not 0 <= k <= schedule.n:
+def residence_intervals(n: int, encoding: Encoding, t: float, k: int, rail: int = 0):
+    """Partition [0, T] for excitation k on `rail` (1 only for standard
+    dual-rail) into (start, end, medium) in ns: k contiguous waveguide slots
+    in from its `start_slot`, k out, and transmon residence the rest."""
+    if not 0 <= k <= n:
         raise InvalidParameterError(f"unknown excitation id {k}")
-    t = schedule.t
-    total = schedule.makespan
-    if k == 0:
-        return [(0.0, total, "transmon")]
-    s = start_slot(k, 0, schedule.encoding) * t
-    flight = k * t
-    mid_start = s + flight
-    mid_end = total - s - flight
-    out: list[tuple[float, float, str]] = []
-    if s > 0:
-        out.append((0.0, s, "transmon"))
-    out.append((s, mid_start, "waveguide"))
-    if mid_end > mid_start:
-        out.append((mid_start, mid_end, "transmon"))
-    out.append((mid_end, total - s, "waveguide"))
-    if s > 0:
-        out.append((total - s, total, "transmon"))
-    return out
+    if rail not in encoding.rails:
+        raise InvalidParameterError(f"no rail {rail} for {encoding.value}")
+    total = makespan_slots(n, encoding) * t
+    s = start_slot(k, rail, encoding) * t
+    edges = (0.0, s, s + k * t, total - s - k * t, total - s, total)
+    media = ("transmon", "waveguide", "transmon", "waveguide", "transmon")
+    return [(a, b, m) for a, b, m in zip(edges, edges[1:], media) if b > a]
 
 
 def validate_schedule(schedule: Schedule) -> list[str]:
@@ -150,18 +135,12 @@ def validate_schedule(schedule: Schedule) -> list[str]:
 
 
 def schedule_to_gantt_json(schedule: Schedule):
-    """Gantt-ready structure: one lane per excitation."""
-    lanes = []
-    for k in range(schedule.n + 1):
-        spans = [
-            {
-                "start_ns": iv[0],
-                "end_ns": iv[1],
-                "medium": iv[2],
-            }
-            for iv in residence_intervals(schedule, k)
-        ]
-        lanes.append({"excitation": k, "spans": spans})
+    """Gantt-ready structure: one lane per excitation and rail."""
+    n, enc, t = schedule.n, schedule.encoding, schedule.t
+    lanes = [{"excitation": k, "rail": rail,
+              "spans": [{"start_ns": a, "end_ns": b, "medium": medium}
+                        for a, b, medium in residence_intervals(n, enc, t, k, rail)]}
+             for k in range(n + 1) for rail in enc.rails]
     return {
         "n": schedule.n,
         "t_ns": schedule.t,

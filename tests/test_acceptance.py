@@ -329,9 +329,10 @@ def test_criterion_9_schedule_consistency():
             assert sched.makespan == pytest.approx(slots * t)
             assert validate_schedule(sched) == []
             for k in range(n + 1):
-                wg = sum(
-                    b - a
-                    for a, b, med in residence_intervals(sched, k)
-                    if med == "waveguide"
-                )
-                assert wg == pytest.approx(2 * k * t)
+                for rail in enc.rails:
+                    wg = sum(
+                        b - a
+                        for a, b, med in residence_intervals(n, enc, t, k, rail)
+                        if med == "waveguide"
+                    )
+                    assert wg == pytest.approx(2 * k * t)

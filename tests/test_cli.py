@@ -254,7 +254,7 @@ def test_schedule_report(tmp_path):
         gantt = json.loads((tmp_path / f"schedule_{tag}_gantt.json").read_text())
         assert gantt["n"] == 4
         assert gantt["makespan_ns"] == pytest.approx(sched.makespan)
-        assert len(gantt["lanes"]) == sched.n + 1
+        assert len(gantt["lanes"]) == (sched.n + 1) * len(enc.rails)
     # both rails of a standard dual-rail qubit keep their own rows
     assert {r[4] for r in rows} == {"0", "1"}
     hops = [(r[0], r[1], r[3], r[4]) for r in rows]  # k, level, direction, rail
@@ -340,12 +340,88 @@ def test_query_sim_refuses_n_above_16(tmp_path, n):
 
 
 def test_query_sim_refuses_quantum_mode_above_n_4(tmp_path):
-    # the exported state holds 2^N data-cell branches per address branch
+    # the exported state holds 2^(N-1) data-cell branches per address branch
     config = {"n": 5, "mode": "quantum", "data": [[0.6, 0.8]] * 32, "address": "00000"}
     proc, out = run_capped(tmp_path, "query-sim", config)
     assert proc.returncode == 2, proc.stderr
-    assert "quantum mode needs n <= 4" in proc.stderr
+    assert "quantum mode would export 1 x 2^31 branches" in proc.stderr
     assert not out.exists()
+
+
+def test_query_sim_bounds_the_quantum_export_before_the_query(tmp_path, monkeypatch, capsys):
+    class Reached(Exception):
+        pass
+
+    def stub(*args):
+        calls.append(args)
+        raise Reached
+
+    calls = []
+    monkeypatch.setattr(cli, "query", stub)
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+
+    def query_sim(address):
+        config = {"n": 4, "mode": "quantum", "data": [[0.6, 0.8]] * 16, "address": address}
+        cfg_path.write_text(json.dumps(config))
+        return main(["query-sim", "--config", str(cfg_path), "--out", str(out)])
+
+    # a superposed address at n = 4 exports 16 x 2^15 branches: refused
+    # before the query runs, and nothing is written
+    assert query_sim([0.25] * 16) == 2
+    assert "16 x 2^15 branches" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    # a basis address (1 x 2^15 branches) and a two-branch superposition
+    # (2 x 2^15) pass the bound and reach the query
+    for address in ("0110", [0.6] + [0.0] * 14 + [0.8]):
+        with pytest.raises(Reached):
+            query_sim(address)
+    assert len(calls) == 2
+
+
+def test_query_sim_runs_quantum_cells_within_the_norm_tolerance(tmp_path):
+    # a cell 3.2e-10 off unit norm passes validation, so the query must run
+    config = {"n": 2, "mode": "quantum", "address": "00",
+              "data": [[0.6, 0.8000000004], [1, 0], [1, 0], [1, 0]]}
+    assert run(tmp_path, "query-sim", config=config) == 0
+    (record,) = json.loads((tmp_path / "query_sim.json").read_text())["queries"]
+    weights = {r["bus"]: r["amplitude"][0] for r in record["address_bus"]}
+    nrm = math.hypot(0.6, 0.8000000004)
+    assert weights[0] == pytest.approx(0.6 / nrm, abs=1e-10)
+    assert weights[1] == pytest.approx(0.8000000004 / nrm, abs=1e-10)
+
+
+# the default `montecarlo` table as the schedule-building sampler wrote it;
+# the array sampler keeps every loss draw, so the file is byte-identical
+MONTECARLO_DEFAULT_CSV = """\
+# phonon-qram {version} | montecarlo | seed=0 | {{"encoding": "hybrid_dual_rail", \
+"grid": [{{"T1_m": "100us", "T1_q": "100us", "n": 2}}, {{"T1_m": "2us", "T1_q": "100us", \
+"n": 4}}, {{"T1_m": "2us", "T1_q": "100us", "n": 7}}], "t": "350ns", "trials": 100000}}
+n,encoding,t_ns,T1q_us,T1m_us,trials,p_hat,stderr,p_closed,dev_sigma,agree_3sigma
+2,hybrid_dual_rail,350,100,100,100000,0.93868,0.000758682131067,0.938943473689,0.347977755426,true
+4,hybrid_dual_rail,350,100,2,100000,0.21521,0.00129959476723,0.213976248912,0.951320661634,true
+7,hybrid_dual_rail,350,100,2,100000,0.02441,0.000487997457985,0.0239471291966,0.957406534704,true
+"""
+
+
+def test_montecarlo_default_table_is_unchanged(tmp_path):
+    assert run(tmp_path, "montecarlo") == 0
+    want = MONTECARLO_DEFAULT_CSV.format(version=__version__).encode()
+    assert (tmp_path / "montecarlo.csv").read_bytes() == want
+
+
+def test_standard_gantt_lanes_hold_every_hop(tmp_path):
+    # each hop row of the CSV lies inside a waveguide span of its (k, rail) lane
+    config = {"n": 4, "encodings": ["standard_dual_rail_vacuum"]}
+    assert run(tmp_path, "schedule", config=config) == 0
+    _, rows = csv_table(tmp_path / "schedule_standard.csv")
+    gantt = json.loads((tmp_path / "schedule_standard_gantt.json").read_text())
+    lanes = {(lane["excitation"], lane["rail"]): lane["spans"] for lane in gantt["lanes"]}
+    t = gantt["t_ns"]
+    assert {rail for _, rail in lanes} == {0, 1}
+    for k, _level, slot, _direction, rail in rows:
+        start, end = int(slot) * t, (int(slot) + 1) * t
+        assert any(s["medium"] == "waveguide" and s["start_ns"] <= start and end <= s["end_ns"]
+                   for s in lanes[int(k), int(rail)]), (k, slot, rail)
 
 
 @pytest.mark.parametrize("trials, n", [(10000000000, 2), (1000000, 20)])

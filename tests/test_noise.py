@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from phonon_qram import noise as noise_module, scheduling
 from phonon_qram.analytics import (
     query_time,
     success_prob_hybrid,
@@ -18,7 +19,7 @@ from phonon_qram.noise import (
 )
 from phonon_qram.qram import QramConfig
 from phonon_qram.qram_types import Encoding
-from phonon_qram.scheduling import build_schedule, residence_intervals
+from phonon_qram.scheduling import residence_intervals
 
 HYB = Encoding.HYBRID_DUAL_RAIL
 STD = Encoding.STANDARD_DUAL_RAIL_VACUUM
@@ -100,21 +101,119 @@ def test_sampled_losses_lie_in_their_residence_segment():
     noise = NoiseModel(T1_q=5.0, T1_m=2.0)
     for enc in (HYB, STD):
         cfg = QramConfig(n=3, encoding=enc)
-        sched = build_schedule(cfg.n, enc, cfg.t)
-        media = set()
+        media, rails = set(), set()
         for s in range(100):
             v = sample_trajectory(cfg, noise, seed=s)
             assert v.detected == (not v.lossless)
             if enc is not STD:
                 continue  # a hybrid qubit kept in its register has no schedule
             for e in v.events:
-                name, medium = e.location.split(":")
-                segs = residence_intervals(sched, int(name[len("excitation"):]))
+                name, rail, medium = e.location.split(":")
+                segs = residence_intervals(cfg.n, enc, cfg.t, int(name[len("excitation"):]),
+                                           int(rail[len("rail"):]))
                 assert any(a <= e.time_ns <= b and med == medium
                            for a, b, med in segs), e
                 media.add(medium)
+                rails.add(rail)
         if enc is STD:
             assert media == {"transmon", "waveguide"}
+            assert rails == {"rail0", "rail1"}
+
+
+def test_dephasing_and_thermal_counts_match_rate_times_residence():
+    # mean count per (kind, medium) against the Poisson mean of rate x time
+    # in that medium; a hybrid qubit is routed or kept in its register (all
+    # transmon) with probability 1/2 each, so its mean is branch-averaged.
+    # Every residence partition is mirror-symmetric about T/2, so half of
+    # each count falls in the second half of the query.
+    noise = NoiseModel(T1_q=50.0, T1_m=5.0, T2_q=20.0, T2_m=4.0, n_th=0.2)
+    seeds = 2000
+    for enc in (HYB, STD):
+        cfg = QramConfig(n=3, encoding=enc)
+        T = query_time(cfg.n, cfg.t, enc)
+        counts = {(kind, m): 0 for kind in ("dephase", "thermal")
+                  for m in ("transmon", "waveguide")}
+        late = dict.fromkeys(counts, 0)
+        for s in range(seeds):
+            for e in sample_trajectory(cfg, noise, seed=(17, s)).events:
+                if e.kind == "loss":
+                    continue
+                name, *rail, medium = e.location.split(":")
+                k = int(name[len("excitation"):])
+                counts[e.kind, medium] += 1
+                late[e.kind, medium] += e.time_ns > T / 2
+                # every event lies in a segment of its medium (of its rail,
+                # for standard dual-rail; a kept hybrid qubit is in a transmon)
+                segs = residence_intervals(cfg.n, enc, cfg.t, k,
+                                           int(rail[0][len("rail"):]) if rail else 0)
+                if enc is HYB and medium == "transmon":
+                    segs = [(0.0, T, "transmon")]
+                assert any(a <= e.time_ns <= b and med == medium
+                           for a, b, med in segs), e
+        for (kind, medium), got in counts.items():
+            rate = (noise.dephasing_rate(medium) if kind == "dephase"
+                    else noise.thermal_rate(medium))
+            mean = var = 0.0
+            for k in range(cfg.n + 1):
+                routed = rate * sum(b - a for a, b, med in
+                                    residence_intervals(cfg.n, enc, cfg.t, k)
+                                    if med == medium)
+                if enc is STD:
+                    mean, var = mean + routed, var + routed
+                else:
+                    kept = rate * T if medium == "transmon" else 0.0
+                    avg = (routed + kept) / 2
+                    mean, var = mean + avg, var + avg + (routed - kept) ** 2 / 4
+            sigma = math.sqrt(var / seeds)
+            assert abs(got / seeds - mean) <= 4 * sigma, (enc, kind, medium, got, mean)
+            assert got > 30, (enc, kind, medium)
+            half = late[kind, medium] / got
+            assert abs(half - 0.5) <= 4 * 0.5 / math.sqrt(got), (enc, kind, medium, half)
+
+
+# estimate_success_prob(cfg, NoiseModel(T1_q, T1_m), 20_000, seed) as the
+# schedule-building sampler returned it, to the last bit
+PINNED_ESTIMATES = [
+    (1, HYB, 100.0, 100.0, 0, (0.9851, 0.0008566793449126699)),
+    (3, HYB, 100.0, 2.0, 1, (0.3846, 0.0034400787781677326)),
+    (5, HYB, 50.0, 0.5, (7, 3), (0.0196, 0.0009801999795960006)),
+    (7, HYB, 20.0, 1.0, 11, (0.00065, 0.00018021896404096877)),
+    (2, STD, 100.0, 2.0, 2, (0.3228, 0.0033060562608642945)),
+    (4, STD, 100.0, 10.0, (5, 9), (0.3633, 0.0034008315894792558)),
+    (10, STD, 100.0, 100.0, 13, (0.1078, 0.0021929336515271046)),
+    (10, HYB, 300.0, 20.0, 4, (0.2631, 0.003113505982008064)),
+]
+# (encoding, seed, detection basis, lost excitations with their loss times
+# for hybrid) of sample_trajectory at n = 4 under PINNED_NOISE, likewise
+PINNED_NOISE = NoiseModel(T1_q=30.0, T1_m=2.0, T2_q=20.0, T2_m=2.0, n_th=0.05)
+PINNED_LOSSES = [
+    (HYB, 0, "address_1:f", [("excitation1", 1300.7548137751828),
+                             ("excitation2", 509.2409627746067)]),
+    (HYB, 1, "address_0:f", [("excitation0", 1581.4782138340192),
+                             ("excitation3", 1031.5360839871132)]),
+    (HYB, 2, None, []),
+    (STD, 0, "bus:00", ["excitation4"]),
+    (STD, 1, "address_1:00", ["excitation1", "excitation3", "excitation4"]),
+    (STD, 3, "address_2:00", ["excitation2", "excitation3"]),
+]
+
+
+def test_sampling_builds_no_schedule_and_keeps_every_loss_draw(monkeypatch):
+    def no_schedule(*args, **kwargs):
+        raise AssertionError("the sampling path built a Schedule")
+
+    monkeypatch.setattr(noise_module, "build_schedule", no_schedule)
+    monkeypatch.setattr(scheduling, "build_schedule", no_schedule)
+    for n, enc, T1_q, T1_m, seed, want in PINNED_ESTIMATES:
+        got = estimate_success_prob(QramConfig(n=n, encoding=enc),
+                                    NoiseModel(T1_q=T1_q, T1_m=T1_m), 20_000, seed)
+        assert got == want, (n, enc, T1_q, T1_m, seed)
+    for enc, seed, basis, losses in PINNED_LOSSES:
+        v = sample_trajectory(QramConfig(n=4, encoding=enc), PINNED_NOISE, seed)
+        assert v.detection_basis == basis and v.detected == bool(losses)
+        lost = sorted((e.location.split(":")[0], e.time_ns)
+                      for e in v.events if e.kind == "loss")
+        assert (lost if enc is HYB else [k for k, _ in lost]) == losses
 
 
 def test_dephasing_and_thermal_events_do_not_trigger_detection():

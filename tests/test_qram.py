@@ -60,6 +60,19 @@ def test_all_zero_data_is_identity_on_address(enc):
         assert abs(res.address_bus.get((j, 1), 0.0)) < 1e-10
 
 
+def test_inputs_within_the_norm_tolerance_are_normalised_on_entry():
+    # validation accepts 1e-9 off unit norm and the engine holds 1e-10, so
+    # an accepted address or data cell must be normalised before the query
+    data = DataRegister.classical([0, 0, 0, 0])
+    res = query(QramConfig(n=2), [1 + 5e-10, 0, 0, 0], data)
+    assert res.address_bus.get((0, 0), 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert abs(res.address_bus[0, 0] - (1 + 5e-10)) > 1e-10
+    cell = DataRegister.quantum([(0.6, 0.8000000004)]).qubits[0]
+    assert abs(cell[0]) ** 2 + abs(cell[1]) ** 2 == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(InvalidParameterError):
+        query(QramConfig(n=2), [1 + 2e-9, 0, 0, 0], data)
+
+
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
 def test_superposition_query_weights(enc):
     # the bus outcome is perfectly correlated with the addressed cell and

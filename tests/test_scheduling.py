@@ -64,21 +64,22 @@ def test_validator_catches_premature_crossing():
 def test_residence_partitions_cover_query(n, enc):
     sched = build_schedule(n, enc, t=350.0)
     for k in range(n + 1):
-        ivs = residence_intervals(sched, k)
-        assert ivs[0][0] == 0.0
-        assert ivs[-1][1] == pytest.approx(sched.makespan)
-        for (a, b, _), (c, _, _) in zip(ivs, ivs[1:]):
-            assert b == pytest.approx(c)
-            assert b > a
-        wg = sum(b - a for a, b, m in ivs if m == "waveguide")
-        assert wg == pytest.approx(2 * k * sched.t)
+        for rail in enc.rails:
+            ivs = residence_intervals(n, enc, sched.t, k, rail)
+            assert ivs[0][0] == 0.0
+            assert ivs[-1][1] == pytest.approx(sched.makespan)
+            for (a, b, _), (c, _, _) in zip(ivs, ivs[1:]):
+                assert b == pytest.approx(c)
+                assert b > a
+            wg = sum(b - a for a, b, m in ivs if m == "waveguide")
+            assert wg == pytest.approx(2 * k * sched.t)
 
 
 def test_residence_symmetry():
     sched = build_schedule(5, Encoding.HYBRID_DUAL_RAIL, t=350.0)
     total = sched.makespan
     for k in range(6):
-        ivs = residence_intervals(sched, k)
+        ivs = residence_intervals(sched.n, sched.encoding, sched.t, k)
         mirrored = sorted((total - b, total - a, m) for a, b, m in ivs)
         assert mirrored == pytest.approx(
             sorted((a, b, m) for a, b, m in ivs)
@@ -108,7 +109,9 @@ def test_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         build_schedule(3, Encoding.HYBRID_DUAL_RAIL, t=0.0)
     with pytest.raises(InvalidParameterError):
-        residence_intervals(build_schedule(2, Encoding.HYBRID_DUAL_RAIL), 5)
+        residence_intervals(2, Encoding.HYBRID_DUAL_RAIL, 350.0, 5)
+    with pytest.raises(InvalidParameterError):
+        residence_intervals(2, Encoding.HYBRID_DUAL_RAIL, 350.0, 1, rail=1)
 
 
 def test_csv_and_gantt_exports(tmp_path):
@@ -123,4 +126,6 @@ def test_csv_and_gantt_exports(tmp_path):
 
     doc = json.loads((tmp_path / "schedule_standard_gantt.json").read_text())
     assert doc["makespan_ns"] == pytest.approx(sched.makespan)
-    assert len(doc["lanes"]) == sched.n + 1
+    # one lane per (excitation, rail)
+    assert [(lane["excitation"], lane["rail"]) for lane in doc["lanes"]] == [
+        (k, rail) for k in range(sched.n + 1) for rail in (0, 1)]
