@@ -22,20 +22,16 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InvalidParameterError, NumericalFailureError
-from .qram_types import DataMode, Encoding
+from .qram_types import Encoding
 from .wavepackets import PulseShape, WavePacket
 from . import analytics, noise, router, scheduling
-from .qram import DataRegister, QramConfig, query, trace_to_json
+from .qram import DataRegister, QramConfig, build_query_gates, query, trace_to_json
 
 _DUR_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(ns|us)\s*$")
 _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # query-sim sizes its data register and a scan by N = 2**n; refuse larger n
 # before anything of that size is built
 _MAX_QUERY_N = 16
-# a quantum query exports up to 2**(N-1) product branches of the unqueried
-# cells per non-zero address amplitude, ~5 KB each (standard dual-rail, n = 4):
-# this caps it near 330 MB, so a basis address runs at n = 4, not at n = 5
-_MAX_QUANTUM_BRANCHES = 2**16
 # montecarlo draws trials * (n + 1) losses in one piece; a draw peaks at 12
 # bytes (hybrid; 9 standard) under tracemalloc, so this caps a grid point
 # near 0.24 GB
@@ -303,16 +299,10 @@ def cmd_query_sim(args) -> int:
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
     addr = _parse_address(cfg["address"], N, qcfg.n)
-    support = 1 if addr is None else int(np.count_nonzero(addr))
-    if data.mode is DataMode.QUANTUM and support * 2 ** (N - 1) > _MAX_QUANTUM_BRANCHES:
-        raise ConfigError(f"quantum mode would export {support} x 2^{N - 1} branches "
-                          f"(address support x 2^(N-1)), over {_MAX_QUANTUM_BRANCHES}")
-
     addresses = (_basis(N, j) for j in range(N)) if addr is None else [addr]
-    records, results = [], []
+    records = []
     for v in addresses:
         res = query(qcfg, v, data)
-        results.append(res)
         records.append({
             "address": [[a.real, a.imag] for a in v],
             "address_bus": [
@@ -327,7 +317,7 @@ def cmd_query_sim(args) -> int:
     out = _outdir(args)
     _write_json(out / "query_sim.json", payload)
     if export_trace:
-        _write_json(out / "query_trace.json", trace_to_json(results[0].trace))
+        _write_json(out / "query_trace.json", trace_to_json(build_query_gates(qcfg, data)))
     return 0
 
 

@@ -202,7 +202,9 @@ def sample_trajectory(cfg: QramConfig, noise: NoiseModel, seed) -> TrajectoryVer
 
 
 def inject_loss(cfg: QramConfig, excitation: int, time_ns: float) -> TrajectoryVerdict:
-    """Force a single loss at a given time and run the detection rule."""
+    """Force a single loss at a given time and run the detection rule.  A
+    standard dual-rail loss is on rail 0 and named as `sample_trajectory`
+    names one, `excitationK:rail0:medium`."""
     _check_encoding(cfg)
     if not 0 <= excitation <= cfg.n:
         raise InvalidParameterError(f"no excitation {excitation} for n={cfg.n}")
@@ -214,7 +216,8 @@ def inject_loss(cfg: QramConfig, excitation: int, time_ns: float) -> TrajectoryV
         if start <= time_ns < end:
             medium = med
             break
-    ev = NoiseEvent(time_ns, f"excitation{excitation}:{medium}", "loss")
+    rail = ":rail0" if cfg.encoding.is_standard else ""
+    ev = NoiseEvent(time_ns, f"excitation{excitation}{rail}:{medium}", "loss")
     detected, basis = _classify(cfg, [excitation])
     return TrajectoryVerdict((ev,), detected, basis)
 

@@ -15,19 +15,20 @@ analytically or by Monte Carlo elsewhere.
 
 The protocol is written once as level ops, each the node-parallel gates
 of one (time, gate name, level, rail).  `build_query_gates` is their
-node-by-node expansion into `GateRecord`s, for export and for replay
-against the reference engines in `tests/`.  `query` runs the level ops in
-path coordinates.  In address branch j every excitation stays on j's
-root-to-leaf path, so a branch is keyed by j plus 2-bit fields for the
-registers, the control and ancilla of j's node at each level and rail,
-and, for quantum data, cell j's data slots.  A level op finds its node
-from j's prefix and is one `state.apply_gate` call; a hop into the child
-off j's path excites the trap field and raises `NumericalFailureError`.
-The cells a branch does not query are never touched, so they stay a
-product background of their (a, b).  They are multiplied in only when the
-state is exported to frozenset configurations, the form
-`QueryResult.state` holds.  `QueryResult.max_support` counts path
-branches: at most 2N, with classical or quantum data.
+node-by-node expansion into `GateRecord`s, for the trace export and for
+replay against the reference engines in `tests/`; a query never builds
+it.  `query` runs the level ops in path coordinates.  In address branch j
+every excitation stays on j's root-to-leaf path, so a branch is keyed by
+j plus 2-bit fields for the registers, the control and ancilla of j's
+node at each level and rail, and, for quantum data, cell j's data slots.
+A level op finds its node from j's prefix and is one `state.apply_gate`
+call; a hop into the child off j's path excites the trap field and raises
+`NumericalFailureError`.  The cells a branch does not query are never
+touched, so they stay a product background of their (a, b).  The result
+is decoded from the path keys, where the background sums out; it is
+multiplied in only when a caller reads `QueryResult.state`, the final
+state exported to frozenset configurations.  `QueryResult.max_support`
+counts path branches: at most 2N, with classical or quantum data.
 
 Timestamps on the emitted gate records are in units of the routing step t.
 Emissions and control settings sit on `scheduling.start_slot`, and the hop
@@ -40,7 +41,8 @@ for makespan M, which lands every out-hop on its "out" entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -464,17 +466,18 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
     return path
 
 
-_TREE_SLOTS = ("ctrl", "anc", "dwg")
-
-
 @dataclass
 class QueryResult:
     config: QramConfig
-    state: SparseState
-    trace: list
-    address_bus: dict = field(default_factory=dict)  # (j, bus_level) -> amp
-    tree_ground: bool = True
-    max_support: int = 0
+    path: PathState
+    address_bus: dict  # (j, bus_level) -> amp
+    tree_ground: bool
+    max_support: int
+
+    @cached_property
+    def state(self) -> SparseState:
+        """The final state over absolute slots, exported on first read."""
+        return self.path.export()
 
     def bus_bit(self) -> int:
         """Readout for a basis-address classical query."""
@@ -482,47 +485,36 @@ class QueryResult:
         return best[0][1]
 
 
-def _decode_final(cfg: QramConfig, data: DataRegister, final: SparseState) -> QueryResult:
-    n, std = cfg.n, cfg.encoding.is_standard
-    quantum = data.mode is DataMode.QUANTUM
-    # classical mode: exact complex amplitudes per (address, bus) outcome.
-    # quantum mode: leftover data-register branches are orthogonal configs,
-    # so only incoherent weights are meaningful here; phase-sensitive checks
-    # go through the full sparse state.
+def _decode(path: PathState, quantum: bool) -> tuple[dict, bool]:
+    """(address_bus, tree_ground) of a final state, read from its keys.
+
+    j comes from the address registers, not the key's prefix, so a failed
+    unwind shows; a standard dual-rail bit or bus is rail 1 in |e>.  Any
+    control, ancilla or data waveguide left excited clears `tree_ground`.
+    Classical mode sums complex amplitudes per (j, bus).  Quantum mode
+    leaves orthogonal data-register branches, so only the weights
+    sqrt(sum |amp|^2) are meaningful; the unit-norm background sums out,
+    and phase-sensitive checks go through `QueryResult.state`."""
+    n, std = path.n, path.std
+    regs = [path.offset[("reg", k, 1 if std else None)] for k in range(n + 1)]
+    tree = sum(3 << off for f, off in path.offset.items()
+               if f and f[0] in ("ctrl", "anc", "dwg"))
     address_bus: dict = {}
-    tree_ground = True
-    for conf, amp in final.amps.items():
-        bits = {}
-        bus_level = 0
-        for slot, level in conf:
-            kind = slot[0]
-            if kind in _TREE_SLOTS:
-                tree_ground = False
-                continue
-            if kind == "reg":
-                k = slot[1]
-                if k == n:
-                    if std:
-                        bus_level = slot[2] if level == 1 else bus_level
-                    else:
-                        bus_level = level
-                else:
-                    if std:
-                        bits[k] = slot[2]
-                    else:
-                        bits[k] = 1 if level >= 1 else 0
-            # data/dctrl leftovers are part of the data register, ignored here
+    for key, amp in path.amps.items():
+        levels = [key >> off & 3 for off in regs]
+        if std:
+            levels = [int(lvl == 1) for lvl in levels]
         j = 0
-        for k in range(n):
-            j = (j << 1) | bits.get(k, 0)
-        key = (j, bus_level)
+        for lvl in levels[:-1]:
+            j = j << 1 | (lvl > 0)
+        k = (j, levels[-1])
         if quantum:
-            address_bus[key] = address_bus.get(key, 0.0) + abs(amp) ** 2
+            address_bus[k] = address_bus.get(k, 0.0) + abs(amp) ** 2
         else:
-            address_bus[key] = address_bus.get(key, 0.0 + 0.0j) + amp
+            address_bus[k] = address_bus.get(k, 0j) + amp
     if quantum:
         address_bus = {k: math.sqrt(p) for k, p in address_bus.items()}
-    return QueryResult(cfg, final, [], address_bus, tree_ground)
+    return address_bus, not any(key & tree for key in path.amps)
 
 
 def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
@@ -531,7 +523,6 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
     Raises `NumericalFailureError` when a branch leaves its path, when the
     running norm leaves 1 by more than 1e-10 after an op, or when it ends
     more than 1e-12 from the norm recomputed over every branch."""
-    gates = build_query_gates(cfg, data)
     path = initial_state(cfg, address, data)
     amps = path.amps
     support = len(amps)
@@ -549,9 +540,7 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
         raise NumericalFailureError(
             f"running norm {nrm!r} differs from recomputed norm {full!r}")
     path.amps = amps
-    res = _decode_final(cfg, data, path.export())
-    res.trace, res.max_support = gates, support
-    return res
+    return QueryResult(cfg, path, *_decode(path, data.mode is DataMode.QUANTUM), support)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phonon_qram import __version__, analytics, cli
 from phonon_qram.analytics import dephasing_sweep_rows, heralding_sweep_rows
 from phonon_qram.cli import main
+from phonon_qram.qram import DataRegister, QramConfig, trace_to_json
 from phonon_qram.qram_types import Encoding
 from phonon_qram.router import sweep_kappa
 from phonon_qram.scheduling import build_schedule
@@ -124,9 +126,29 @@ def test_query_sim_trace_export(tmp_path, monkeypatch):
     config = {"n": 1, "data": [0, 1], "address": "1", "export_trace": True}
     rc = run(tmp_path, "query-sim", config=config)
     assert rc == 0
-    assert len(calls) == 1  # the trace comes from the one query run
+    assert len(calls) == 1  # one query for the one address
     trace = json.loads((tmp_path / "query_trace.json").read_text())
     assert trace and all("gate" in g for g in trace)
+
+
+def test_query_sim_scan_builds_the_trace_once(tmp_path, monkeypatch):
+    # the gate list does not depend on the address, so a scan builds it once,
+    # and only because export_trace asks for it
+    calls = []
+    real_build = cli.build_query_gates
+
+    def counting_build(*a):
+        calls.append(a)
+        return real_build(*a)
+
+    monkeypatch.setattr(cli, "build_query_gates", counting_build)
+    config = {"n": 2, "data": [0, 1, 1, 0], "address": "scan"}
+    assert run(tmp_path, "query-sim", config=config) == 0
+    assert calls == [] and not (tmp_path / "query_trace.json").exists()
+    assert run(tmp_path, "query-sim", config={**config, "export_trace": True}) == 0
+    assert len(calls) == 1
+    want = trace_to_json(real_build(QramConfig(n=2), DataRegister.classical([0, 1, 1, 0])))
+    assert json.loads((tmp_path / "query_trace.json").read_text()) == want
 
 
 def test_heralding_outputs(tmp_path):
@@ -339,43 +361,36 @@ def test_query_sim_refuses_n_above_16(tmp_path, n):
     assert not out.exists()
 
 
-def test_query_sim_refuses_quantum_mode_above_n_4(tmp_path):
-    # the exported state holds 2^(N-1) data-cell branches per address branch
+def test_query_sim_runs_quantum_mode_at_n_5(tmp_path):
+    # the decode reads the path keys, so the 2^31 product branches of the
+    # unqueried cells are never built
     config = {"n": 5, "mode": "quantum", "data": [[0.6, 0.8]] * 32, "address": "00000"}
     proc, out = run_capped(tmp_path, "query-sim", config)
-    assert proc.returncode == 2, proc.stderr
-    assert "quantum mode would export 1 x 2^31 branches" in proc.stderr
-    assert not out.exists()
+    assert proc.returncode == 0, proc.stderr
+    (record,) = json.loads((out / "query_sim.json").read_text())["queries"]
+    weights = {(r["address_index"], r["bus"]): r["amplitude"] for r in record["address_bus"]}
+    assert weights.keys() == {(0, 0), (0, 1)}
+    assert weights[0, 0] == pytest.approx([0.6, 0.0], abs=1e-12)
+    assert weights[0, 1] == pytest.approx([0.8, 0.0], abs=1e-12)
 
 
-def test_query_sim_bounds_the_quantum_export_before_the_query(tmp_path, monkeypatch, capsys):
-    class Reached(Exception):
-        pass
-
-    def stub(*args):
-        calls.append(args)
-        raise Reached
-
-    calls = []
-    monkeypatch.setattr(cli, "query", stub)
-    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
-
-    def query_sim(address):
-        config = {"n": 4, "mode": "quantum", "data": [[0.6, 0.8]] * 16, "address": address}
-        cfg_path.write_text(json.dumps(config))
-        return main(["query-sim", "--config", str(cfg_path), "--out", str(out)])
-
-    # a superposed address at n = 4 exports 16 x 2^15 branches: refused
-    # before the query runs, and nothing is written
-    assert query_sim([0.25] * 16) == 2
-    assert "16 x 2^15 branches" in capsys.readouterr().err
-    assert calls == [] and not out.exists()
-    # a basis address (1 x 2^15 branches) and a two-branch superposition
-    # (2 x 2^15) pass the bound and reach the query
-    for address in ("0110", [0.6] + [0.0] * 14 + [0.8]):
-        with pytest.raises(Reached):
-            query_sim(address)
-    assert len(calls) == 2
+def test_query_sim_runs_a_superposed_quantum_query_at_n_6(tmp_path):
+    rng = np.random.default_rng(6)
+    alpha = rng.normal(size=64) + 1j * rng.normal(size=64)
+    alpha /= np.linalg.norm(alpha)
+    cells = rng.normal(size=(64, 2))
+    cells /= np.linalg.norm(cells, axis=1, keepdims=True)
+    config = {"n": 6, "mode": "quantum", "data": cells.tolist(),
+              "address": [[a.real, a.imag] for a in alpha]}
+    proc, out = run_capped(tmp_path, "query-sim", config)
+    assert proc.returncode == 0, proc.stderr
+    (record,) = json.loads((out / "query_sim.json").read_text())["queries"]
+    assert record["tree_ground"]
+    got = {(r["address_index"], r["bus"]): r["amplitude"] for r in record["address_bus"]}
+    want = {(j, b): abs(alpha[j]) * abs(cells[j, b]) for j in range(64) for b in (0, 1)}
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert got[key] == pytest.approx([w, 0.0], abs=1e-10), key
 
 
 def test_query_sim_runs_quantum_cells_within_the_norm_tolerance(tmp_path):

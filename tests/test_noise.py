@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,25 @@ def test_every_forced_loss_is_detected():
                 v = inject_loss(cfg, k, frac * T)
                 assert v.detected
                 assert v.detection_basis is not None
+
+
+def test_forced_loss_names_its_rail_as_sampled_losses_do():
+    # a standard dual-rail loss is forced on rail 0 and named
+    # excitationK:rail0:medium, as `sample_trajectory` names a sampled one
+    v = inject_loss(QramConfig(n=3, encoding=STD), 2, 800.0)
+    assert v.events[0].location == "excitation2:rail0:waveguide"
+    for enc, pattern in ((STD, r"excitation(\d+):rail0:(transmon|waveguide)"),
+                         (HYB, r"excitation(\d+):(transmon|waveguide)")):
+        cfg = QramConfig(n=3, encoding=enc)
+        T = query_time(3, cfg.t, enc)
+        for k in range(4):
+            for frac in np.linspace(0.0, 0.999, 20):
+                (ev,) = inject_loss(cfg, k, frac * T).events
+                m = re.fullmatch(pattern, ev.location)
+                assert m and int(m[1]) == k, ev.location
+                (medium,) = [med for a, b, med in residence_intervals(3, enc, cfg.t, k, 0)
+                             if a <= ev.time_ns < b]
+                assert m[2] == medium
 
 
 def test_trajectories_are_seed_deterministic():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from copy_engine import copy_run
 from dense_oracle import dense_amplitudes
+from phonon_qram import qram
 from phonon_qram.errors import InvalidParameterError, NumericalFailureError
 from phonon_qram.qram import (
     DataRegister,
@@ -17,6 +18,7 @@ from phonon_qram.qram import (
 )
 from phonon_qram.qram_types import Encoding
 from phonon_qram.state import GateRecord
+from reference_decode import decode_frozensets
 from slot_engine import SlotState, reference_initial_state
 
 ALL_ENCODINGS = list(Encoding)
@@ -278,7 +280,9 @@ def test_superposed_quantum_query_matches_copy_engine(enc):
 def test_query_matches_absolute_slot_engine(enc):
     # the absolute-slot engine holds the whole tree and every data cell in
     # each branch and applies one gate record at a time, from an initial
-    # state built cell by cell; the path engine must agree with it
+    # state built cell by cell; the path engine must agree with it.  Its
+    # address_bus and tree_ground, decoded from the path keys, must agree
+    # with the reference decode of the exported frozensets
     rng = np.random.default_rng(43)
     cases = [(n, DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)]))
              for n in range(1, 7)]
@@ -292,17 +296,65 @@ def test_query_matches_absolute_slot_engine(enc):
         assert set(init) == set(ref.amps)
         assert max(abs(init[k] - a) for k, a in ref.amps.items()) <= 1e-14
         ref.apply_all(build_query_gates(cfg, data))
-        got = query(cfg, address, data).state.amps
+        res = query(cfg, address, data)
+        got = res.state.amps
         assert set(got) == set(ref.amps), (n, data.mode)
         assert max(abs(got[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
+        want, ground = decode_frozensets(cfg, data, res.state)
+        assert res.tree_ground and ground
+        assert set(res.address_bus) == set(want), (n, data.mode)
+        assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
+
+
+def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
+    # without the last mirrored hop an excitation stays in the tree: both
+    # decoders must say so, and still agree on address_bus
+    protocol = qram._protocol
+
+    def dropped(cfg, data):
+        ops = protocol(cfg, data)
+        last = max(i for i, op in enumerate(ops) if op.name in ("uproute", "uproute2"))
+        return ops[:last] + ops[last + 1:]
+
+    monkeypatch.setattr(qram, "_protocol", dropped)
+    rng = np.random.default_rng(61)
+    for enc in ALL_ENCODINGS:
+        for data in (DataRegister.classical([0, 1, 1, 0]),
+                     DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(4)])):
+            cfg = QramConfig(n=2, encoding=enc)
+            res = query(cfg, _unit(rng, 4), data)
+            want, ground = decode_frozensets(cfg, data, res.state)
+            assert res.tree_ground is False and ground is False, (enc, data.mode)
+            assert set(res.address_bus) == set(want)
+            assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
+
+
+def test_query_builds_its_protocol_once_and_exports_on_demand(monkeypatch):
+    calls = {"_protocol": 0, "build_query_gates": 0, "export": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(qram, "_protocol")
+    counting(qram, "build_query_gates")
+    counting(qram.PathState, "export")
+    cells = [(0.6, 0.8j)] * 8
+    res = query(QramConfig(n=3), _unit(np.random.default_rng(3), 8), DataRegister.quantum(cells))
+    assert calls == {"_protocol": 1, "build_query_gates": 0, "export": 0}
+    assert res.state is res.state
+    assert calls["export"] == 1
 
 
 def test_route_into_the_off_path_child_raises(monkeypatch):
     # hybrid routers with the polarity flipped send every address excitation
     # into the child off its branch's path: the engine must refuse, not drop
     # the branch
-    from phonon_qram import qram
-
     protocol = qram._protocol
 
     def flipped(cfg, data):

@@ -19,12 +19,12 @@ from phonon_qram import qram, state
 from phonon_qram.qram_types import Encoding
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CFG = qram.QramConfig(n=2, encoding=Encoding.HYBRID_DUAL_RAIL)
+DATA = qram.DataRegister.classical([0, 1, 1, 0])
 
 
 def _query():
-    cfg = qram.QramConfig(n=2, encoding=Encoding.HYBRID_DUAL_RAIL)
-    return qram.query(cfg, np.full(4, 0.5, dtype=complex),
-                      qram.DataRegister.classical([0, 1, 1, 0]))
+    return qram.query(CFG, np.full(4, 0.5, dtype=complex), DATA)
 
 
 def test_tracer_bindings_resolve_and_see_the_engine(monkeypatch):
@@ -46,15 +46,18 @@ def test_tracer_bindings_resolve_and_see_the_engine(monkeypatch):
     assert calls
     monkeypatch.undo()
 
-    # the installed tracer's hooks run on a query and count its work
+    # the installed tracer's hooks run on a query and count its work; the
+    # query builds no gate list, so the one list counted is built here
     tracer = tracing.Tracer()
     tracer.install()
     try:
         res = _query()
+        gates = qram.build_query_gates(CFG, DATA)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    assert metrics["qram.gates_emitted"] == len(res.trace)
+    assert metrics["qram.build_query_gates.calls"] == 1
+    assert metrics["qram.gates_emitted"] == len(gates) > 0
     assert metrics["state.apply_gate.calls"] > 0
     assert metrics["qram.initial_branches"] == 8
     assert metrics["state.max_support"] == res.max_support
