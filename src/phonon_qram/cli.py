@@ -32,6 +32,12 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # query-sim sizes its data register and a scan by N = 2**n; refuse larger n
 # before anything of that size is built
 _MAX_QUERY_N = 16
+# each scan record repeats the N-long address, so a scan's output grows as
+# N**2: 53 MB and 234 MB peak RSS at n = 10
+_MAX_SCAN_N = 10
+# route-fidelity runs a time-domain routing simulation per kappa point and
+# shape; refuse a larger grid before it is built (1e9 points need 7.45 GiB)
+_MAX_KAPPA_POINTS = 10**4
 # montecarlo draws trials * (n + 1) losses in one piece; a draw peaks at 12
 # bytes (hybrid; 9 standard) under tracemalloc, so this caps a grid point
 # near 0.24 GB
@@ -153,10 +159,7 @@ def _write_json(path, payload) -> None:
 
 
 def _write_sweep(path, rows, meta: str) -> None:
-    cols = ["param", "shape", "infidelity"]
-    if rows and "infidelity_td" in rows[0]:
-        cols.append("infidelity_td")
-    _write_csv(path, cols, ([row[c] for c in cols] for row in rows), meta)
+    _write_csv(path, list(rows[0]), (row.values() for row in rows), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +173,8 @@ def cmd_route_fidelity(args) -> int:
         "windows": ["150ns", "250ns", "350ns", "450ns", "550ns", "650ns",
                     "750ns", "850ns", "950ns", "1050ns"],
         "kappa_1d_mhz": 200.0,
-        "time_domain": True,
     }
     cfg = _load_config(args.config, defaults)
-    time_domain = _bool(cfg["time_domain"], "time_domain")
     fwhm = _duration_ns(cfg["fwhm"], "fwhm")
     kappa_1d = _number(float, cfg["kappa_1d_mhz"], "kappa_1d_mhz") * _TWO_PI_MHZ
     shapes = [_shape(s) for s in _list(cfg["shapes"], "shapes")]
@@ -181,8 +182,9 @@ def cmd_route_fidelity(args) -> int:
     if not (isinstance(grid, dict) and set(grid) == {"min", "max", "points"}):
         raise ConfigError(f"kappa_grid_mhz needs exactly min, max and points: {grid!r}")
     points = _number(int, grid["points"], "kappa_grid_mhz.points")
-    if points < 1:
-        raise ConfigError(f"kappa_grid_mhz.points must be >= 1, got {points}")
+    if not 1 <= points <= _MAX_KAPPA_POINTS:
+        raise ConfigError(f"kappa_grid_mhz.points must be in 1..{_MAX_KAPPA_POINTS}, "
+                          f"got {points}")
     lo, hi = (_number(float, grid[k], f"kappa_grid_mhz.{k}") for k in ("min", "max"))
     if not (lo > 0 and hi > 0):
         raise ConfigError(f"kappa_grid_mhz min/max must be > 0, got {lo}, {hi}")
@@ -190,7 +192,7 @@ def cmd_route_fidelity(args) -> int:
     windows = [_duration_ns(w, "windows") for w in _list(cfg["windows"], "windows")]
 
     # both sweeps run before either file is written, so a failure writes nothing
-    c_rows = router.sweep_kappa(shapes, fwhm, kappas, include_timedomain=time_domain)
+    c_rows = router.sweep_kappa(shapes, fwhm, kappas)
     d_rows = router.sweep_window(shapes, fwhm, kappa_1d, windows)
     out = _outdir(args)
     _write_sweep(out / "fig1c.csv", c_rows, _meta(args, cfg))
@@ -257,6 +259,8 @@ def _parse_address(spec, N: int, n: int):
                             for x in spec])
         except (TypeError, ValueError):
             raise ConfigError(f"cannot parse address amplitudes {spec!r}") from None
+        if not np.isfinite(v).all():
+            raise ConfigError(f"address amplitudes must be finite, got {spec!r}")
         nrm = np.linalg.norm(v)
         if nrm < 1e-12:
             raise ConfigError("address state has zero norm")
@@ -299,6 +303,8 @@ def cmd_query_sim(args) -> int:
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
     addr = _parse_address(cfg["address"], N, qcfg.n)
+    if addr is None and n > _MAX_SCAN_N:
+        raise ConfigError(f"an address scan needs n <= {_MAX_SCAN_N}, got {n}")
     addresses = (_basis(N, j) for j in range(N)) if addr is None else [addr]
     records = []
     for v in addresses:

@@ -14,7 +14,10 @@ Routing here is ideal: distortion and decoherence are composed on top
 analytically or by Monte Carlo elsewhere.
 
 The protocol is written once as level ops, each the node-parallel gates
-of one (time, gate name, level, rail).  `build_query_gates` is their
+of one (time, gate name, level, rail).  A level op names its slots as
+`PathState` fields (kind, level, rail), plus a child bit for a slot one
+level down, and `_slot` gives a field's absolute slot at a node, for the
+gate records and the export alike.  `build_query_gates` is their
 node-by-node expansion into `GateRecord`s, for the trace export and for
 replay against the reference engines in `tests/`; a query never builds
 it.  `query` runs the level ops in path coordinates.  In address branch j
@@ -27,8 +30,8 @@ call; a hop into the child off j's path excites the trap field and raises
 touched, so they stay a product background of their (a, b).  The result
 is decoded from the path keys, where the background sums out; it is
 multiplied in only when a caller reads `QueryResult.state`, the final
-state exported to frozenset configurations.  `QueryResult.max_support`
-counts path branches: at most 2N, with classical or quantum data.
+state exported to at most `_MAX_EXPORT` frozenset configurations.
+`QueryResult.max_support` counts path branches: at most 2N.
 
 Timestamps on the emitted gate records are in units of the routing step t.
 Emissions and control settings sit on `scheduling.start_slot`, and the hop
@@ -62,11 +65,6 @@ __all__ = [
     "initial_state",
     "trace_to_json",
 ]
-
-# tie-breaking priorities for inward gates sharing a timestamp; the root
-# control (excitation 0) is set before the pipeline starts
-_P_EMIT0, _P_SET0, _P_EMIT, _P_SET, _P_IN = range(-2, 3)
-
 
 @dataclass(frozen=True)
 class QramConfig:
@@ -111,7 +109,7 @@ class DataRegister:
         out = []
         for a, b in qubits:
             nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            if abs(nrm - 1.0) > 1e-9:
+            if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
                 raise InvalidParameterError("data qubit state not normalized")
             out.append((complex(a) / nrm, complex(b) / nrm))  # see initial_state
         return cls(DataMode.QUANTUM, qubits=tuple(out))
@@ -132,10 +130,11 @@ class _LevelOp(NamedTuple):
     """Gate `name` at `time` on every node in `nodes`, the node indices at
     tree level `level`, one gate per node and template, templates innermost.
 
-    A template is a tuple of slot patterns (kind, where, rail): a register
-    ("reg", k, rail); a tree slot ("ctrl" | "anc", where, rail) of the node
-    itself (where None) or of its child `where` one level down; a data-cell
-    slot (kind, None, rail) of the leaf node's cell."""
+    A template is a tuple of `PathState` fields (kind, level, rail): a
+    register ("reg", k, rail), a tree slot ("ctrl" | "anc", level, rail) of
+    the node itself, or a data-cell slot (kind, None, rail) of the leaf
+    node's cell.  A slot of the node's child c one level down adds c as a
+    fourth entry: ("anc", level + 1, rail, c)."""
 
     time: float
     name: str
@@ -146,6 +145,8 @@ class _LevelOp(NamedTuple):
 
 
 _CELL = ("data", "dctrl", "dwg")
+# `PathState.export` builds at most this many frozenset branches
+_MAX_EXPORT = 2 ** 16
 
 
 def _op(time, name, level, *templates, params=(), nodes=None) -> _LevelOp:
@@ -153,17 +154,16 @@ def _op(time, name, level, *templates, params=(), nodes=None) -> _LevelOp:
                     range(2 ** level) if nodes is None else nodes, templates)
 
 
-def _slots(pattern, level: int, nodes) -> list:
-    """Absolute slot name of `pattern` at each of `nodes` of `level`."""
-    kind, where, rail = pattern
-    tail = () if rail is None else (rail,)
-    if kind == "reg":
-        return [("reg", where) + tail] * len(nodes)
-    if kind in _CELL:
-        return [(kind, node) + tail for node in nodes]
-    if where is None:
-        return [(kind, level, node) + tail for node in nodes]
-    return [(kind, level + 1, 2 * node + where) + tail for node in nodes]
+def _slot(field, node: int) -> tuple:
+    """Absolute slot name of `field` at tree node `node` of its level (the
+    cell index for a data-cell field); a child field names child c of
+    `node`, one level down."""
+    kind, level, rail, *child = field
+    if child:
+        node = 2 * node + child[0]
+    slot = ((kind, level) if kind == "reg" else (kind, node) if level is None
+            else (kind, level, node))
+    return slot if rail is None else slot + (rail,)
 
 
 def _bit(j: int, k: int, n: int) -> int:
@@ -173,20 +173,20 @@ def _bit(j: int, k: int, n: int) -> int:
 
 def _route_level(cfg: QramConfig, lvl: int, time: float, rail=None) -> _LevelOp:
     """One conditional hop from level lvl to lvl+1, over every node."""
-    hop = (("anc", None, rail), ("anc", 0, rail), ("anc", 1, rail))
+    hop = (("anc", lvl, rail), ("anc", lvl + 1, rail, 0), ("anc", lvl + 1, rail, 1))
     if cfg.encoding.is_standard:
-        return _op(time, "route2", lvl, (("ctrl", None, 0), ("ctrl", None, 1)) + hop)
+        return _op(time, "route2", lvl, (("ctrl", lvl, 0), ("ctrl", lvl, 1)) + hop)
     invert = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
-    return _op(time, "route", lvl, (("ctrl", None, None),) + hop, params=(invert,))
+    return _op(time, "route", lvl, (("ctrl", lvl, None),) + hop, params=(invert,))
 
 
 def _set_level(k: int, time: float, rail=None) -> _LevelOp:
-    return _op(time, "swap_ge", k, (("anc", None, rail), ("ctrl", None, rail)))
+    return _op(time, "swap_ge", k, (("anc", k, rail), ("ctrl", k, rail)))
 
 
 def _emit_block(cfg: QramConfig, k: int, time: float, rail=None, quantum_bus=False):
     """Transfer of register k into the root ancilla."""
-    reg, root = ("reg", k, rail), ("anc", None, rail)
+    reg, root = ("reg", k, rail), ("anc", 0, rail)
     hybrid = cfg.encoding is Encoding.HYBRID_DUAL_RAIL
     # the hybrid bus in quantum mode is emitted plainly: the entangling
     # release would keep the |e> component in the register instead of
@@ -204,17 +204,17 @@ def _read_block(cfg: QramConfig, data: DataRegister, time: float):
         # a classical cell never enters the state: a 1-bit is a phase on the
         # leaf that holds the bus (rail 1 for standard dual-rail)
         ones = tuple(j for j in range(cfg.N) if data.bits[j])
-        return [_op(time, "z_ge", n, (("anc", None, 1 if std else None),), nodes=ones)]
+        return [_op(time, "z_ge", n, (("anc", n, 1 if std else None),), nodes=ones)]
     # quantum read: park the bus excitation as a data-side control, emit
     # every data qubit, route the queried one into the tree and the rest
     # back into place
     rails = (0, 1) if std else (None,)
     marker = 1 if std else None
     return [
-        _op(time, "swap_ge", n, *[(("anc", None, r), ("dctrl", None, r)) for r in rails]),
+        _op(time, "swap_ge", n, *[(("anc", n, r), ("dctrl", None, r)) for r in rails]),
         _op(time, "swap_ge", n, *[(("data", None, r), ("dwg", None, r)) for r in rails]),
         _op(time, "qroute", n, *[(("dctrl", None, marker), ("dwg", None, r),
-                                  ("anc", None, r), ("data", None, r)) for r in rails]),
+                                  ("anc", n, r), ("data", None, r)) for r in rails]),
     ]
 
 
@@ -246,34 +246,26 @@ def _mirror(op: _LevelOp, M: int) -> _LevelOp:
 
 def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
     """Chronological level ops of a complete query: the inward half, the
-    read, the mirrored inverse of the inward half, then the bus decode."""
+    read, the mirrored inverse of the inward half, then the bus decode.
+
+    Each excitation's emission, in-hops and control setting are appended
+    in (k, rail) order and sorted by time alone; the sort is stable, so
+    within a slot a deeper excitation moves first and a control is set
+    before the next excitation reaches its ancilla."""
     data.validate(cfg.N)
     qbus = data.mode is DataMode.QUANTUM
     n, M = cfg.n, cfg.makespan_slots
     std = cfg.encoding.is_standard
-    rails = (0, 1) if std else (None,)
-    # (time, priority, sub-priority, op); the stable sort below keeps
-    # insertion order among ops whose keys tie
-    ev: list[tuple[int, int, int, _LevelOp]] = []
-
-    def add(time, pri, ops, sub=0):
-        ev.extend((time, pri, sub, op) for op in ops)
-
+    inward: list[_LevelOp] = []
     for k in range(n + 1):
-        for r in rails:
+        for r in (0, 1) if std else (None,):
             s = start_slot(k, r or 0, cfg.encoding)
-            add(s, _P_EMIT0 if k == 0 else _P_EMIT,
-                _emit_block(cfg, k, s, rail=r, quantum_bus=qbus))
+            inward += _emit_block(cfg, k, s, rail=r, quantum_bus=qbus)
+            # excitation k hops from level lvl over [s + lvl, s + lvl + 1)
+            inward += [_route_level(cfg, lvl, s + lvl, rail=r) for lvl in range(k)]
             if k < n:
-                add(s + k, _P_SET0 if k == 0 else _P_SET, [_set_level(k, s + k, rail=r)])
-            # excitation k hops from level lvl over [s + lvl, s + lvl + 1);
-            # within a slot, deeper hops go first so the next ancilla down
-            # is already vacant
-            for lvl in range(k):
-                add(s + lvl, _P_IN, [_route_level(cfg, lvl, s + lvl, rail=r)], sub=-lvl)
-
-    ev.sort(key=lambda e: e[:3])
-    inward = [op for *_x, op in ev]
+                inward.append(_set_level(k, s + k, rail=r))
+    inward.sort(key=lambda op: op.time)
     ops = (inward + _read_block(cfg, data, M // 2)
            + [_mirror(op, M) for op in reversed(inward)])
 
@@ -299,8 +291,8 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
         for t in op.templates:
             r = rows.get((t, op.level))
             if r is None:
-                nodes = range(2 ** op.level)
-                r = rows[t, op.level] = list(zip(*[_slots(p, op.level, nodes) for p in t]))
+                r = rows[t, op.level] = [tuple(_slot(f, node) for f in t)
+                                         for node in range(2 ** op.level)]
             per_template.append(r)
         name, time, params = op.name, op.time, op.params
         gates += [GateRecord(name, r[node], time, params)
@@ -316,8 +308,9 @@ class PathState:
 
     A key is `j << width | fields`: field 0 is the trap, then 2 bits each
     for every register, the control and ancilla of j's node at each level
-    (per rail), and for quantum data cell j's slots.  The other cells of a
-    quantum register are never touched by the query, so they are a product
+    (per rail), and for quantum data cell j's slots, each named (kind,
+    level, rail) as level ops name them.  The other cells of a quantum
+    register are never touched by the query, so they are a product
     background of their (a, b), kept in `cells` and multiplied in only by
     `export`."""
 
@@ -335,21 +328,18 @@ class PathState:
         self.amps = state.Amps()
         self._ops: dict = {}  # compiled templates; a query repeats them
 
-    def bit(self, field) -> int:
-        return 1 << self.offset[field]
-
     def support(self) -> int:
         return len(self.amps)
 
-    def _offset(self, pattern, level: int, child) -> int:
-        """Bit offset of `pattern` at a level-`level` node, in a branch
-        whose path goes on to `child`; the trap for the other child."""
-        kind, where, rail = pattern
-        if kind in _CELL or kind == "reg":
-            return self.offset[(kind, where, rail)]
-        if where is None:
-            return self.offset[(kind, level, rail)]
-        return self.offset[(kind, level + 1, rail)] if where == child else 0
+    def logical(self, kind: str, level, b: int) -> tuple:
+        """Fields in |e> that hold logical bit b of a register or cell: rail
+        b for standard dual-rail, else the one field for b = 1."""
+        return ((kind, level, b),) if self.std else ((kind, level, None),) * b
+
+    def _offset(self, field, child) -> int:
+        """Bit offset of `field` in a branch whose path goes on to `child`;
+        the trap for a field of the other child."""
+        return self.offset[field[:3]] if field[3:] in ((), (child,)) else 0
 
     def compile(self, op: _LevelOp) -> list[tuple]:
         """One `state.apply_gate` op per template of `op`.  A branch finds
@@ -362,10 +352,10 @@ class PathState:
             key = (op.name, op.params, level, t, op.nodes if partial else None)
             compiled = self._ops.get(key)
             if compiled is None:
-                variants = [tuple(self._offset(p, level, c) for p in t) for c in (0, 1)]
+                variants = [tuple(self._offset(f, c) for f in t) for c in (0, 1)]
                 if partial:
                     # a gate on some nodes of a level; no child is on a path
-                    offs = tuple(self._offset(p, level, None) for p in t)
+                    offs = tuple(self._offset(f, None) for f in t)
                     member = set(op.nodes)
                     table = [offs if i in member else None for i in range(2 ** level)]
                     shift, mask = width + n - level, 2 ** level - 1
@@ -379,8 +369,18 @@ class PathState:
         return out
 
     def export(self) -> SparseState:
-        """The same state over absolute slots, as frozenset configurations."""
+        """The same state over absolute slots, as frozenset configurations.
+
+        Raises `InvalidParameterError` before building anything when the
+        product background would make more than `_MAX_EXPORT` branches."""
         n, width = self.n, self.width
+        both = [a != 0 and b != 0 for a, b in self.cells]
+        twos = sum(both)
+        size = sum(1 << twos - both[key >> width] if both else 1 for key in self.amps)
+        if size > _MAX_EXPORT:
+            raise InvalidParameterError(
+                f"exporting this state would build {size} branches, "
+                f"more than {_MAX_EXPORT}")
         background: dict = {}  # j -> product branches of the other cells
         out: dict = {}
         for key, amp in self.amps.items():
@@ -388,33 +388,27 @@ class PathState:
             items = []
             while f:
                 i = (f & -f).bit_length() - 1 >> 1
-                kind, lvl, rail = self.fields[i]
-                slot = ((kind, lvl) if kind == "reg" else (kind, j) if kind in _CELL
-                        else (kind, lvl, j >> (n - lvl)))
-                items.append((slot if rail is None else slot + (rail,), f >> 2 * i & 3))
+                field = self.fields[i]
+                node = j if field[1] is None else j >> (n - field[1])
+                items.append((_slot(field, node), f >> 2 * i & 3))
                 f &= ~(3 << 2 * i)
             if j not in background:
-                background[j] = _background(self.cells, j, self.std)
+                background[j] = self._background(j)
             for extra, b in background[j]:
                 cfg = frozenset(items + extra)
                 out[cfg] = out.get(cfg, 0.0) + amp * b
         return SparseState({c: a for c, a in out.items() if abs(a) > 1e-14})
 
-
-def _background(cells: tuple, j: int, std: bool) -> list:
-    """(configuration items, amplitude) of every product branch of the
-    cells other than j; one empty branch of amplitude 1 for no cells."""
-    out = [([], 1.0)]
-    for i, (a, b) in enumerate(cells):
-        if i == j:
-            continue
-        opts = []
-        if abs(a) > 0:
-            opts.append(([(("data", i, 0), 1)] if std else [], a))
-        if abs(b) > 0:
-            opts.append(([(("data", i, 1) if std else ("data", i), 1)], b))
-        out = [(it + o, amp * f) for it, amp in out for o, f in opts]
-    return out
+    def _background(self, j: int) -> list:
+        """(configuration items, amplitude) of every product branch of the
+        cells other than j; one empty branch of amplitude 1 for no cells."""
+        out = [([], 1.0)]
+        for i, cell in enumerate(self.cells):
+            if i != j:
+                opts = [([(_slot(f, i), 1) for f in self.logical("data", None, b)], amp)
+                        for b, amp in enumerate(cell) if amp != 0]
+                out = [(it + o, amp * f) for it, amp in out for o, f in opts]
+        return out
 
 
 def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
@@ -428,39 +422,38 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
             f"address state needs {cfg.N} amplitudes, got shape {amps.shape}"
         )
     nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
         raise InvalidParameterError("address state not normalized")
     amps = amps / nrm  # normalised on entry: the engine holds the norm to 1e-10
-    n, std = cfg.n, cfg.encoding.is_standard
+    n = cfg.n
     quantum = data.mode is DataMode.QUANTUM
     path = PathState(cfg, data.qubits)
-    bus = path.bit(("reg", n, 1 if std else None))
 
+    def masks(kind, level) -> list:
+        """Key bits of logical 0 and of logical 1 in a register or cell."""
+        return [sum(1 << path.offset[f] for f in path.logical(kind, level, b))
+                for b in (0, 1)]
+
+    regs = [masks("reg", k) for k in range(n + 1)]
+    cell = masks("data", None) if quantum else None
     out: list[tuple[int, complex]] = []
     for j in range(cfg.N):
         if amps[j] == 0:
             continue
         key = j << path.width
         for k in range(n):
-            b = _bit(j, k, n)
-            if std or b:
-                key |= path.bit(("reg", k, b if std else None))
+            key |= regs[k][_bit(j, k, n)]
         # the engine runs on Python complex: a numpy scalar costs several
         # times more per branch update
         a = amps[j]
         if quantum:
             # bus |1> and the queried cell
-            aj, bj = data.qubits[j]
-            if abs(aj) > 0:
-                out.append((key | bus | (path.bit(("data", None, 0)) if std else 0),
-                            complex(a * aj)))
-            if abs(bj) > 0:
-                out.append((key | bus | path.bit(("data", None, 1 if std else None)),
-                            complex(a * bj)))
+            out += [(key | regs[n][1] | cell[b], complex(a * c))
+                    for b, c in enumerate(data.qubits[j]) if c != 0]
         else:
-            # |+> probe on the bus: rail 0 or 1 for standard dual-rail, g or e
+            # |+> probe on the bus
             h = complex(a / math.sqrt(2))
-            out += [(key | (path.bit(("reg", n, 0)) if std else 0), h), (key | bus, h)]
+            out += [(key | regs[n][b], h) for b in (0, 1)]
     path.amps.update((c, a) for c, a in out if abs(a) > 1e-14)
     path.amps.norm2 = sum(abs(a) ** 2 for a in path.amps.values())
     return path
@@ -496,7 +489,7 @@ def _decode(path: PathState, quantum: bool) -> tuple[dict, bool]:
     sqrt(sum |amp|^2) are meaningful; the unit-norm background sums out,
     and phase-sensitive checks go through `QueryResult.state`."""
     n, std = path.n, path.std
-    regs = [path.offset[("reg", k, 1 if std else None)] for k in range(n + 1)]
+    regs = [path.offset[path.logical("reg", k, 1)[0]] for k in range(n + 1)]
     tree = sum(3 << off for f, off in path.offset.items()
                if f and f[0] in ("ctrl", "anc", "dwg"))
     address_bus: dict = {}

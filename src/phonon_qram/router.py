@@ -85,7 +85,7 @@ class RouterSimConfig:
             )
         a, b = self.control_init
         norm = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise InvalidParameterError(
                 f"control_init norm deviates from 1 by {abs(norm - 1.0):.2e}"
             )
@@ -218,12 +218,12 @@ def _infidelity_timedomain(packet: WavePacket, kappa: float, window: float) -> f
     return 1.0 - simulate_routing(cfg).fidelity
 
 
-def sweep_kappa(shapes, fwhm: float, kappas, include_timedomain: bool = False):
+def sweep_kappa(shapes, fwhm: float, kappas):
     """Infidelity vs kappa_max, one row per (kappa, shape).
 
     Rows are dicts with ``param`` (kappa in rad/ns), ``shape``,
-    ``infidelity`` (closed-form, infinite window) and, optionally,
-    ``infidelity_td`` from the long-window time-domain simulation.
+    ``infidelity`` (closed-form, infinite window) and ``infidelity_td``
+    from the long-window time-domain simulation.
     """
     if not len(kappas) or not len(shapes):
         raise InvalidParameterError("empty sweep grid")
@@ -232,11 +232,9 @@ def sweep_kappa(shapes, fwhm: float, kappas, include_timedomain: bool = False):
         packet = WavePacket(s, fwhm)
         for k in kappas:
             fidelity = distortion_fidelity(packet, ReflectionResponse(k))
-            row = {"param": k, "shape": s.value, "infidelity": 1.0 - fidelity}
-            if include_timedomain:
-                row["infidelity_td"] = _infidelity_timedomain(
-                    packet, k, auto_window(packet, k))
-            rows.append(row)
+            rows.append({"param": k, "shape": s.value, "infidelity": 1.0 - fidelity,
+                         "infidelity_td": _infidelity_timedomain(
+                             packet, k, auto_window(packet, k))})
     return rows
 
 

@@ -219,22 +219,13 @@ def apply_gate(amps: Amps, op: tuple) -> Amps:
     out: dict = {}
     get = out.get
     delta = 0.0
-    if mask:
-        for cfg, amp in old:
-            m = abs(amp)
-            delta -= m * m
-            offsets = table[cfg >> shift & mask]
-            for new_cfg, factor in (((cfg, 1.0),) if offsets is None
-                                    else fn(cfg, offsets, params)):
-                out[new_cfg] = get(new_cfg, 0.0) + amp * factor
-    else:
-        # one variant: the offsets are the same for every key
-        offsets = table[0]
-        for cfg, amp in old:
-            m = abs(amp)
-            delta -= m * m
-            for new_cfg, factor in fn(cfg, offsets, params):
-                out[new_cfg] = get(new_cfg, 0.0) + amp * factor
+    for cfg, amp in old:
+        m = abs(amp)
+        delta -= m * m
+        offsets = table[cfg >> shift & mask]
+        for new_cfg, factor in (((cfg, 1.0),) if offsets is None
+                                else fn(cfg, offsets, params)):
+            out[new_cfg] = get(new_cfg, 0.0) + amp * factor
     if trap and any(cfg & 3 for cfg in out):
         raise NumericalFailureError(
             f"{fn.__name__[1:]} moved a branch onto a slot it does not track")

@@ -70,7 +70,6 @@ def test_route_fidelity_sweeps(tmp_path):
     config = {
         "kappa_grid_mhz": {"min": 50.0, "max": 400.0, "points": 4},
         "windows": ["650ns", "1050ns"],
-        "time_domain": False,
     }
     rc = run(tmp_path, "route-fidelity", config=config)
     assert rc == 0
@@ -88,8 +87,7 @@ def test_route_fidelity_time_domain_columns(tmp_path):
     assert run(tmp_path, "route-fidelity", config=config) == 0
     header, rows = csv_table(tmp_path / "fig1c.csv")
     assert header == "param,shape,infidelity,infidelity_td"
-    (expected,) = sweep_kappa([PulseShape.GAUSSIAN], 50.0,
-                              [200.0 * 2 * math.pi * 1e-3], include_timedomain=True)
+    (expected,) = sweep_kappa([PulseShape.GAUSSIAN], 50.0, [200.0 * 2 * math.pi * 1e-3])
     assert_cells_match(rows[0], [expected[c] for c in header.split(",")])
 
 
@@ -361,6 +359,22 @@ def test_query_sim_refuses_n_above_16(tmp_path, n):
     assert not out.exists()
 
 
+def test_query_sim_refuses_a_scan_above_n_10(tmp_path):
+    # the default address is a scan, whose output grows as N^2
+    proc, out = run_capped(tmp_path, "query-sim", {"n": 12})
+    assert proc.returncode == 2, proc.stderr
+    assert "an address scan needs n <= 10" in proc.stderr
+    assert not out.exists()
+
+
+def test_route_fidelity_refuses_a_kappa_grid_above_1e4_points(tmp_path):
+    config = {"kappa_grid_mhz": {"min": 10, "max": 1000, "points": 10**9}}
+    proc, out = run_capped(tmp_path, "route-fidelity", config)
+    assert proc.returncode == 2, proc.stderr
+    assert "kappa_grid_mhz.points must be in 1..10000" in proc.stderr
+    assert not out.exists()
+
+
 def test_query_sim_runs_quantum_mode_at_n_5(tmp_path):
     # the decode reads the path keys, so the 2^31 product branches of the
     # unqueried cells are never built
@@ -552,7 +566,7 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     ("montecarlo", {"trials": 1.5}),
     ("query-sim", {"n": 2.9}),
     ("query-sim", {"export_trace": "no"}),
-    ("route-fidelity", {"time_domain": "no"}),
+    ("route-fidelity", {"kappa_grid_mhz": {"min": "nan", "max": 100, "points": 2}}),
     # a JSON boolean is not a number
     ("montecarlo", {"trials": True,
                     "grid": [{"n": 2, "T1_q": "100us", "T1_m": "2us"}]}),
@@ -573,6 +587,11 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     ("heralding", {"encoding": "standard_dual_rail_logical"}),
     ("montecarlo", {"encoding": "standard_dual_rail_logical", "trials": 10}),
     ("schedule", {"encodings": ["standard_dual_rail_logical"]}),
+    # NaN must fail a norm check, not pass it and yield a NaN result
+    ("router-sim", {"control_init": ["nan", 1]}),
+    ("query-sim", {"n": 1, "address": ["nan", 1]}),
+    ("query-sim", {"n": 1, "mode": "quantum", "data": [[math.nan, 1], [1, 0]],
+                   "address": "0"}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2
@@ -583,8 +602,7 @@ def test_malformed_values_exit_2(tmp_path, cmd, config):
 SMALL_CONFIGS = {
     "route-fidelity": {"fwhm": "50ns", "shapes": ["gaussian"],
                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1},
-                       "windows": ["350ns"], "kappa_1d_mhz": 200.0,
-                       "time_domain": False},
+                       "windows": ["350ns"], "kappa_1d_mhz": 200.0},
     "router-sim": {"shape": "gaussian", "fwhm": "50ns", "kappa_mhz": 200.0,
                    "window": "350ns", "control_init": [1.0, 0.0],
                    "source": "left", "dt": None},
@@ -622,7 +640,7 @@ def test_resolution_failure_exit_code(tmp_path):
 @pytest.mark.parametrize("cmd, config", [
     ("router-sim", {"kappa_mhz": 1e308}),
     ("router-sim", {"kappa_mhz": 1e290}),
-    ("route-fidelity", {"kappa_1d_mhz": 1e308, "time_domain": False,
+    ("route-fidelity", {"kappa_1d_mhz": 1e308,
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
 ])
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
@@ -632,7 +650,7 @@ def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
 
 def test_route_fidelity_failure_writes_no_csv(tmp_path):
     # the kappa sweep succeeds and the window sweep fails: neither file is written
-    config = {"kappa_1d_mhz": 1e308, "time_domain": False,
+    config = {"kappa_1d_mhz": 1e308,
               "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}
     assert run(tmp_path, "route-fidelity", config=config) == 3
     assert not (tmp_path / "fig1c.csv").exists()

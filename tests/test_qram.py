@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +353,47 @@ def test_query_builds_its_protocol_once_and_exports_on_demand(monkeypatch):
     assert calls == {"_protocol": 1, "build_query_gates": 0, "export": 0}
     assert res.state is res.state
     assert calls["export"] == 1
+
+
+def test_export_counts_its_branches_before_building_them(monkeypatch):
+    # cells with both amplitudes nonzero double the background, the others
+    # do not: 4 such j with 2 path keys and 2^3 background branches each,
+    # 4 other j with 1 path key and 2^4 background branches each
+    cells = [(0.6, 0.8), (1, 0), (0, 1j), (0.8, -0.6)] * 2
+    res = query(QramConfig(n=3), _unit(np.random.default_rng(5), 8),
+                DataRegister.quantum(cells))
+    assert len(res.path.export().amps) == 128
+    monkeypatch.setattr(qram, "_MAX_EXPORT", 127)
+    with pytest.raises(InvalidParameterError, match="would build 128 branches"):
+        res.path.export()
+
+
+# Reads `.state` of a superposed quantum n=5 query in a child whose address
+# space is capped at 1 GB: the export must refuse its 2^37 branches before
+# building any, not run the machine out of memory.
+CAPPED_EXPORT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from phonon_qram.errors import InvalidParameterError
+from phonon_qram.qram import DataRegister, QramConfig, query
+res = query(QramConfig(n=5), np.full(32, 32 ** -0.5), DataRegister.quantum([(0.6, 0.8)] * 32))
+try:
+    res.state
+except InvalidParameterError as exc:
+    sys.exit(str(exc))
+"""
+
+
+def test_exporting_a_superposed_quantum_n_5_query_raises():
+    src = str(Path(qram.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CAPPED_EXPORT],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == (f"exporting this state would build {2 ** 37} branches, "
+                                   f"more than {2 ** 16}")
 
 
 def test_route_into_the_off_path_child_raises(monkeypatch):
