@@ -54,8 +54,10 @@ def _duration_ns(value, key: str) -> float:
     m = _DUR_RE.match(value)
     if not m:
         raise ConfigError(f"{key}: cannot parse duration {value!r}")
-    scale = 1.0 if m.group(2) == "ns" else 1e3
-    return float(m.group(1)) * scale
+    out = float(m.group(1)) * (1.0 if m.group(2) == "ns" else 1e3)
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: duration {value!r} is not finite")
+    return out
 
 
 def _number(kind, value, key: str):

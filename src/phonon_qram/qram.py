@@ -21,16 +21,20 @@ gate records and the export alike.  `build_query_gates` is their
 node-by-node expansion into `GateRecord`s, for the trace export and for
 replay against the reference engines in `tests/`; a query never builds
 it.  `query` runs the level ops in path coordinates.  In address branch j
-every excitation stays on j's root-to-leaf path, so a branch is keyed by
-j plus 2-bit fields for the registers, the control and ancilla of j's
-node at each level and rail, and, for quantum data, cell j's data slots.
-A level op finds its node from j's prefix and is one `state.apply_gate`
-call; a hop into the child off j's path excites the trap field and raises
-`NumericalFailureError`.  The cells a branch does not query are never
-touched, so they stay a product background of their (a, b).  The result
-is decoded from the path keys, where the background sums out; it is
-multiplied in only when a caller reads `QueryResult.state`, the final
-state exported to at most `_MAX_EXPORT` frozenset configurations.
+every excitation stays on j's root-to-leaf path, so a branch is a row of
+a `state.Table`: j, one level per field (the registers, the control and
+ancilla of j's node at each level and rail, and, for quantum data, cell
+j's data slots) and an amplitude.  A level op is one `state.apply_gate`
+call, a few column operations on every row at once; a row finds its node
+from j's prefix, and a hop into the child off j's path raises
+`NumericalFailureError`.  Only the bus decode splits rows, and it merges
+them again; the rows are merged once more at the end of every query, so
+an op that maps two rows onto one fails the norm check.  The cells a
+branch does not query are never touched, so they stay a product
+background of their (a, b).  The result is decoded from the table's
+columns, where the background sums out; it is multiplied in only when a
+caller reads `QueryResult.state`, the final table exported to at most
+`_MAX_EXPORT` frozenset configurations.
 `QueryResult.max_support` counts path branches: at most 2N.
 
 Timestamps on the emitted gate records are in units of the routing step t.
@@ -51,7 +55,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import state
-from .errors import InvalidParameterError, NumericalFailureError
+from .errors import InvalidParameterError
 from .qram_types import DataMode, Encoding
 from .scheduling import makespan_slots, start_slot
 from .state import GateRecord, SparseState
@@ -164,11 +168,6 @@ def _slot(field, node: int) -> tuple:
     slot = ((kind, level) if kind == "reg" else (kind, node) if level is None
             else (kind, level, node))
     return slot if rail is None else slot + (rail,)
-
-
-def _bit(j: int, k: int, n: int) -> int:
-    """Address bit consumed at tree level k (level 0 is most significant)."""
-    return (j >> (n - 1 - k)) & 1
 
 
 def _route_level(cfg: QramConfig, lvl: int, time: float, rail=None) -> _LevelOp:
@@ -304,94 +303,58 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
 # path coordinates
 
 class PathState:
-    """Amplitudes keyed by address branch j and the slots on j's path.
+    """A query's branch table and the layout of its fields.
 
-    A key is `j << width | fields`: field 0 is the trap, then 2 bits each
-    for every register, the control and ancilla of j's node at each level
-    (per rail), and for quantum data cell j's slots, each named (kind,
-    level, rail) as level ops name them.  The other cells of a quantum
-    register are never touched by the query, so they are a product
-    background of their (a, b), kept in `cells` and multiplied in only by
-    `export`."""
+    A row of `table` is an address branch j and one level per field: every
+    register, the control and ancilla of j's node at each level (per
+    rail), and for quantum data cell j's slots, each named (kind, level,
+    rail) as level ops name them.  The other cells of a quantum register
+    are never touched by the query, so they are a product background of
+    their (a, b), kept in `cells` and multiplied in only by `export`."""
 
     def __init__(self, cfg: QramConfig, cells: tuple):
         n = cfg.n
         rails = (0, 1) if cfg.encoding.is_standard else (None,)
         self.n, self.std, self.cells = n, cfg.encoding.is_standard, cells
-        self.fields = [None] + [
+        self.fields = [
             (kind, lvl, r)
             for kind, lvls in (("reg", n + 1), ("ctrl", n), ("anc", n + 1))
             for lvl in range(lvls) for r in rails
         ] + [(kind, None, r) for kind in (_CELL if cells else ()) for r in rails]
-        self.offset = {f: 2 * i for i, f in enumerate(self.fields)}
-        self.width = 2 * len(self.fields)
-        self.amps = state.Amps()
-        self._ops: dict = {}  # compiled templates; a query repeats them
+        self.col = {f: i for i, f in enumerate(self.fields)}
+        self.table: state.Table  # the rows, set by `initial_state`
 
     def support(self) -> int:
-        return len(self.amps)
+        return len(self.table)
 
     def logical(self, kind: str, level, b: int) -> tuple:
         """Fields in |e> that hold logical bit b of a register or cell: rail
         b for standard dual-rail, else the one field for b = 1."""
         return ((kind, level, b),) if self.std else ((kind, level, None),) * b
 
-    def _offset(self, field, child) -> int:
-        """Bit offset of `field` in a branch whose path goes on to `child`;
-        the trap for a field of the other child."""
-        return self.offset[field[:3]] if field[3:] in ((), (child,)) else 0
-
-    def compile(self, op: _LevelOp) -> list[tuple]:
-        """One `state.apply_gate` op per template of `op`.  A branch finds
-        its node from its address prefix; the child off its path is the
-        trap, and a node with no gate leaves the branch alone."""
-        n, level, width = self.n, op.level, self.width
-        partial = len(op.nodes) < 2 ** level
-        out = []
-        for t in op.templates:
-            key = (op.name, op.params, level, t, op.nodes if partial else None)
-            compiled = self._ops.get(key)
-            if compiled is None:
-                variants = [tuple(self._offset(f, c) for f in t) for c in (0, 1)]
-                if partial:
-                    # a gate on some nodes of a level; no child is on a path
-                    offs = tuple(self._offset(f, None) for f in t)
-                    member = set(op.nodes)
-                    table = [offs if i in member else None for i in range(2 ** level)]
-                    shift, mask = width + n - level, 2 ** level - 1
-                elif variants[0] != variants[1]:
-                    table, shift, mask = variants, width + n - 1 - level, 1
-                else:
-                    table, shift, mask = variants[:1], 0, 0
-                compiled = self._ops[key] = state.compile_gate(
-                    op.name, op.params, table, shift, mask)
-            out.append(compiled)
-        return out
+    def columns(self, kind: str, level, b) -> list:
+        """Table columns of `logical(kind, level, b)`."""
+        return [self.col[f] for f in self.logical(kind, level, b)]
 
     def export(self) -> SparseState:
         """The same state over absolute slots, as frozenset configurations.
 
         Raises `InvalidParameterError` before building anything when the
         product background would make more than `_MAX_EXPORT` branches."""
-        n, width = self.n, self.width
+        n, t = self.n, self.table
         both = [a != 0 and b != 0 for a, b in self.cells]
         twos = sum(both)
-        size = sum(1 << twos - both[key >> width] if both else 1 for key in self.amps)
+        js = t.j.tolist()
+        size = sum(1 << twos - both[j] for j in js) if both else len(js)
         if size > _MAX_EXPORT:
             raise InvalidParameterError(
                 f"exporting this state would build {size} branches, "
                 f"more than {_MAX_EXPORT}")
         background: dict = {}  # j -> product branches of the other cells
         out: dict = {}
-        for key, amp in self.amps.items():
-            j, f = key >> width, key & ((1 << width) - 1)
-            items = []
-            while f:
-                i = (f & -f).bit_length() - 1 >> 1
-                field = self.fields[i]
-                node = j if field[1] is None else j >> (n - field[1])
-                items.append((_slot(field, node), f >> 2 * i & 3))
-                f &= ~(3 << 2 * i)
+        for j, levels, amp in zip(js, t.levels.T.tolist(), t.amp.tolist()):
+            items = [(_slot(f, j if f[1] is None else j >> (n - f[1])), lvl)
+                     for f, lvl in zip(self.fields, levels) if lvl]
             if j not in background:
                 background[j] = self._background(j)
             for extra, b in background[j]:
@@ -428,34 +391,29 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
     n = cfg.n
     quantum = data.mode is DataMode.QUANTUM
     path = PathState(cfg, data.qubits)
-
-    def masks(kind, level) -> list:
-        """Key bits of logical 0 and of logical 1 in a register or cell."""
-        return [sum(1 << path.offset[f] for f in path.logical(kind, level, b))
-                for b in (0, 1)]
-
-    regs = [masks("reg", k) for k in range(n + 1)]
-    cell = masks("data", None) if quantum else None
-    out: list[tuple[int, complex]] = []
-    for j in range(cfg.N):
-        if amps[j] == 0:
-            continue
-        key = j << path.width
-        for k in range(n):
-            key |= regs[k][_bit(j, k, n)]
-        # the engine runs on Python complex: a numpy scalar costs several
-        # times more per branch update
-        a = amps[j]
-        if quantum:
-            # bus |1> and the queried cell
-            out += [(key | regs[n][1] | cell[b], complex(a * c))
-                    for b, c in enumerate(data.qubits[j]) if c != 0]
-        else:
-            # |+> probe on the bus
-            h = complex(a / math.sqrt(2))
-            out += [(key | regs[n][b], h) for b in (0, 1)]
-    path.amps.update((c, a) for c, a in out if abs(a) > 1e-14)
-    path.amps.norm2 = sum(abs(a) ** 2 for a in path.amps.values())
+    # two rows per address branch: the |+> bus of a classical read, or the
+    # queried cell of a quantum one under bus |1>; b is the bus or cell bit
+    js = np.flatnonzero(amps)
+    j, b = np.repeat(js, 2), np.tile([0, 1], len(js))
+    if quantum:
+        cells = np.array([data.qubits[i] for i in js], dtype=complex).ravel()
+        amp, varied = amps[j] * cells, ("data", None)
+    else:
+        amp, varied = amps[j] / math.sqrt(2), ("reg", n)
+    keep = np.abs(amp) > 1e-14
+    j, b, amp = j[keep], b[keep], amp[keep]
+    levels = np.zeros((len(path.fields), len(j)), np.uint8)
+    for k in range(n):
+        bit = (j >> (n - 1 - k)) & 1
+        for v in (0, 1):
+            for c in path.columns("reg", k, v):
+                levels[c] = bit == v
+    for v in (0, 1):
+        for c in path.columns(*varied, v):
+            levels[c] = b == v
+    if quantum:
+        levels[path.columns("reg", n, 1)] = 1
+    path.table = state.Table(n, path.col, j, levels, amp)
     return path
 
 
@@ -479,60 +437,48 @@ class QueryResult:
 
 
 def _decode(path: PathState, quantum: bool) -> tuple[dict, bool]:
-    """(address_bus, tree_ground) of a final state, read from its keys.
+    """(address_bus, tree_ground) of a final state, read from its columns.
 
-    j comes from the address registers, not the key's prefix, so a failed
+    j comes from the address registers, not the rows' j, so a failed
     unwind shows; a standard dual-rail bit or bus is rail 1 in |e>.  Any
     control, ancilla or data waveguide left excited clears `tree_ground`.
     Classical mode sums complex amplitudes per (j, bus).  Quantum mode
     leaves orthogonal data-register branches, so only the weights
     sqrt(sum |amp|^2) are meaningful; the unit-norm background sums out,
     and phase-sensitive checks go through `QueryResult.state`."""
-    n, std = path.n, path.std
-    regs = [path.offset[path.logical("reg", k, 1)[0]] for k in range(n + 1)]
-    tree = sum(3 << off for f, off in path.offset.items()
-               if f and f[0] in ("ctrl", "anc", "dwg"))
+    n, t = path.n, path.table
+    regs = t.levels[[path.columns("reg", k, 1)[0] for k in range(n + 1)]]
+    if path.std:
+        regs = (regs == 1).view(np.uint8)
+    j = np.zeros(len(t), np.int64)
+    for lvl in regs[:-1]:
+        j = j << 1 | (lvl > 0)
     address_bus: dict = {}
-    for key, amp in path.amps.items():
-        levels = [key >> off & 3 for off in regs]
-        if std:
-            levels = [int(lvl == 1) for lvl in levels]
-        j = 0
-        for lvl in levels[:-1]:
-            j = j << 1 | (lvl > 0)
-        k = (j, levels[-1])
+    for k, amp in zip(zip(j.tolist(), regs[-1].tolist()), t.amp.tolist()):
         if quantum:
             address_bus[k] = address_bus.get(k, 0.0) + abs(amp) ** 2
         else:
             address_bus[k] = address_bus.get(k, 0j) + amp
     if quantum:
         address_bus = {k: math.sqrt(p) for k, p in address_bus.items()}
-    return address_bus, not any(key & tree for key in path.amps)
+    tree = [i for i, f in enumerate(path.fields) if f[0] in ("ctrl", "anc", "dwg")]
+    return address_bus, not t.levels[tree].any()
 
 
 def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
     """Run the full pipeline; noiseless, so the outcome is exact.
 
-    Raises `NumericalFailureError` when a branch leaves its path, when the
-    running norm leaves 1 by more than 1e-10 after an op, or when it ends
-    more than 1e-12 from the norm recomputed over every branch."""
+    Raises `NumericalFailureError` when a branch leaves its path, or when
+    the norm leaves 1 by more than 1e-10 after a split op or after the
+    final merge."""
     path = initial_state(cfg, address, data)
-    amps = path.amps
-    support = len(amps)
-    nrm = math.sqrt(amps.norm2)
-    for level_op in _protocol(cfg, data):
-        for op in path.compile(level_op):
-            amps = state.apply_gate(amps, op)
-            support = max(support, len(amps))
-            nrm = math.sqrt(max(amps.norm2, 0.0))
-            if abs(nrm - 1.0) > 1e-10:
-                raise NumericalFailureError(
-                    f"norm drifted to {nrm!r} after gate {level_op.name}")
-    full = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    if abs(nrm - full) > 1e-12:
-        raise NumericalFailureError(
-            f"running norm {nrm!r} differs from recomputed norm {full!r}")
-    path.amps = amps
+    table = path.table
+    support = len(table)
+    for op in _protocol(cfg, data):
+        table = state.apply_gate(table, op)
+        support = max(support, len(table))
+    table.merge("the end of the query")
+    path.table = table
     return QueryResult(cfg, path, *_decode(path, data.mode is DataMode.QUANTUM), support)
 
 

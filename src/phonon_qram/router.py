@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InvalidParameterError, ResolutionError
 from .wavepackets import (
@@ -151,6 +150,8 @@ def scatter_state(b_half: np.ndarray, dt: float, kappa: float) -> np.ndarray:
 
 def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
     """Run one conditional routing and score it against the ideal CSWAP."""
+    from scipy.integrate import simpson
+
     kappa = config.kappa_max
     dt = config.step
     if dt * kappa > 0.1:

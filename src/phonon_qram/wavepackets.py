@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameterError, NumericalFailureError
 
@@ -160,6 +159,8 @@ def distortion_fidelity(packet: WavePacket, resp: ReflectionResponse) -> float:
     Evaluates ``F = (1 - 2 * int |u(w)|^2 w^2/(k^2 + 4 w^2) dw)**2`` by
     adaptive quadrature to relative accuracy 1e-8.
     """
+    from scipy.integrate import quad
+
     kappa = resp.kappa_max
     power = _spectral_power(packet)
 

@@ -1,6 +1,6 @@
 """Copy-per-gate reference for the sparse engine's bookkeeping.
 
-It shares the gate semantics of `phonon_qram.state` but none of the
+It shares the int gate semantics of `int_gates` but none of the
 in-place machinery: every gate visits every branch, writes a new map, and
 prunes the whole map at 1e-14.  Comparing a full query against it checks
 the active-branch scan, the merge, the touched-only prune and the support
@@ -9,7 +9,7 @@ count at sizes the dense oracle cannot reach.
 
 from __future__ import annotations
 
-from phonon_qram.state import _GATES
+from int_gates import _GATES
 from slot_engine import slot_layout, to_frozenset
 
 

@@ -2,12 +2,11 @@
 
 Every slot a gate list names gets its own fixed 2-bit field of an int key,
 so a branch holds the whole tree and every data cell, and each gate record
-is applied on its own through `phonon_qram.state.apply_gate`.  Field 0 stays
-the trap, so offsets start at 2.  It shares the gate semantics and the
-in-place update with `qram.query` but none of its path layout, level ops or
-product background, so a full query can be compared against it at sizes
-the dense oracle cannot reach, and the gate-level tests drive `apply_gate`
-through it.
+is applied on its own through the int-key `int_gates.apply_gate`.  Field 0
+stays the trap, so offsets start at 2.  It shares none of `qram.query`'s
+branch table, column operations, level ops or product background, so a
+full query can be compared against it at sizes the dense oracle cannot
+reach, and the gate-level tests drive the int semantics through it.
 """
 
 from __future__ import annotations
@@ -16,9 +15,10 @@ import math
 
 import numpy as np
 
+from int_gates import Amps, apply_gate, compile_gate
 from phonon_qram.errors import NumericalFailureError
 from phonon_qram.qram_types import DataMode
-from phonon_qram.state import Amps, SparseState, apply_gate, compile_gate
+from phonon_qram.state import SparseState
 
 
 def to_frozenset(cfg: int, slots: list) -> frozenset:

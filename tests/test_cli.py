@@ -495,6 +495,22 @@ def test_config_error_creates_no_directory(tmp_path, cmd, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd, config", [
+    ("heralding", {"t": "1e400ns", "n_range": [1, 2]}),
+    ("montecarlo", {"t": "1e400ns", "trials": 10}),
+    ("router-sim", {"fwhm": "1e400ns"}),
+])
+def test_a_duration_that_overflows_exits_2_and_writes_nothing(tmp_path, cmd, config):
+    # float("1e400") is inf: it must be a config error, not a T = inf row,
+    # a NaN estimate or a zero fidelity
+    out = tmp_path / "fresh"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert cli._lifetime_us("inf", "T2_m") == math.inf
+
+
 def test_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

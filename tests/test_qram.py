@@ -397,21 +397,60 @@ def test_exporting_a_superposed_quantum_n_5_query_raises():
 
 
 def test_route_into_the_off_path_child_raises(monkeypatch):
-    # hybrid routers with the polarity flipped send every address excitation
-    # into the child off its branch's path: the engine must refuse, not drop
-    # the branch
+    # every inward hop with its two child templates swapped, and every
+    # single-rail or hybrid router with its polarity flipped, sends each
+    # address excitation into the child off its branch's path: the engine
+    # must refuse, not drop the branch
     protocol = qram._protocol
+    hops = ("route", "route2")
+
+    def swapped(cfg, data):
+        return [op._replace(templates=tuple(t[:-2] + t[:-3:-1] for t in op.templates))
+                if op.name in hops else op for op in protocol(cfg, data)]
 
     def flipped(cfg, data):
         return [op._replace(params=(not op.params[0],)) if op.name == "route" else op
                 for op in protocol(cfg, data)]
 
-    monkeypatch.setattr(qram, "_protocol", flipped)
-    cfg = QramConfig(n=2, encoding=Encoding.HYBRID_DUAL_RAIL)
-    gates = build_query_gates(cfg, DataRegister.classical([0, 1, 1, 0]))
-    assert {g.params for g in gates if g.name == "route"} == {(False,)}
-    with pytest.raises(NumericalFailureError, match="slot it does not track"):
-        query(cfg, basis_address(2, 2), DataRegister.classical([0, 1, 1, 0]))
+    data = DataRegister.classical([0, 1, 1, 0])
+    for enc in ALL_ENCODINGS:
+        cfg = QramConfig(n=2, encoding=enc)
+        params = {g.params for g in build_query_gates(cfg, data) if g.name == "route"}
+        mutations = [swapped] + [flipped] * (not enc.is_standard)
+        for mutation in mutations:
+            monkeypatch.setattr(qram, "_protocol", mutation)
+            gates = [g for g in build_query_gates(cfg, data) if g.name in hops]
+            assert gates, enc
+            if mutation is swapped:
+                # the hop's last two slots now name child 1, then child 0
+                assert all(g.slots[-2][2] % 2 == 1 for g in gates), enc
+            else:
+                assert {g.params for g in gates} == {(not p[0],) for p in params}, enc
+            for address in (basis_address(2, 2), np.full(4, 0.5)):
+                with pytest.raises(NumericalFailureError, match="slot it does not track"):
+                    query(cfg, address, data)
+            monkeypatch.undo()
+
+
+def test_an_op_that_maps_two_rows_onto_one_fails_the_final_merge(monkeypatch):
+    # the two rows of a basis address with quantum data differ only in the
+    # queried cell; a qroute from the cell into the bus register (|e> in
+    # both) empties the cell of the |1> row, which then equals the |0> row.
+    # No op splits rows in quantum mode, so the final merge sums the two
+    # (0.6 + 0.8 = 1.4) and its norm check must raise
+    protocol = qram._protocol
+    fold = ("qroute", 0, (), (0,),
+            ((("reg", 1, None), ("data", None, None), ("reg", 1, None), ("dwg", None, None)),))
+
+    def folded(cfg, data):
+        return [qram._LevelOp(0.0, *fold)] + protocol(cfg, data)
+
+    data = DataRegister.quantum([(0.6, 0.8), (1, 0)])
+    cfg = QramConfig(n=1)
+    assert query(cfg, basis_address(1, 0), data).max_support == 2
+    monkeypatch.setattr(qram, "_protocol", folded)
+    with pytest.raises(NumericalFailureError, match="after the end of the query"):
+        query(cfg, basis_address(1, 0), data)
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)

@@ -13,6 +13,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import phonon_qram
 from phonon_qram import qram, state
@@ -61,3 +62,32 @@ def test_tracer_bindings_resolve_and_see_the_engine(monkeypatch):
     assert metrics["state.apply_gate.calls"] > 0
     assert metrics["qram.initial_branches"] == 8
     assert metrics["state.max_support"] == res.max_support
+
+
+@pytest.mark.parametrize("enc", list(Encoding))
+def test_tracer_hooks_count_a_superposed_query_with_a_split(enc, monkeypatch):
+    # the bus decode of a classical query splits rows: the hook's `out ==
+    # amps` must stay a plain bool, and the support it sees must be the
+    # merged row count the query reports
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    compared = []
+    apply_gate = state.apply_gate
+
+    def comparing(amps, op):
+        out = apply_gate(amps, op)
+        compared.append(type(out == amps))
+        return out
+
+    monkeypatch.setattr(state, "apply_gate", comparing)
+    cfg = qram.QramConfig(n=3, encoding=enc)
+    address = np.exp(1j * np.arange(8)) / np.sqrt(8)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = qram.query(cfg, address, qram.DataRegister.classical([0, 1, 1, 0, 1, 0, 0, 1]))
+    finally:
+        tracer.uninstall()
+    assert compared and set(compared) == {bool}
+    assert type(tracer.counts["noop_gates"]) is int
+    assert tracer.layer_metrics()["state.max_support"] == res.max_support == 16

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonon_qram import wavepackets
 from phonon_qram.errors import InvalidParameterError
 from phonon_qram.wavepackets import (
     PulseShape,
@@ -127,3 +132,16 @@ def test_invalid_parameters():
         WavePacket(PulseShape.GAUSSIAN, fwhm=-1.0)
     with pytest.raises(InvalidParameterError):
         ReflectionResponse(kappa_max=0.0)
+
+
+def test_importing_the_package_does_not_import_scipy_integrate():
+    # quad and simpson are imported by the functions that call them, so a
+    # command that never integrates does not pay for scipy.integrate
+    src = str(Path(wavepackets.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, phonon_qram; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
