@@ -33,7 +33,7 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # before anything of that size is built
 _MAX_QUERY_N = 16
 # each scan record repeats the N-long address, so a scan's output grows as
-# N**2: 53 MB and 234 MB peak RSS at n = 10
+# N**2: 12.7 MB and 211 MB peak RSS at n = 10 (standard dual-rail)
 _MAX_SCAN_N = 10
 # route-fidelity runs a time-domain routing simulation per kappa point and
 # shape; refuse a larger grid before it is built (1e9 points need 7.45 GiB)
@@ -156,8 +156,9 @@ def _write_csv(path, header, rows, meta: str) -> None:
 
 
 def _write_json(path, payload) -> None:
+    # json.dumps without indent runs the C encoder; json.dump never does
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(json.dumps(payload))
 
 
 def _write_sweep(path, rows, meta: str) -> None:
@@ -401,10 +402,7 @@ def cmd_montecarlo(args) -> int:
         qcfg = QramConfig(n=n, t=t, encoding=enc)
         nm = noise.NoiseModel(T1_q=T1q, T1_m=T1m)
         p_hat, se = noise.estimate_success_prob(qcfg, nm, trials, (args.seed, i))
-        if enc is Encoding.HYBRID_DUAL_RAIL:
-            p_closed, _, _ = analytics.success_prob_hybrid(n, t, T1q, T1m)
-        else:
-            p_closed = analytics.success_prob_standard_vacuum(n, t, T1q, T1m)
+        p_closed = analytics.heralding_report(n, t, T1q, T1m, enc).P_no_error
         # sigma from the closed form: at few trials p_hat, and so se, can be 0
         sigma = math.sqrt(p_closed * (1.0 - p_closed) / trials)
         dev = (abs(p_hat - p_closed) / sigma if sigma > 0

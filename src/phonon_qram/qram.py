@@ -17,24 +17,23 @@ The protocol is written once as level ops, each the node-parallel gates
 of one (time, gate name, level, rail).  A level op names its slots as
 `PathState` fields (kind, level, rail), plus a child bit for a slot one
 level down, and `_slot` gives a field's absolute slot at a node, for the
-gate records and the export alike.  `build_query_gates` is their
-node-by-node expansion into `GateRecord`s, for the trace export and for
-replay against the reference engines in `tests/`; a query never builds
-it.  `query` runs the level ops in path coordinates.  In address branch j
-every excitation stays on j's root-to-leaf path, so a branch is a row of
-a `state.Table`: j, one level per field (the registers, the control and
-ancilla of j's node at each level and rail, and, for quantum data, cell
-j's data slots) and an amplitude.  A level op is one `state.apply_gate`
-call, a few column operations on every row at once; a row finds its node
-from j's prefix, and a hop into the child off j's path raises
+gate records and for the absolute-slot export in `tests/`.
+`build_query_gates` is their node-by-node expansion into `GateRecord`s,
+for the trace export and for replay against the reference engines in
+`tests/`; a query never builds it.  `query` runs the level ops in path
+coordinates.  In address branch j every excitation stays on j's
+root-to-leaf path, so a branch is a row of a `state.Table`: j, one level
+per field (the registers, the control and ancilla of j's node at each
+level and rail, and, for quantum data, cell j's data slots) and an
+amplitude.  A level op is one `state.apply_gate` call, a few column
+operations on every row at once; a row finds its node from j's prefix,
+and a hop into the child off j's path raises
 `NumericalFailureError`.  Only the bus decode splits rows, and it merges
 them again; the rows are merged once more at the end of every query, so
 an op that maps two rows onto one fails the norm check.  The cells a
 branch does not query are never touched, so they stay a product
-background of their (a, b).  The result is decoded from the table's
-columns, where the background sums out; it is multiplied in only when a
-caller reads `QueryResult.state`, the final table exported to at most
-`_MAX_EXPORT` frozenset configurations.
+background of their (a, b) that no row holds.  The result is decoded
+from the table's columns, where the background sums out.
 `QueryResult.max_support` counts path branches: at most 2N.
 
 Timestamps on the emitted gate records are in units of the routing step t.
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,7 +56,7 @@ from . import state
 from .errors import InvalidParameterError
 from .qram_types import DataMode, Encoding
 from .scheduling import makespan_slots, start_slot
-from .state import GateRecord, SparseState
+from .state import GateRecord
 
 __all__ = [
     "QramConfig",
@@ -149,8 +147,6 @@ class _LevelOp(NamedTuple):
 
 
 _CELL = ("data", "dctrl", "dwg")
-# `PathState.export` builds at most this many frozenset branches
-_MAX_EXPORT = 2 ** 16
 
 
 def _op(time, name, level, *templates, params=(), nodes=None) -> _LevelOp:
@@ -310,17 +306,17 @@ class PathState:
     rail), and for quantum data cell j's slots, each named (kind, level,
     rail) as level ops name them.  The other cells of a quantum register
     are never touched by the query, so they are a product background of
-    their (a, b), kept in `cells` and multiplied in only by `export`."""
+    their (a, b) that no row holds."""
 
-    def __init__(self, cfg: QramConfig, cells: tuple):
+    def __init__(self, cfg: QramConfig, quantum: bool):
         n = cfg.n
         rails = (0, 1) if cfg.encoding.is_standard else (None,)
-        self.n, self.std, self.cells = n, cfg.encoding.is_standard, cells
+        self.n, self.std = n, cfg.encoding.is_standard
         self.fields = [
             (kind, lvl, r)
             for kind, lvls in (("reg", n + 1), ("ctrl", n), ("anc", n + 1))
             for lvl in range(lvls) for r in rails
-        ] + [(kind, None, r) for kind in (_CELL if cells else ()) for r in rails]
+        ] + [(kind, None, r) for kind in (_CELL if quantum else ()) for r in rails]
         self.col = {f: i for i, f in enumerate(self.fields)}
         self.table: state.Table  # the rows, set by `initial_state`
 
@@ -335,43 +331,6 @@ class PathState:
     def columns(self, kind: str, level, b) -> list:
         """Table columns of `logical(kind, level, b)`."""
         return [self.col[f] for f in self.logical(kind, level, b)]
-
-    def export(self) -> SparseState:
-        """The same state over absolute slots, as frozenset configurations.
-
-        Raises `InvalidParameterError` before building anything when the
-        product background would make more than `_MAX_EXPORT` branches."""
-        n, t = self.n, self.table
-        both = [a != 0 and b != 0 for a, b in self.cells]
-        twos = sum(both)
-        js = t.j.tolist()
-        size = sum(1 << twos - both[j] for j in js) if both else len(js)
-        if size > _MAX_EXPORT:
-            raise InvalidParameterError(
-                f"exporting this state would build {size} branches, "
-                f"more than {_MAX_EXPORT}")
-        background: dict = {}  # j -> product branches of the other cells
-        out: dict = {}
-        for j, levels, amp in zip(js, t.levels.T.tolist(), t.amp.tolist()):
-            items = [(_slot(f, j if f[1] is None else j >> (n - f[1])), lvl)
-                     for f, lvl in zip(self.fields, levels) if lvl]
-            if j not in background:
-                background[j] = self._background(j)
-            for extra, b in background[j]:
-                cfg = frozenset(items + extra)
-                out[cfg] = out.get(cfg, 0.0) + amp * b
-        return SparseState({c: a for c, a in out.items() if abs(a) > 1e-14})
-
-    def _background(self, j: int) -> list:
-        """(configuration items, amplitude) of every product branch of the
-        cells other than j; one empty branch of amplitude 1 for no cells."""
-        out = [([], 1.0)]
-        for i, cell in enumerate(self.cells):
-            if i != j:
-                opts = [([(_slot(f, i), 1) for f in self.logical("data", None, b)], amp)
-                        for b, amp in enumerate(cell) if amp != 0]
-                out = [(it + o, amp * f) for it, amp in out for o, f in opts]
-        return out
 
 
 def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
@@ -390,7 +349,7 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
     amps = amps / nrm  # normalised on entry: the engine holds the norm to 1e-10
     n = cfg.n
     quantum = data.mode is DataMode.QUANTUM
-    path = PathState(cfg, data.qubits)
+    path = PathState(cfg, quantum)
     # two rows per address branch: the |+> bus of a classical read, or the
     # queried cell of a quantum one under bus |1>; b is the bus or cell bit
     js = np.flatnonzero(amps)
@@ -425,11 +384,6 @@ class QueryResult:
     tree_ground: bool
     max_support: int
 
-    @cached_property
-    def state(self) -> SparseState:
-        """The final state over absolute slots, exported on first read."""
-        return self.path.export()
-
     def bus_bit(self) -> int:
         """Readout for a basis-address classical query."""
         best = max(self.address_bus.items(), key=lambda kv: abs(kv[1]))
@@ -444,8 +398,9 @@ def _decode(path: PathState, quantum: bool) -> tuple[dict, bool]:
     control, ancilla or data waveguide left excited clears `tree_ground`.
     Classical mode sums complex amplitudes per (j, bus).  Quantum mode
     leaves orthogonal data-register branches, so only the weights
-    sqrt(sum |amp|^2) are meaningful; the unit-norm background sums out,
-    and phase-sensitive checks go through `QueryResult.state`."""
+    sqrt(sum |amp|^2) are meaningful and the unit-norm background sums
+    out; phase-sensitive checks export the rows over absolute slots, which
+    the reference decoders in `tests/` do."""
     n, t = path.n, path.table
     regs = t.levels[[path.columns("reg", k, 1)[0] for k in range(n + 1)]]
     if path.std:

@@ -134,10 +134,18 @@ def scatter_state(b_half: np.ndarray, dt: float, kappa: float) -> np.ndarray:
 
     a = kappa / 2.0
     h = dt
-    decay = math.exp(-a * h)
-    m0 = -math.expm1(-a * h) / a
-    m1 = (h - m0) / a
-    m2 = (h * h - 2.0 * m1) / a
+    x = a * h
+    decay = math.exp(-x)
+    # m_j = int_0^h s^j e^(-a(h-s)) ds: the recursion loses its digits to
+    # cancellation as x -> 0, the series j! h^(j+1) sum_k (-x)^k/(k+j+1)! not
+    if x < 1e-3:
+        m0, m1, m2 = (math.factorial(j) * h ** (j + 1)
+                      * sum((-x) ** k / math.factorial(k + j + 1) for k in range(8))
+                      for j in range(3))
+    else:
+        m0 = -math.expm1(-x) / a
+        m1 = (h - m0) / a
+        m2 = (h * h - 2.0 * m1) / a
     w0 = (2.0 / h**2) * (m2 - 1.5 * h * m1 + 0.5 * h * h * m0)
     wm = (-4.0 / h**2) * (m2 - h * m1)
     w1 = (2.0 / h**2) * (m2 - 0.5 * h * m1)

@@ -1,9 +1,10 @@
 """Gate semantics as column operations on a branch table.
 
-A state is a map from configurations to complex amplitudes.  Outside the
-engine a configuration is a frozenset of (slot, level) pairs with level 1
-(e) or 2 (f), any slot not listed being in its ground state: that is
-`SparseState`, the format results are exported in.
+A state is a map from configurations to complex amplitudes.  Over
+absolute slots a configuration is a frozenset of (slot, level) pairs with
+level 1 (e) or 2 (f), any slot not listed being in its ground state: that
+is `SparseState`, the format of the reference engines in `tests/`, which
+also own the export of a query's rows to it.
 
 Inside the engine a state is a `Table` of rows in path coordinates: an
 address branch j, one uint8 level per field and a complex amplitude.  A
@@ -14,8 +15,8 @@ gate, on every row at once.  A field (kind, level, rail, c) names the slot
 in child c of the op's node: the row's own field when c is j's bit at the
 op's level, a slot off j's path otherwise.  A hop into the child off the
 path raises `NumericalFailureError`, and a hop out of it finds nothing to
-move.  An op on some nodes of a level acts on the rows whose j prefix is
-one of them.
+move; the four hops read their control through one `_control`.  An op
+on some nodes of a level acts on the rows whose j prefix is one of them.
 
 Every gate but `h_ge` and `dualrail_h` maps each row to one row and keeps
 its weight, so only those two change the row count: they split rows, then
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 
-__all__ = ["GateRecord", "SparseState", "GATE_ARITY", "Table", "apply_gate"]
+__all__ = ["GateRecord", "SparseState", "Table", "apply_gate"]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -117,28 +118,33 @@ def _on(mask, on):
     return mask if on is None else mask & on
 
 
-def _child(go, left, right):
-    """Per row, the child bit of the field a hop uses: the child field
-    `right` where `go`, else `left`."""
-    left, right = left[3], right[3]
-    if left == right:
-        return np.full_like(go, bool(left))
-    return ~go if left else go
-
-
 def _hop(t, m, src, dst):
     """Move the e excitation of the rows in `m` from column src to dst."""
     t.levels[src][m] = 0
     t.levels[dst][m] = 1
 
 
-def _hop_in(t, m, go, op, tpl, src, dst):
-    """Hop down into the child the last two fields of `tpl` name, or raise
-    if a row in `m` would leave j's path."""
-    if np.count_nonzero(m & (_child(go, *tpl[-2:]) != t.bit(op.level))):
-        raise NumericalFailureError(
-            f"{op.name} moved a branch onto a slot it does not track")
-    _hop(t, m, src, dst)
+def _control(t, c, on, op, left, on_path: bool):
+    """The rows in `on` whose hop source (column -3) is in |e> and whose
+    control lets it hop, and those of them whose control selects the child
+    on j's path if `on_path`, else the child off it.
+
+    The control is column -4: |g> selects child field `left` and |e> the
+    other child, and `params[0]` inverts a single control.  A 5-column
+    template adds the dual-rail control's rail 0 (column 0): |00>,
+    outside the logical subspace, is inert."""
+    L = t.levels
+    go = L[c[-4]] == 1
+    m = _on(L[c[-3]] == 1, on)
+    # the selected child is on j's path where go (inverted, xor left's
+    # child bit) equals j's bit; fold both flips into the one comparison
+    same = bool(left[3]) != on_path
+    if len(c) == 5:
+        m &= go | (L[c[0]] == 1)
+    elif op.params[0]:
+        same = not same
+    bit = t.bit(op.level)
+    return m, m & ((go == bit) if same else (go != bit))
 
 
 def _swap_ge(t, c, on, op, tpl):
@@ -164,38 +170,19 @@ def _ladder_ef(t, c, on, op, tpl):
 
 
 def _route(t, c, on, op, tpl):
-    # conditional hop down one tree level; ctrl |e> sends the excitation
-    # right unless the polarity is inverted
-    go = t.levels[c[0]] == 1
-    if op.params[0]:
-        go = ~go
-    _hop_in(t, _on(t.levels[c[1]] == 1, on), go, op, tpl, c[1], c[2])
+    # conditional hop down one tree level, into the child the control selects;
+    # a row whose child is off j's path raises
+    m, off = _control(t, c, on, op, tpl[-2], False)
+    if np.count_nonzero(off):
+        raise NumericalFailureError(
+            f"{op.name} moved a branch onto a slot it does not track")
+    _hop(t, m, c[-3], c[-1])
 
 
 def _uproute(t, c, on, op, tpl):
-    # the source is the child field `go` selects; off j's path it is empty
-    go = t.levels[c[0]] == 1
-    if op.params[0]:
-        go = ~go
-    m = (t.levels[c[1]] == 1) & (_child(go, tpl[1], tpl[2]) == t.bit(op.level))
-    _hop(t, _on(m, on), c[1], c[3])
-
-
-def _route2(t, c, on, op, tpl):
-    # dual-rail-controlled hop: control rail 1 in |e> selects right,
-    # rail 0 selects left; both-ground (outside logical subspace) is inert
-    L = t.levels
-    go = L[c[1]] == 1
-    m = _on((L[c[2]] == 1) & (go | (L[c[0]] == 1)), on)
-    _hop_in(t, m, go, op, tpl, c[2], c[3])
-
-
-def _uproute2(t, c, on, op, tpl):
-    L = t.levels
-    go = L[c[1]] == 1
-    m = (L[c[2]] == 1) & (go | (L[c[0]] == 1))
-    m &= _child(go, tpl[2], tpl[3]) == t.bit(op.level)
-    _hop(t, _on(m, on), c[2], c[4])
+    # the source is the child the control selects; off j's path it is empty
+    _, m = _control(t, c, on, op, tpl[-3], True)
+    _hop(t, m, c[-3], c[-1])
 
 
 def _qroute(t, c, on, op, tpl):
@@ -248,22 +235,19 @@ def _dualrail_h(t, c, on, op, tpl):
     _split(t, m, factor, extra, op)
 
 
-# name -> (arity, semantics)
 _GATES = {
-    "swap_ge": (2, _swap_ge),
-    "h_ge": (1, _h_ge),
-    "z_ge": (1, _z_ge),
-    "ladder_ge": (1, _ladder_ge),
-    "ladder_ef": (1, _ladder_ef),
-    "route": (4, _route),
-    "uproute": (4, _uproute),
-    "route2": (5, _route2),
-    "uproute2": (5, _uproute2),
-    "qroute": (4, _qroute),
-    "dualrail_h": (2, _dualrail_h),
+    "swap_ge": _swap_ge,
+    "h_ge": _h_ge,
+    "z_ge": _z_ge,
+    "ladder_ge": _ladder_ge,
+    "ladder_ef": _ladder_ef,
+    "route": _route,
+    "uproute": _uproute,
+    "route2": _route,
+    "uproute2": _uproute,
+    "qroute": _qroute,
+    "dualrail_h": _dualrail_h,
 }
-
-GATE_ARITY = {name: arity for name, (arity, _) in _GATES.items()}
 
 
 def apply_gate(table: Table, op) -> Table:
@@ -275,7 +259,7 @@ def apply_gate(table: Table, op) -> Table:
     node, which is the row's own field one level down when c is j's bit at
     the op's level.  A split op merges before it returns; a hop into the
     child off j's path raises `NumericalFailureError`."""
-    fn = _GATES[op.name][1]
+    fn = _GATES[op.name]
     on = None
     if len(op.nodes) < 1 << op.level:
         member = np.zeros(1 << op.level, bool)

@@ -1,16 +1,50 @@
-"""Reference decoder for a query's final state over absolute slots.
+"""Absolute-slot view of a query and the reference decoder that reads it.
 
-It reads `address_bus` and `tree_ground` from the frozenset configurations
-of `QueryResult.state`, where every untouched quantum cell has been
-multiplied in, so it shares none of the path-key layout that `qram.query`
-decodes from.
+`export` turns a `qram.PathState`'s rows into frozenset configurations
+over absolute slots and multiplies in every untouched quantum cell;
+`decode_frozensets` reads `address_bus` and `tree_ground` from that view,
+so it shares none of the path-key layout that `qram.query` decodes from.
 """
 
 from __future__ import annotations
 
 import math
 
+from phonon_qram.qram import _slot
 from phonon_qram.qram_types import DataMode
+from phonon_qram.state import SparseState
+
+
+def _background(path, cells, j: int) -> list:
+    """(configuration items, amplitude) of every product branch of the
+    cells other than j; one empty branch of amplitude 1 for no cells."""
+    out = [([], 1.0)]
+    for i, cell in enumerate(cells):
+        if i != j:
+            opts = [([(_slot(f, i), 1) for f in path.logical("data", None, b)], amp)
+                    for b, amp in enumerate(cell) if amp != 0]
+            out = [(it + o, amp * f) for it, amp in out for o, f in opts]
+    return out
+
+
+def export(path, cells=None) -> SparseState:
+    """The rows of `path` over absolute slots, as frozenset configurations.
+
+    `cells` holds the (a, b) of every cell of a quantum register (None for
+    classical data); each row is multiplied by the product branches of the
+    cells other than its j, up to 2^(N-1) of them, built once per j."""
+    n, t = path.n, path.table
+    background: dict = {}  # j -> product branches of the other cells
+    out: dict = {}
+    for j, levels, amp in zip(t.j.tolist(), t.levels.T.tolist(), t.amp.tolist()):
+        items = [(_slot(f, j if f[1] is None else j >> (n - f[1])), lvl)
+                 for f, lvl in zip(path.fields, levels) if lvl]
+        if j not in background:
+            background[j] = _background(path, cells or (), j)
+        for extra, b in background[j]:
+            cfg = frozenset(items + extra)
+            out[cfg] = out.get(cfg, 0.0) + amp * b
+    return SparseState({c: a for c, a in out.items() if abs(a) > 1e-14})
 
 
 def decode_frozensets(cfg, data, final) -> tuple[dict, bool]:

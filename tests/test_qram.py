@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +18,7 @@ from phonon_qram.qram import (
 )
 from phonon_qram.qram_types import Encoding
 from phonon_qram.state import GateRecord
-from reference_decode import decode_frozensets
+from reference_decode import decode_frozensets, export
 from slot_engine import SlotState, reference_initial_state
 
 ALL_ENCODINGS = list(Encoding)
@@ -48,7 +44,7 @@ def test_basis_address_reads_its_cell(enc, n):
         res = query(cfg, basis_address(n, j), data)
         assert res.bus_bit() == data.bits[j], (enc, n, j)
         assert res.tree_ground
-        assert res.state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert export(res.path).norm() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
@@ -112,8 +108,8 @@ def test_classical_read_is_a_phase_on_the_leaf(enc):
             for j in range(2 ** n) if bits[j]
         ]
         address = _unit(rng, 2 ** n)
-        keys = list(initial_state(cfg, address, data).export().amps)
-        keys += list(query(cfg, address, data).state.amps)
+        keys = list(export(initial_state(cfg, address, data)).amps)
+        keys += list(export(query(cfg, address, data).path).amps)
         assert all(slot[0] != "data" for key in keys for slot, _ in key)
 
 
@@ -142,7 +138,7 @@ def test_quantum_read_returns_data_qubit_weights(enc):
     cfg = QramConfig(n=n, encoding=enc)
     for j, th in enumerate((th0, th1)):
         res = query(cfg, basis_address(n, j), data)
-        assert res.state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert export(res.path, data.qubits).norm() == pytest.approx(1.0, abs=1e-10)
         assert res.address_bus.get((j, 0), 0.0) == pytest.approx(
             abs(math.cos(th)), abs=1e-10
         )
@@ -198,7 +194,7 @@ def test_dense_oracle_replay(enc, n, quantum):
         [complex(i + 1, (-1) ** i) for i in range(N)], dtype=complex
     )
     amps /= np.linalg.norm(amps)
-    init = initial_state(cfg, amps, data).export()
+    init = export(initial_state(cfg, amps, data), data.qubits)
     gates = build_query_gates(cfg, data)
 
     reference = SlotState(init.amps)
@@ -206,7 +202,7 @@ def test_dense_oracle_replay(enc, n, quantum):
     dense = dense_amplitudes(dict(init.amps), gates)
 
     # the absolute-slot reference and the path engine, each against dense
-    for sparse in (reference, query(cfg, amps, data).state):
+    for sparse in (reference, export(query(cfg, amps, data).path, data.qubits)):
         keys = set(sparse.amps) | set(dense)
         err = max(
             abs(sparse.amps.get(k, 0.0) - dense.get(k, 0.0)) for k in keys
@@ -249,11 +245,12 @@ def _unit(rng, size):
 def _assert_matches_copy_engine(cfg, address, data):
     """Query result and the copy engine's max support, once every final
     amplitude agrees with the copy engine's."""
-    ref, ref_support = copy_run(initial_state(cfg, address, data).export().amps,
+    ref, ref_support = copy_run(export(initial_state(cfg, address, data), data.qubits).amps,
                                 build_query_gates(cfg, data))
     res = query(cfg, address, data)
-    assert set(res.state.amps) == set(ref)
-    assert max(abs(res.state.amps[k] - a) for k, a in ref.items()) <= 1e-14
+    got = export(res.path, data.qubits).amps
+    assert set(got) == set(ref)
+    assert max(abs(got[k] - a) for k, a in ref.items()) <= 1e-14
     return res, ref_support
 
 
@@ -296,15 +293,16 @@ def test_query_matches_absolute_slot_engine(enc):
         cfg = QramConfig(n=n, encoding=enc)
         address = _unit(rng, 2 ** n)
         ref = SlotState(reference_initial_state(cfg, address, data))
-        init = initial_state(cfg, address, data).export().amps
+        init = export(initial_state(cfg, address, data), data.qubits).amps
         assert set(init) == set(ref.amps)
         assert max(abs(init[k] - a) for k, a in ref.amps.items()) <= 1e-14
         ref.apply_all(build_query_gates(cfg, data))
         res = query(cfg, address, data)
-        got = res.state.amps
+        final = export(res.path, data.qubits)
+        got = final.amps
         assert set(got) == set(ref.amps), (n, data.mode)
         assert max(abs(got[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
-        want, ground = decode_frozensets(cfg, data, res.state)
+        want, ground = decode_frozensets(cfg, data, final)
         assert res.tree_ground and ground
         assert set(res.address_bus) == set(want), (n, data.mode)
         assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
@@ -327,14 +325,14 @@ def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
                      DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(4)])):
             cfg = QramConfig(n=2, encoding=enc)
             res = query(cfg, _unit(rng, 4), data)
-            want, ground = decode_frozensets(cfg, data, res.state)
+            want, ground = decode_frozensets(cfg, data, export(res.path, data.qubits))
             assert res.tree_ground is False and ground is False, (enc, data.mode)
             assert set(res.address_bus) == set(want)
             assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
 
 
-def test_query_builds_its_protocol_once_and_exports_on_demand(monkeypatch):
-    calls = {"_protocol": 0, "build_query_gates": 0, "export": 0}
+def test_query_builds_its_protocol_once(monkeypatch):
+    calls = {"_protocol": 0, "build_query_gates": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -347,53 +345,21 @@ def test_query_builds_its_protocol_once_and_exports_on_demand(monkeypatch):
 
     counting(qram, "_protocol")
     counting(qram, "build_query_gates")
-    counting(qram.PathState, "export")
     cells = [(0.6, 0.8j)] * 8
-    res = query(QramConfig(n=3), _unit(np.random.default_rng(3), 8), DataRegister.quantum(cells))
-    assert calls == {"_protocol": 1, "build_query_gates": 0, "export": 0}
-    assert res.state is res.state
-    assert calls["export"] == 1
+    query(QramConfig(n=3), _unit(np.random.default_rng(3), 8), DataRegister.quantum(cells))
+    assert calls == {"_protocol": 1, "build_query_gates": 0}
 
 
-def test_export_counts_its_branches_before_building_them(monkeypatch):
+def test_export_multiplies_in_the_background_of_each_branch():
     # cells with both amplitudes nonzero double the background, the others
     # do not: 4 such j with 2 path keys and 2^3 background branches each,
     # 4 other j with 1 path key and 2^4 background branches each
     cells = [(0.6, 0.8), (1, 0), (0, 1j), (0.8, -0.6)] * 2
     res = query(QramConfig(n=3), _unit(np.random.default_rng(5), 8),
                 DataRegister.quantum(cells))
-    assert len(res.path.export().amps) == 128
-    monkeypatch.setattr(qram, "_MAX_EXPORT", 127)
-    with pytest.raises(InvalidParameterError, match="would build 128 branches"):
-        res.path.export()
-
-
-# Reads `.state` of a superposed quantum n=5 query in a child whose address
-# space is capped at 1 GB: the export must refuse its 2^37 branches before
-# building any, not run the machine out of memory.
-CAPPED_EXPORT = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-import numpy as np
-from phonon_qram.errors import InvalidParameterError
-from phonon_qram.qram import DataRegister, QramConfig, query
-res = query(QramConfig(n=5), np.full(32, 32 ** -0.5), DataRegister.quantum([(0.6, 0.8)] * 32))
-try:
-    res.state
-except InvalidParameterError as exc:
-    sys.exit(str(exc))
-"""
-
-
-def test_exporting_a_superposed_quantum_n_5_query_raises():
-    src = str(Path(qram.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", CAPPED_EXPORT],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 1
-    assert proc.stderr.strip() == (f"exporting this state would build {2 ** 37} branches, "
-                                   f"more than {2 ** 16}")
+    final = export(res.path, cells)
+    assert len(final.amps) == 128
+    assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_route_into_the_off_path_child_raises(monkeypatch):
@@ -466,9 +432,10 @@ def test_superposed_query_is_linear_in_the_address(enc):
         alpha = _unit(rng, 2 ** n)
         total: dict = {}
         for j, a in enumerate(alpha):
-            for k, amp in query(cfg, basis_address(n, j), data).state.amps.items():
+            basis = export(query(cfg, basis_address(n, j), data).path, data.qubits)
+            for k, amp in basis.amps.items():
                 total[k] = total.get(k, 0.0) + a * amp
-        got = query(cfg, alpha, data).state.amps
+        got = export(query(cfg, alpha, data).path, data.qubits).amps
         assert max(abs(got.get(k, 0.0) - total.get(k, 0.0))
                    for k in set(got) | set(total)) <= 1e-12
 

@@ -138,6 +138,19 @@ def test_probability_accounting():
     assert res.leakage < 2e-3
 
 
+def test_vanishing_kappa_leaks_nothing():
+    # at kappa -> 0 the control cannot scatter, so half the control state
+    # routes wrong and the fidelity tends to 1/4 with nothing lost; the
+    # scatterer's step moments must not cancel their digits away
+    res = simulate_routing(RouterSimConfig(
+        packet=WavePacket(PulseShape.GAUSSIAN, fwhm=50.0),
+        kappa_max=1e-12 * TWO_PI_MHZ,
+        window=350.0,
+    ))
+    assert res.leakage >= 0.0
+    assert abs(res.fidelity - 0.25) <= 1e-10
+
+
 def test_right_source_symmetry():
     # feeding from the right qubit targets the mirrored ideal map
     kwargs = dict(

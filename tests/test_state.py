@@ -1,13 +1,21 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_amplitudes
+from int_gates import _GATES
+from phonon_qram import qram, state
 from phonon_qram.errors import NumericalFailureError
-from phonon_qram.state import GATE_ARITY, GateRecord
+from phonon_qram.qram import DataRegister, QramConfig, _slot
+from phonon_qram.qram_types import DataMode, Encoding
+from phonon_qram.state import GateRecord
+from reference_decode import export
 from slot_engine import SlotState
 
 A, B, C, D, E = ("s", 0), ("s", 1), ("s", 2), ("s", 3), ("s", 4)
+GATE_ARITY = {name: arity for name, (arity, _, _) in _GATES.items()}
 
 
 def make(amps):
@@ -233,3 +241,118 @@ def test_max_support_tracking():
         s.apply(GateRecord("h_ge", (slot,), 0.0))
     assert s.max_support == 8
     assert s.norm() == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the column semantics of `phonon_qram.state`, one level op at a time,
+# against the int reference on the node-expanded gate records
+
+HOPS = ("route", "route2", "uproute", "uproute2")
+
+
+def _variants(op, rng):
+    """`op` at time 0; a hop also with its two children swapped and a
+    single-control hop in both polarities; a z_ge also on random nodes."""
+    op = op._replace(time=0.0, nodes=tuple(op.nodes))
+    if op.name == "z_ge":
+        return [op] + [op._replace(nodes=tuple(np.flatnonzero(
+            rng.integers(0, 2, 1 << op.level)).tolist())) for _ in range(3)]
+    if op.name not in HOPS:
+        return [op]
+    if op.name.startswith("route"):  # (controls..., src, left, right)
+        swapped = tuple(t[:-2] + t[:-3:-1] for t in op.templates)
+    else:  # (controls..., left, right, dst)
+        swapped = tuple(t[:-3] + t[-2:-4:-1] + t[-1:] for t in op.templates)
+    out = [op, op._replace(templates=swapped)]
+    if op.params:
+        out += [o._replace(params=(not o.params[0],)) for o in out]
+    return out
+
+
+def _level_ops(name):
+    """(config, quantum, op) for every variant of every distinct level op
+    named `name` in the n = 2 protocols."""
+    rng = np.random.default_rng(17)
+    seen, out = set(), []
+    for enc in Encoding:
+        cfg = QramConfig(n=2, encoding=enc)
+        for data in (DataRegister.classical([0, 1, 1, 0]),
+                     DataRegister.quantum([(0.6, 0.8)] * 4)):
+            quantum = data.mode is DataMode.QUANTUM
+            for op in qram._protocol(cfg, data):
+                if op.name != name:
+                    continue
+                for v in _variants(op, rng):
+                    if (enc, quantum, v) not in seen:
+                        seen.add((enc, quantum, v))
+                        out.append((cfg, quantum, v))
+    return out
+
+
+def _random_path(rng, cfg, quantum, op):
+    """A `PathState` of up to 6 distinct random rows over every field, at
+    levels 0-2 except where the gate is not unitary: a dual-rail pair
+    stays in levels 0-1, and a hop's destinations are empty in every row."""
+    path = qram.PathState(cfg, quantum)
+    rows = int(rng.integers(1, 7))
+    levels = rng.integers(0, 3, (len(path.fields), rows)).astype(np.uint8)
+    for tpl in op.templates:
+        c = [path.col[f[:3]] for f in tpl]
+        if op.name == "dualrail_h":
+            levels[c] %= 2
+        elif op.name in HOPS:
+            levels[c[-1]] = 0
+        elif op.name == "qroute":
+            levels[c[2:]] = 0
+    j = rng.integers(0, cfg.N, rows)
+    keys = np.unique(np.vstack([j, levels]), axis=1)
+    amp = rng.normal(size=keys.shape[1]) + 1j * rng.normal(size=keys.shape[1])
+    path.table = state.Table(cfg.n, path.col, keys[0].copy(),
+                             keys[1:].astype(np.uint8), amp / np.linalg.norm(amp))
+    return path
+
+
+def _reference(path, records) -> tuple[dict, bool]:
+    """The int reference's image of the table's rows, and whether it moved
+    an excitation of some row onto a slot off that row's path."""
+    t, n = path.table, path.n
+    image: dict = {}
+    off = False
+    for i, (j, a) in enumerate(zip(t.j.tolist(), t.amp.tolist())):
+        row = copy.copy(path)
+        row.table = state.Table(n, t.col, t.j[i:i + 1], t.levels[:, i:i + 1].copy(),
+                                np.ones(1, complex))
+        ref = SlotState(export(row).amps)
+        ref.apply_all(records)
+        on_path = {_slot(f, j if f[1] is None else j >> (n - f[1])) for f in path.fields}
+        for cfg, amp in ref.amps.items():
+            off |= any(s not in on_path for s, _ in cfg)
+            image[cfg] = image.get(cfg, 0.0) + a * amp
+    return image, off
+
+
+@pytest.mark.parametrize("name", sorted(state._GATES))
+def test_column_gate_matches_int_reference(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    ops = _level_ops(name)
+    assert ops, name
+    raised = set()
+    for cfg, quantum, op in ops:
+        records = [GateRecord(op.name, tuple(_slot(f, node) for f in tpl), 0.0, op.params)
+                   for node in op.nodes for tpl in op.templates]
+        for _ in range(8):
+            path = _random_path(rng, cfg, quantum, op)
+            want, off = _reference(path, records)
+            try:
+                state.apply_gate(path.table, op)
+            except NumericalFailureError:
+                assert off, (cfg, op)
+                raised.add(True)
+                continue
+            assert not off, (cfg, op)
+            raised.add(False)
+            got = export(path).amps
+            assert max(abs(got.get(k, 0.0) - want.get(k, 0.0))
+                       for k in set(got) | set(want)) <= 1e-14, (cfg, op)
+    # a hop into the children runs both ways; nothing else can leave the path
+    assert raised == ({True, False} if name in ("route", "route2") else {False})
