@@ -258,7 +258,8 @@ def _parse_address(spec, N: int, n: int):
         if len(spec) != N:
             raise ConfigError(f"address needs {N} amplitudes")
         try:
-            v = np.asarray([complex(*x) if isinstance(x, list) else complex(x)
+            v = np.asarray([complex(*(_number(float, y, "address") for y in x))
+                            if isinstance(x, list) else _number(complex, x, "address")
                             for x in spec])
         except (TypeError, ValueError):
             raise ConfigError(f"cannot parse address amplitudes {spec!r}") from None
@@ -274,7 +275,6 @@ def _parse_address(spec, N: int, n: int):
 def cmd_query_sim(args) -> int:
     defaults = {
         "n": 2,
-        "t": "350ns",
         "encoding": "single_rail",
         "mode": "classical",
         "data": None,  # classical default: address parity, popcount(j) % 2
@@ -285,11 +285,7 @@ def cmd_query_sim(args) -> int:
     n = _number(int, cfg["n"], "n")
     if n > _MAX_QUERY_N:
         raise ConfigError(f"n must be <= {_MAX_QUERY_N}, got {cfg['n']!r}")
-    qcfg = QramConfig(
-        n=n,
-        t=_duration_ns(cfg["t"], "t"),
-        encoding=_encoding(cfg["encoding"]),
-    )
+    qcfg = QramConfig(n=n, encoding=_encoding(cfg["encoding"]))
     N = qcfg.N
     export_trace = _bool(cfg["export_trace"], "export_trace")
     if cfg["data"] is None:
@@ -298,12 +294,14 @@ def cmd_query_sim(args) -> int:
         cfg["data"] = [j.bit_count() % 2 for j in range(N)]
     try:
         if cfg["mode"] == "classical":
-            data = DataRegister.classical(cfg["data"])
+            data = DataRegister.classical(
+                [_number(int, b, "data") for b in _list(cfg["data"], "data")])
         elif cfg["mode"] == "quantum":
-            data = DataRegister.quantum([tuple(q) for q in cfg["data"]])
+            data = DataRegister.quantum([tuple(_number(complex, a, "data") for a in q)
+                                         for q in _list(cfg["data"], "data")])
         else:
             raise ConfigError(f"unknown data mode {cfg['mode']!r}")
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # |a|**2 of a huge cell
         raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
     addr = _parse_address(cfg["address"], N, qcfg.n)
     if addr is None and n > _MAX_SCAN_N:

@@ -15,16 +15,17 @@ analytically or by Monte Carlo elsewhere.
 
 The protocol is written once as level ops, each the node-parallel gates
 of one (time, gate name, level, rail).  A level op names its slots as
-`PathState` fields (kind, level, rail), plus a child bit for a slot one
+path fields (kind, level, rail), plus a child bit for a slot one
 level down, and `_slot` gives a field's absolute slot at a node, for the
 gate records and for the absolute-slot export in `tests/`.
 `build_query_gates` is their node-by-node expansion into `GateRecord`s,
 for the trace export and for replay against the reference engines in
 `tests/`; a query never builds it.  `query` runs the level ops in path
 coordinates.  In address branch j every excitation stays on j's
-root-to-leaf path, so a branch is a row of a `state.Table`: j, one level
-per field (the registers, the control and ancilla of j's node at each
-level and rail, and, for quantum data, cell j's data slots) and an
+root-to-leaf path, so a query's state is one `state.Table` that owns
+its field layout (`_fields`: the registers, the control and ancilla of
+j's node at each level and rail, and, for quantum data, cell j's data
+slots) and holds a branch per row: j, one level per field and an
 amplitude.  A level op is one `state.apply_gate` call, a few column
 operations on every row at once; a row finds its node from j's prefix,
 and a hop into the child off j's path raises
@@ -132,7 +133,7 @@ class _LevelOp(NamedTuple):
     """Gate `name` at `time` on every node in `nodes`, the node indices at
     tree level `level`, one gate per node and template, templates innermost.
 
-    A template is a tuple of `PathState` fields (kind, level, rail): a
+    A template is a tuple of path fields (kind, level, rail): a
     register ("reg", k, rail), a tree slot ("ctrl" | "anc", level, rail) of
     the node itself, or a data-cell slot (kind, None, rail) of the leaf
     node's cell.  A slot of the node's child c one level down adds c as a
@@ -298,42 +299,28 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
 # ---------------------------------------------------------------------------
 # path coordinates
 
-class PathState:
-    """A query's branch table and the layout of its fields.
-
-    A row of `table` is an address branch j and one level per field: every
-    register, the control and ancilla of j's node at each level (per
-    rail), and for quantum data cell j's slots, each named (kind, level,
-    rail) as level ops name them.  The other cells of a quantum register
-    are never touched by the query, so they are a product background of
-    their (a, b) that no row holds."""
-
-    def __init__(self, cfg: QramConfig, quantum: bool):
-        n = cfg.n
-        rails = (0, 1) if cfg.encoding.is_standard else (None,)
-        self.n, self.std = n, cfg.encoding.is_standard
-        self.fields = [
-            (kind, lvl, r)
-            for kind, lvls in (("reg", n + 1), ("ctrl", n), ("anc", n + 1))
-            for lvl in range(lvls) for r in rails
-        ] + [(kind, None, r) for kind in (_CELL if quantum else ()) for r in rails]
-        self.col = {f: i for i, f in enumerate(self.fields)}
-        self.table: state.Table  # the rows, set by `initial_state`
-
-    def support(self) -> int:
-        return len(self.table)
-
-    def logical(self, kind: str, level, b: int) -> tuple:
-        """Fields in |e> that hold logical bit b of a register or cell: rail
-        b for standard dual-rail, else the one field for b = 1."""
-        return ((kind, level, b),) if self.std else ((kind, level, None),) * b
-
-    def columns(self, kind: str, level, b) -> list:
-        """Table columns of `logical(kind, level, b)`."""
-        return [self.col[f] for f in self.logical(kind, level, b)]
+def _fields(cfg: QramConfig, quantum: bool) -> list:
+    """The fields of a query's rows, each named (kind, level, rail) as
+    level ops name them: every register, the control and ancilla of j's
+    node at each level (per rail), and for quantum data cell j's slots.
+    The other cells of a quantum register are never touched by the query,
+    so they are a product background of their (a, b) that no row holds."""
+    n = cfg.n
+    rails = (0, 1) if cfg.encoding.is_standard else (None,)
+    return [
+        (kind, lvl, r)
+        for kind, lvls in (("reg", n + 1), ("ctrl", n), ("anc", n + 1))
+        for lvl in range(lvls) for r in rails
+    ] + [(kind, None, r) for kind in (_CELL if quantum else ()) for r in rails]
 
 
-def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
+def _logical(std: bool, kind: str, level, b: int) -> tuple:
+    """Fields in |e> that hold logical bit b of a register or cell: rail b
+    for standard dual-rail (`std`), else the one field for b = 1."""
+    return ((kind, level, b),) if std else ((kind, level, None),) * b
+
+
+def initial_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
     """Address amplitudes + bus prep + the queried cell of a quantum data
     register, per address branch; a classical register puts nothing in
     the state."""
@@ -347,9 +334,8 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
     if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
         raise InvalidParameterError("address state not normalized")
     amps = amps / nrm  # normalised on entry: the engine holds the norm to 1e-10
-    n = cfg.n
+    n, std = cfg.n, cfg.encoding.is_standard
     quantum = data.mode is DataMode.QUANTUM
-    path = PathState(cfg, quantum)
     # two rows per address branch: the |+> bus of a classical read, or the
     # queried cell of a quantum one under bus |1>; b is the bus or cell bit
     js = np.flatnonzero(amps)
@@ -361,25 +347,24 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> PathState:
         amp, varied = amps[j] / math.sqrt(2), ("reg", n)
     keep = np.abs(amp) > 1e-14
     j, b, amp = j[keep], b[keep], amp[keep]
-    levels = np.zeros((len(path.fields), len(j)), np.uint8)
-    for k in range(n):
-        bit = (j >> (n - 1 - k)) & 1
-        for v in (0, 1):
-            for c in path.columns("reg", k, v):
-                levels[c] = bit == v
+    fields = _fields(cfg, quantum)
+    table = state.Table(n, fields, j, np.zeros((len(fields), len(j)), np.uint8), amp)
+    levels, col = table.levels, table.col
     for v in (0, 1):
-        for c in path.columns(*varied, v):
-            levels[c] = b == v
+        for k in range(n):
+            for f in _logical(std, "reg", k, v):
+                levels[col[f]] = table.bits[k] == v
+        for f in _logical(std, *varied, v):
+            levels[col[f]] = b == v
     if quantum:
-        levels[path.columns("reg", n, 1)] = 1
-    path.table = state.Table(n, path.col, j, levels, amp)
-    return path
+        levels[[col[f] for f in _logical(std, "reg", n, 1)]] = 1
+    return table
 
 
 @dataclass
 class QueryResult:
     config: QramConfig
-    path: PathState
+    table: state.Table
     address_bus: dict  # (j, bus_level) -> amp
     tree_ground: bool
     max_support: int
@@ -390,7 +375,7 @@ class QueryResult:
         return best[0][1]
 
 
-def _decode(path: PathState, quantum: bool) -> tuple[dict, bool]:
+def _decode(t: state.Table, std: bool, quantum: bool) -> tuple[dict, bool]:
     """(address_bus, tree_ground) of a final state, read from its columns.
 
     j comes from the address registers, not the rows' j, so a failed
@@ -401,9 +386,9 @@ def _decode(path: PathState, quantum: bool) -> tuple[dict, bool]:
     sqrt(sum |amp|^2) are meaningful and the unit-norm background sums
     out; phase-sensitive checks export the rows over absolute slots, which
     the reference decoders in `tests/` do."""
-    n, t = path.n, path.table
-    regs = t.levels[[path.columns("reg", k, 1)[0] for k in range(n + 1)]]
-    if path.std:
+    n = t.n
+    regs = t.levels[[t.col[_logical(std, "reg", k, 1)[0]] for k in range(n + 1)]]
+    if std:
         regs = (regs == 1).view(np.uint8)
     j = np.zeros(len(t), np.int64)
     for lvl in regs[:-1]:
@@ -416,7 +401,7 @@ def _decode(path: PathState, quantum: bool) -> tuple[dict, bool]:
             address_bus[k] = address_bus.get(k, 0j) + amp
     if quantum:
         address_bus = {k: math.sqrt(p) for k, p in address_bus.items()}
-    tree = [i for i, f in enumerate(path.fields) if f[0] in ("ctrl", "anc", "dwg")]
+    tree = [i for i, f in enumerate(t.fields) if f[0] in ("ctrl", "anc", "dwg")]
     return address_bus, not t.levels[tree].any()
 
 
@@ -426,15 +411,14 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
     Raises `NumericalFailureError` when a branch leaves its path, or when
     the norm leaves 1 by more than 1e-10 after a split op or after the
     final merge."""
-    path = initial_state(cfg, address, data)
-    table = path.table
+    table = initial_state(cfg, address, data)
     support = len(table)
     for op in _protocol(cfg, data):
         table = state.apply_gate(table, op)
         support = max(support, len(table))
     table.merge("the end of the query")
-    path.table = table
-    return QueryResult(cfg, path, *_decode(path, data.mode is DataMode.QUANTUM), support)
+    quantum = data.mode is DataMode.QUANTUM
+    return QueryResult(cfg, table, *_decode(table, cfg.encoding.is_standard, quantum), support)
 
 
 # ---------------------------------------------------------------------------

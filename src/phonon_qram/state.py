@@ -6,10 +6,10 @@ level 1 (e) or 2 (f), any slot not listed being in its ground state: that
 is `SparseState`, the format of the reference engines in `tests/`, which
 also own the export of a query's rows to it.
 
-Inside the engine a state is a `Table` of rows in path coordinates: an
-address branch j, one uint8 level per field and a complex amplitude.  A
-field is a slot on j's root-to-leaf path, named (kind, level, rail); the
-caller owns the layout (`qram.PathState`).  `apply_gate` runs one level op,
+Inside the engine a query's whole state is one `Table`: its fields, each
+a slot on j's root-to-leaf path named (kind, level, rail), and its rows in
+path coordinates, each an address branch j, j's path bits, one uint8
+level per field and a complex amplitude.  `apply_gate` runs one level op,
 a gate on every node of a tree level with one template of fields per
 gate, on every row at once.  A field (kind, level, rail, c) names the slot
 in child c of the op's node: the row's own field when c is j's bit at the
@@ -58,30 +58,28 @@ class GateRecord:
 
 
 class Table:
-    """Rows of a state in path coordinates: address branch `j` (int64),
+    """A query's state: the field layout `fields`, `col[f]` the column of
+    field f, and rows in path coordinates: address branch `j` (int64),
     `levels[col[f]]` the level of field f in every row (uint8, one
-    contiguous column per field) and `amp` (complex)."""
+    contiguous column per field), `amp` (complex) and, set with the rows,
+    `bits[l]`: whether j's bit at tree level l (0 most significant) is 1,
+    the child on j's path one level down."""
 
-    __slots__ = ("n", "col", "j", "levels", "amp", "_bits")
+    __slots__ = ("n", "fields", "col", "j", "levels", "amp", "bits")
 
-    def __init__(self, n: int, col: dict, j, levels, amp):
-        self.n, self.col = n, col
+    def __init__(self, n: int, fields, j, levels, amp):
+        self.n, self.fields = n, fields
+        self.col = {f: i for i, f in enumerate(fields)}
         self.set_rows(j, levels, amp)
 
     def __len__(self) -> int:
         return len(self.amp)
 
+    support = __len__  # the benchmark tracer counts initial branches by it
+
     def set_rows(self, j, levels, amp) -> None:
         self.j, self.levels, self.amp = j, levels, amp
-        self._bits: dict = {}
-
-    def bit(self, level: int):
-        """Per row, whether j's bit at tree level `level` (level 0 is most
-        significant) is 1: the child on j's path one level down."""
-        bit = self._bits.get(level)
-        if bit is None:
-            bit = self._bits[level] = (self.j >> (self.n - 1 - level)) & 1 == 1
-        return bit
+        self.bits = (j & (1 << np.arange(self.n - 1, -1, -1))[:, None]) != 0
 
     def merge(self, where: str) -> None:
         """Sum rows with equal (j, levels), drop those at |amp| <= 1e-14,
@@ -143,7 +141,7 @@ def _control(t, c, on, op, left, on_path: bool):
         m &= go | (L[c[0]] == 1)
     elif op.params[0]:
         same = not same
-    bit = t.bit(op.level)
+    bit = t.bits[op.level]
     return m, m & ((go == bit) if same else (go != bit))
 
 

@@ -1,7 +1,8 @@
 """Absolute-slot view of a query and the reference decoder that reads it.
 
-`export` turns a `qram.PathState`'s rows into frozenset configurations
-over absolute slots and multiplies in every untouched quantum cell;
+`export` turns the rows of a query's `state.Table`, which carries its
+own field layout, into frozenset configurations over absolute slots and
+multiplies in every untouched quantum cell;
 `decode_frozensets` reads `address_bus` and `tree_ground` from that view,
 so it shares none of the path-key layout that `qram.query` decodes from.
 """
@@ -10,37 +11,39 @@ from __future__ import annotations
 
 import math
 
-from phonon_qram.qram import _slot
+from phonon_qram.qram import _logical, _slot
 from phonon_qram.qram_types import DataMode
 from phonon_qram.state import SparseState
 
 
-def _background(path, cells, j: int) -> list:
+def _background(std: bool, cells, j: int) -> list:
     """(configuration items, amplitude) of every product branch of the
     cells other than j; one empty branch of amplitude 1 for no cells."""
     out = [([], 1.0)]
     for i, cell in enumerate(cells):
         if i != j:
-            opts = [([(_slot(f, i), 1) for f in path.logical("data", None, b)], amp)
+            opts = [([(_slot(f, i), 1) for f in _logical(std, "data", None, b)], amp)
                     for b, amp in enumerate(cell) if amp != 0]
             out = [(it + o, amp * f) for it, amp in out for o, f in opts]
     return out
 
 
-def export(path, cells=None) -> SparseState:
-    """The rows of `path` over absolute slots, as frozenset configurations.
+def export(table, cells=None) -> SparseState:
+    """The rows of `table` over absolute slots, as frozenset configurations.
 
     `cells` holds the (a, b) of every cell of a quantum register (None for
     classical data); each row is multiplied by the product branches of the
     cells other than its j, up to 2^(N-1) of them, built once per j."""
-    n, t = path.n, path.table
+    n = table.n
+    std = ("reg", 0, 0) in table.col  # standard dual-rail fields carry rails 0 and 1
     background: dict = {}  # j -> product branches of the other cells
     out: dict = {}
-    for j, levels, amp in zip(t.j.tolist(), t.levels.T.tolist(), t.amp.tolist()):
+    for j, levels, amp in zip(table.j.tolist(), table.levels.T.tolist(),
+                              table.amp.tolist()):
         items = [(_slot(f, j if f[1] is None else j >> (n - f[1])), lvl)
-                 for f, lvl in zip(path.fields, levels) if lvl]
+                 for f, lvl in zip(table.fields, levels) if lvl]
         if j not in background:
-            background[j] = _background(path, cells or (), j)
+            background[j] = _background(std, cells or (), j)
         for extra, b in background[j]:
             cfg = frozenset(items + extra)
             out[cfg] = out.get(cfg, 0.0) + amp * b

@@ -193,7 +193,7 @@ def test_criterion_6_query_map_exactness():
                 good = res.address_bus.pop((j, int(bits[j])))
                 assert abs(good - 1.0) < 1e-10
                 assert all(abs(a) < 1e-10 for a in res.address_bus.values())
-                assert _purity_on_register(export(res.path)) == pytest.approx(
+                assert _purity_on_register(export(res.table)) == pytest.approx(
                     1.0, abs=1e-10
                 )
             # quantum register: the final state is the exact product of the
@@ -225,7 +225,7 @@ def test_criterion_6_query_map_exactness():
                         nxt[conf] = amp * qubits[i][0]
                         nxt[conf | {(("data", i), 1)}] = amp * qubits[i][1]
                     expected = nxt
-                final = export(res.path, qubits)
+                final = export(res.table, qubits)
                 keys = set(expected) | set(final.amps)
                 err = max(
                     abs(final.amps.get(c, 0.0) - expected.get(c, 0.0))
@@ -253,7 +253,7 @@ def test_criterion_6_superposed_addresses():
             got = res.address_bus.get((j, int(bits[j])), 0.0)
             assert abs(got - addr[j]) < 1e-10
             assert abs(res.address_bus.get((j, 1 - int(bits[j])), 0.0)) < 1e-10
-        assert _purity_on_register(export(res.path)) == pytest.approx(1.0, abs=1e-10)
+        assert _purity_on_register(export(res.table)) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -608,6 +608,16 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     ("query-sim", {"n": 1, "address": ["nan", 1]}),
     ("query-sim", {"n": 1, "mode": "quantum", "data": [[math.nan, 1], [1, 0]],
                    "address": "0"}),
+    # query-sim runs in units of t, so it has no duration key
+    ("query-sim", {"t": "350ns"}),
+    # a JSON boolean is not a data bit, a cell amplitude or an address amplitude
+    ("query-sim", {"n": 2, "data": [True, False, False, True], "address": "11"}),
+    ("query-sim", {"n": 1, "data": [0, 1], "address": [True, False]}),
+    ("query-sim", {"n": 1, "mode": "quantum", "data": [[True, False], [0, 1]],
+                   "address": "0"}),
+    # a cell whose norm overflows is not normalised, not a traceback
+    ("query-sim", {"n": 1, "mode": "quantum", "data": [[1e308, 1e308], [1, 0]],
+                   "address": "0"}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2
@@ -622,7 +632,7 @@ SMALL_CONFIGS = {
     "router-sim": {"shape": "gaussian", "fwhm": "50ns", "kappa_mhz": 200.0,
                    "window": "350ns", "control_init": [1.0, 0.0],
                    "source": "left", "dt": None},
-    "query-sim": {"n": 1, "t": "350ns", "encoding": "single_rail",
+    "query-sim": {"n": 1, "encoding": "single_rail",
                   "mode": "classical", "data": [0, 1], "address": "1",
                   "export_trace": False},
     "heralding": {"n_range": [1, 2], "t": "350ns", "T1_q": "100us",

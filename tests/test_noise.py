@@ -234,6 +234,16 @@ def test_sampling_builds_no_schedule_and_keeps_every_loss_draw(monkeypatch):
         lost = sorted((e.location.split(":")[0], e.time_ns)
                       for e in v.events if e.kind == "loss")
         assert (lost if enc is HYB else [k for k, _ in lost]) == losses
+    # a forced loss reads the query window from the timing rules too
+    for enc in Encoding:
+        cfg = QramConfig(n=3, encoding=enc)
+        for k in range(cfg.n + 1):
+            if enc is Encoding.SINGLE_RAIL:
+                with pytest.raises(InvalidParameterError):
+                    inject_loss(cfg, k, 0.0)
+                continue
+            for time_ns in (0.0, cfg.t, query_time(cfg.n, cfg.t, enc)):
+                assert inject_loss(cfg, k, time_ns).detected, (enc, k, time_ns)
 
 
 def test_dephasing_and_thermal_events_do_not_trigger_detection():

@@ -44,7 +44,7 @@ def test_basis_address_reads_its_cell(enc, n):
         res = query(cfg, basis_address(n, j), data)
         assert res.bus_bit() == data.bits[j], (enc, n, j)
         assert res.tree_ground
-        assert export(res.path).norm() == pytest.approx(1.0, abs=1e-10)
+        assert export(res.table).norm() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
@@ -109,7 +109,7 @@ def test_classical_read_is_a_phase_on_the_leaf(enc):
         ]
         address = _unit(rng, 2 ** n)
         keys = list(export(initial_state(cfg, address, data)).amps)
-        keys += list(export(query(cfg, address, data).path).amps)
+        keys += list(export(query(cfg, address, data).table).amps)
         assert all(slot[0] != "data" for key in keys for slot, _ in key)
 
 
@@ -138,7 +138,7 @@ def test_quantum_read_returns_data_qubit_weights(enc):
     cfg = QramConfig(n=n, encoding=enc)
     for j, th in enumerate((th0, th1)):
         res = query(cfg, basis_address(n, j), data)
-        assert export(res.path, data.qubits).norm() == pytest.approx(1.0, abs=1e-10)
+        assert export(res.table, data.qubits).norm() == pytest.approx(1.0, abs=1e-10)
         assert res.address_bus.get((j, 0), 0.0) == pytest.approx(
             abs(math.cos(th)), abs=1e-10
         )
@@ -202,7 +202,7 @@ def test_dense_oracle_replay(enc, n, quantum):
     dense = dense_amplitudes(dict(init.amps), gates)
 
     # the absolute-slot reference and the path engine, each against dense
-    for sparse in (reference, export(query(cfg, amps, data).path, data.qubits)):
+    for sparse in (reference, export(query(cfg, amps, data).table, data.qubits)):
         keys = set(sparse.amps) | set(dense)
         err = max(
             abs(sparse.amps.get(k, 0.0) - dense.get(k, 0.0)) for k in keys
@@ -248,7 +248,7 @@ def _assert_matches_copy_engine(cfg, address, data):
     ref, ref_support = copy_run(export(initial_state(cfg, address, data), data.qubits).amps,
                                 build_query_gates(cfg, data))
     res = query(cfg, address, data)
-    got = export(res.path, data.qubits).amps
+    got = export(res.table, data.qubits).amps
     assert set(got) == set(ref)
     assert max(abs(got[k] - a) for k, a in ref.items()) <= 1e-14
     return res, ref_support
@@ -298,7 +298,7 @@ def test_query_matches_absolute_slot_engine(enc):
         assert max(abs(init[k] - a) for k, a in ref.amps.items()) <= 1e-14
         ref.apply_all(build_query_gates(cfg, data))
         res = query(cfg, address, data)
-        final = export(res.path, data.qubits)
+        final = export(res.table, data.qubits)
         got = final.amps
         assert set(got) == set(ref.amps), (n, data.mode)
         assert max(abs(got[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
@@ -325,7 +325,7 @@ def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
                      DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(4)])):
             cfg = QramConfig(n=2, encoding=enc)
             res = query(cfg, _unit(rng, 4), data)
-            want, ground = decode_frozensets(cfg, data, export(res.path, data.qubits))
+            want, ground = decode_frozensets(cfg, data, export(res.table, data.qubits))
             assert res.tree_ground is False and ground is False, (enc, data.mode)
             assert set(res.address_bus) == set(want)
             assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
@@ -357,7 +357,7 @@ def test_export_multiplies_in_the_background_of_each_branch():
     cells = [(0.6, 0.8), (1, 0), (0, 1j), (0.8, -0.6)] * 2
     res = query(QramConfig(n=3), _unit(np.random.default_rng(5), 8),
                 DataRegister.quantum(cells))
-    final = export(res.path, cells)
+    final = export(res.table, cells)
     assert len(final.amps) == 128
     assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -432,10 +432,10 @@ def test_superposed_query_is_linear_in_the_address(enc):
         alpha = _unit(rng, 2 ** n)
         total: dict = {}
         for j, a in enumerate(alpha):
-            basis = export(query(cfg, basis_address(n, j), data).path, data.qubits)
+            basis = export(query(cfg, basis_address(n, j), data).table, data.qubits)
             for k, amp in basis.amps.items():
                 total[k] = total.get(k, 0.0) + a * amp
-        got = export(query(cfg, alpha, data).path, data.qubits).amps
+        got = export(query(cfg, alpha, data).table, data.qubits).amps
         assert max(abs(got.get(k, 0.0) - total.get(k, 0.0))
                    for k in set(got) | set(total)) <= 1e-12
 

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,42 +287,42 @@ def _level_ops(name):
     return out
 
 
-def _random_path(rng, cfg, quantum, op):
-    """A `PathState` of up to 6 distinct random rows over every field, at
-    levels 0-2 except where the gate is not unitary: a dual-rail pair
-    stays in levels 0-1, and a hop's destinations are empty in every row."""
-    path = qram.PathState(cfg, quantum)
+def _random_table(rng, cfg, quantum, op):
+    """A query's `state.Table` with up to 6 distinct random rows over every
+    field, at levels 0-2 except where the gate is not unitary: a dual-rail
+    pair stays in levels 0-1, and a hop's destinations are empty in every
+    row."""
+    fields = qram._fields(cfg, quantum)
     rows = int(rng.integers(1, 7))
-    levels = rng.integers(0, 3, (len(path.fields), rows)).astype(np.uint8)
+    levels = rng.integers(0, 3, (len(fields), rows)).astype(np.uint8)
+    t = state.Table(cfg.n, fields, rng.integers(0, cfg.N, rows), levels,
+                    np.ones(rows, complex))
     for tpl in op.templates:
-        c = [path.col[f[:3]] for f in tpl]
+        c = [t.col[f[:3]] for f in tpl]
         if op.name == "dualrail_h":
             levels[c] %= 2
         elif op.name in HOPS:
             levels[c[-1]] = 0
         elif op.name == "qroute":
             levels[c[2:]] = 0
-    j = rng.integers(0, cfg.N, rows)
-    keys = np.unique(np.vstack([j, levels]), axis=1)
+    keys = np.unique(np.vstack([t.j, levels]), axis=1)
     amp = rng.normal(size=keys.shape[1]) + 1j * rng.normal(size=keys.shape[1])
-    path.table = state.Table(cfg.n, path.col, keys[0].copy(),
-                             keys[1:].astype(np.uint8), amp / np.linalg.norm(amp))
-    return path
+    t.set_rows(keys[0].copy(), keys[1:].astype(np.uint8), amp / np.linalg.norm(amp))
+    return t
 
 
-def _reference(path, records) -> tuple[dict, bool]:
+def _reference(t, records) -> tuple[dict, bool]:
     """The int reference's image of the table's rows, and whether it moved
     an excitation of some row onto a slot off that row's path."""
-    t, n = path.table, path.n
+    n = t.n
     image: dict = {}
     off = False
     for i, (j, a) in enumerate(zip(t.j.tolist(), t.amp.tolist())):
-        row = copy.copy(path)
-        row.table = state.Table(n, t.col, t.j[i:i + 1], t.levels[:, i:i + 1].copy(),
-                                np.ones(1, complex))
+        row = state.Table(n, t.fields, t.j[i:i + 1], t.levels[:, i:i + 1].copy(),
+                          np.ones(1, complex))
         ref = SlotState(export(row).amps)
         ref.apply_all(records)
-        on_path = {_slot(f, j if f[1] is None else j >> (n - f[1])) for f in path.fields}
+        on_path = {_slot(f, j if f[1] is None else j >> (n - f[1])) for f in t.fields}
         for cfg, amp in ref.amps.items():
             off |= any(s not in on_path for s, _ in cfg)
             image[cfg] = image.get(cfg, 0.0) + a * amp
@@ -341,18 +339,50 @@ def test_column_gate_matches_int_reference(name):
         records = [GateRecord(op.name, tuple(_slot(f, node) for f in tpl), 0.0, op.params)
                    for node in op.nodes for tpl in op.templates]
         for _ in range(8):
-            path = _random_path(rng, cfg, quantum, op)
-            want, off = _reference(path, records)
+            t = _random_table(rng, cfg, quantum, op)
+            want, off = _reference(t, records)
             try:
-                state.apply_gate(path.table, op)
+                state.apply_gate(t, op)
             except NumericalFailureError:
                 assert off, (cfg, op)
                 raised.add(True)
                 continue
             assert not off, (cfg, op)
             raised.add(False)
-            got = export(path).amps
+            got = export(t).amps
             assert max(abs(got.get(k, 0.0) - want.get(k, 0.0))
                        for k in set(got) | set(want)) <= 1e-14, (cfg, op)
     # a hop into the children runs both ways; nothing else can leave the path
     assert raised == ({True, False} if name in ("route", "route2") else {False})
+
+
+@pytest.mark.parametrize("enc, split", [(Encoding.SINGLE_RAIL, "h_ge"),
+                                        (Encoding.STANDARD_DUAL_RAIL_VACUUM, "dualrail_h")])
+def test_each_rows_path_bit_follows_merge_and_split(enc, split):
+    """A table's `bits` are j's bit at every tree level, row by row, after a
+    merge that reorders rows and folds duplicates and after a split op."""
+    rng = np.random.default_rng(5)
+    cfg = QramConfig(n=3, encoding=enc)
+    n, std = cfg.n, enc.is_standard
+    fields = qram._fields(cfg, False)
+    # every branch twice, in descending j, each with a random bus bit
+    j = np.repeat(np.arange(cfg.N)[::-1], 2)
+    t = state.Table(n, fields, j, np.zeros((len(fields), len(j)), np.uint8),
+                    np.repeat(rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N), 2))
+    t.amp /= 2 * np.linalg.norm(t.amp[::2])  # each pair sums to a unit-norm branch
+    for i, b in enumerate(np.repeat(rng.integers(0, 2, cfg.N), 2)):
+        for f in qram._logical(std, "reg", n, b):
+            t.levels[t.col[f], i] = 1
+
+    def check():
+        for level in range(n):
+            want = (t.j >> (n - 1 - level)) & 1 == 1
+            assert np.array_equal(t.bits[level], want), level
+
+    t.merge("the test's duplicates")
+    assert len(t) == cfg.N and t.j.tolist() != sorted(t.j.tolist(), reverse=True)
+    check()
+    bus = (("reg", n, 0), ("reg", n, 1)) if std else (("reg", n, None),)
+    state.apply_gate(t, qram._op(0.0, split, 0, bus))
+    assert len(t) > cfg.N
+    check()
