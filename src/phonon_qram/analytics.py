@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .qram_types import Encoding
-from .scheduling import makespan_slots
+from .scheduling import check_nt, makespan_slots
 
 __all__ = [
     "HeraldingReport",
@@ -31,13 +31,6 @@ __all__ = [
 _US = 1e3  # ns per microsecond
 
 
-def _check_nt(n: int, t_ns: float) -> None:
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if not t_ns > 0:
-        raise InvalidParameterError(f"t must be > 0, got {t_ns}")
-
-
 def _check_pos(**kwargs) -> None:
     for name, v in kwargs.items():
         if not v > 0:
@@ -46,7 +39,7 @@ def _check_pos(**kwargs) -> None:
 
 def query_time(n: int, t_ns: float, encoding: Encoding) -> float:
     """Total query time in ns: `scheduling.makespan_slots` routing steps."""
-    _check_nt(n, t_ns)
+    check_nt(n, t_ns)
     return makespan_slots(n, encoding) * t_ns
 
 
@@ -68,9 +61,8 @@ def success_prob_hybrid(
     """Product over the n+1 released excitations: each spends 2kt split
     between waveguide and transmon (equal-superposition average) and the
     remaining T-2kt in a transmon.  Returns (P, P_min, P_max)."""
-    _check_nt(n, t_ns)
-    _check_pos(T1_q_us=T1_q_us, T1_m_us=T1_m_us)
     T = query_time(n, t_ns, Encoding.HYBRID_DUAL_RAIL)
+    _check_pos(T1_q_us=T1_q_us, T1_m_us=T1_m_us)
     Tq, Tm = T1_q_us * _US, T1_m_us * _US
     P = 1.0
     for k in range(n + 1):
@@ -88,9 +80,8 @@ def success_prob_standard_vacuum(
 ) -> float:
     """Vacuum-initialized standard dual-rail: one excitation per logical
     qubit, 2kt in the waveguide, rest in a transmon, T = 2(3n-1)t."""
-    _check_nt(n, t_ns)
-    _check_pos(T1_q_us=T1_q_us, T1_m_us=T1_m_us)
     T = query_time(n, t_ns, Encoding.STANDARD_DUAL_RAIL_VACUUM)
+    _check_pos(T1_q_us=T1_q_us, T1_m_us=T1_m_us)
     Tq, Tm = T1_q_us * _US, T1_m_us * _US
     return math.exp(-(n + 1) * (T / Tq - n * t_ns / Tq + n * t_ns / Tm))
 
@@ -138,9 +129,8 @@ def dephasing_no_error_prob(
     """Probability that no excitation dephases during a hybrid query; a
     lower bound on heralding fidelity if any dephasing is counted as total
     loss of fidelity."""
-    _check_nt(n, t_ns)
-    _check_pos(T2_q_us=T2_q_us, T2_m_us=T2_m_us)
     T = query_time(n, t_ns, Encoding.HYBRID_DUAL_RAIL)
+    _check_pos(T2_q_us=T2_q_us, T2_m_us=T2_m_us)
     P = 1.0
     for k in range(n + 1):
         tk = 2 * k * t_ns
@@ -172,7 +162,7 @@ def dephasing_infidelity_approx(
     dephasing model the paper's law itself was derived from is not
     settled by the abstract in PAPER.md.
     """
-    _check_nt(n, t_ns)
+    check_nt(n, t_ns)
     _check_pos(T2_q_us=T2_q_us, T2_m_us=T2_m_us)
     rate = (7 * n - 4) / (T2_q_us * _US) + n / (T2_m_us * _US)
     return (n + 1) * t_ns * rate / 4.0

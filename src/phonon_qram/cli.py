@@ -259,8 +259,8 @@ def _parse_address(spec, N: int, n: int):
             raise ConfigError(f"address needs {N} amplitudes")
         try:
             v = np.asarray([complex(*(_number(float, y, "address") for y in x))
-                            if isinstance(x, list) else _number(complex, x, "address")
-                            for x in spec])
+                            if isinstance(x, list) and len(x) == 2
+                            else _number(complex, x, "address") for x in spec])
         except (TypeError, ValueError):
             raise ConfigError(f"cannot parse address amplitudes {spec!r}") from None
         if not np.isfinite(v).all():
@@ -301,7 +301,7 @@ def cmd_query_sim(args) -> int:
                                          for q in _list(cfg["data"], "data")])
         else:
             raise ConfigError(f"unknown data mode {cfg['mode']!r}")
-    except (TypeError, ValueError, OverflowError):  # |a|**2 of a huge cell
+    except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
     addr = _parse_address(cfg["address"], N, qcfg.n)
     if addr is None and n > _MAX_SCAN_N:

@@ -56,7 +56,7 @@ import numpy as np
 from . import state
 from .errors import InvalidParameterError
 from .qram_types import DataMode, Encoding
-from .scheduling import makespan_slots, start_slot
+from .scheduling import check_nt, makespan_slots, start_slot
 from .state import GateRecord
 
 __all__ = [
@@ -78,10 +78,7 @@ class QramConfig:
     encoding: Encoding = Encoding.SINGLE_RAIL
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if not self.t > 0:
-            raise InvalidParameterError(f"t must be > 0, got {self.t}")
+        check_nt(self.n, self.t)
 
     @property
     def N(self) -> int:
@@ -111,7 +108,10 @@ class DataRegister:
     def quantum(cls, qubits) -> "DataRegister":
         out = []
         for a, b in qubits:
-            nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            try:
+                nrm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+            except OverflowError:  # a finite but huge amplitude
+                nrm = math.inf
             if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
                 raise InvalidParameterError("data qubit state not normalized")
             out.append((complex(a) / nrm, complex(b) / nrm))  # see initial_state

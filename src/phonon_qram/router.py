@@ -83,7 +83,10 @@ class RouterSimConfig:
                 f"dt={step} exceeds the resolution floor window/1000"
             )
         a, b = self.control_init
-        norm = abs(a) ** 2 + abs(b) ** 2
+        try:
+            norm = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:  # a finite but huge amplitude
+            norm = math.inf
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise InvalidParameterError(
                 f"control_init norm deviates from 1 by {abs(norm - 1.0):.2e}"

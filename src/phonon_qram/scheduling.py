@@ -10,6 +10,7 @@ routed sequentially.  Idle time is attributed to transmon residence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -65,12 +66,17 @@ def start_slot(k: int, rail: int, encoding: Encoding) -> int:
     return max(k - 1, 0)
 
 
-def build_schedule(n: int, encoding: Encoding, t: float = 350.0) -> Schedule:
-    """Pipelined schedule for a depth-n query."""
+def check_nt(n: int, t: float) -> None:
+    """Raise `InvalidParameterError` unless n >= 1 and t (ns) is finite and > 0."""
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if not t > 0:
-        raise InvalidParameterError(f"t must be > 0, got {t}")
+    if not 0 < t < math.inf:  # NaN fails too
+        raise InvalidParameterError(f"t must be finite and > 0, got {t}")
+
+
+def build_schedule(n: int, encoding: Encoding, t: float = 350.0) -> Schedule:
+    """Pipelined schedule for a depth-n query."""
+    check_nt(n, t)
     makespan = makespan_slots(n, encoding)
     entries: list[ScheduleEntry] = []
     for k in range(1, n + 1):  # the root control (k = 0) is never routed
@@ -91,6 +97,7 @@ def residence_intervals(n: int, encoding: Encoding, t: float, k: int, rail: int 
     """Partition [0, T] for excitation k on `rail` (1 only for standard
     dual-rail) into (start, end, medium) in ns: k contiguous waveguide slots
     in from its `start_slot`, k out, and transmon residence the rest."""
+    check_nt(n, t)
     if not 0 <= k <= n:
         raise InvalidParameterError(f"unknown excitation id {k}")
     if rail not in encoding.rails:

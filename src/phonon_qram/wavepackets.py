@@ -146,6 +146,8 @@ def _spectral_power(packet: WavePacket):
     """|envelope_freq(packet, w)|**2 as a plain-float function of scalar w."""
     if packet.shape is PulseShape.GAUSSIAN:
         kw = packet.width_param
+        if kw**2 == 0.0:
+            raise NumericalFailureError(f"fwhm={packet.fwhm} ns: the spectral width underflows")
         peak = (1.0 / (2.0 * math.pi * kw**2)) ** 0.25
         return lambda w: (peak * math.exp(-(w * w) / (4.0 * kw**2))) ** 2
     tau = packet.width_param

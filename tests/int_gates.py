@@ -1,27 +1,23 @@
-"""Int-key gate semantics: the reference for the branch-table engine.
+"""Int-key gate semantics: the reference for the column engine in
+`phonon_qram.state`.
 
-Every tracked slot has a fixed 2-bit field of an int configuration, so a
-level lookup is a shift and a mask; field 0 (bits 0-1) is a trap that no
-branch may excite.  `compile_gate` turns a gate into an op whose slot
-offsets may depend on a few bits of the key; `apply_gate` updates an
-int-keyed amplitude map in place.  One scan of the keys finds the active
-branches (some idle slot excited; every branch for a gate with no idle
-slots), only those are popped, and their images are summed and merged
-back.  Only keys the gate wrote are pruned at 1e-14.  The map carries a
-running squared norm that moves by the weight of every key the gate
-popped, wrote or removed, including an untouched key an image lands on;
-the caller checks it.  An image that excites the trap raises
-`NumericalFailureError`.
+Every tracked slot has a fixed 2-bit field of an int configuration.
+`compile_gate` turns a gate and the fixed bit offsets of its slots into an
+op; `apply_gate` updates an int-keyed amplitude map in place.  One scan of
+the keys finds the active branches (some idle slot excited; every branch
+for a gate with no idle slots), only those are popped, and their images
+are summed and merged back.  Only keys the gate wrote are pruned at 1e-14.
+The map carries a running squared norm that moves by the weight of every
+key the gate popped, wrote or removed, including an untouched key an image
+lands on; the caller checks it.
 
-`slot_engine.py` and `copy_engine.py` run whole queries on these
-semantics, independently of `phonon_qram.state`'s column operations.
+`slot_engine.py` runs whole queries on these semantics, independently of
+`phonon_qram.state`'s column operations.
 """
 
 from __future__ import annotations
 
 import math
-
-from phonon_qram.errors import NumericalFailureError
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -156,32 +152,26 @@ class Amps(dict):
     __slots__ = ("norm2",)
 
 
-def compile_gate(name: str, params: tuple, table: list, shift: int = 0,
-                 mask: int = 0) -> tuple:
-    """Op for `apply_gate`: gate `name` with `params`, whose slot bit offsets
-    in a key `c` are `table[c >> shift & mask]`; a None entry means no gate
-    acts on that key.  Offset 0 is the trap field."""
+def compile_gate(name: str, params: tuple, offsets: tuple) -> tuple:
+    """Op for `apply_gate`: gate `name` with `params` on the slots whose
+    2-bit fields start at bit `offsets`."""
     _, idle_pos, fn = _GATES[name]
     idle = 0
-    for offsets in table:
-        if offsets is not None:
-            for i in idle_pos:
-                idle |= 3 << offsets[i]
-    trap = any(offsets is not None and 0 in offsets for offsets in table)
-    return fn, params, idle, shift, mask, table, trap
+    for i in idle_pos:
+        idle |= 3 << offsets[i]
+    return fn, params, idle, offsets
 
 
 def apply_gate(amps: Amps, op: tuple) -> Amps:
     """Apply one compiled op (see `compile_gate`) to the int-keyed amplitude
     map `amps` in place and return it.
 
-    Only active branches (some idle slot excited in one of the op's
-    variants, or every branch if the gate has no idle slots) are popped;
-    their images are summed and merged back, pruned at 1e-14.  `amps.norm2`
-    moves by the squared weight of every key popped, written or removed,
-    including an untouched key that an image lands on.  An image that
-    excites the trap field raises `NumericalFailureError`."""
-    fn, params, idle, shift, mask, table, trap = op
+    Only active branches (some idle slot excited, or every branch if the
+    gate has no idle slots) are popped; their images are summed and merged
+    back, pruned at 1e-14.  `amps.norm2` moves by the squared weight of
+    every key popped, written or removed, including an untouched key that
+    an image lands on."""
+    fn, params, idle, offsets = op
     if idle:
         pop = amps.pop
         old = [(c, pop(c)) for c in [c for c in amps if c & idle]]
@@ -194,13 +184,8 @@ def apply_gate(amps: Amps, op: tuple) -> Amps:
     for cfg, amp in old:
         m = abs(amp)
         delta -= m * m
-        offsets = table[cfg >> shift & mask]
-        for new_cfg, factor in (((cfg, 1.0),) if offsets is None
-                                else fn(cfg, offsets, params)):
+        for new_cfg, factor in fn(cfg, offsets, params):
             out[new_cfg] = get(new_cfg, 0.0) + amp * factor
-    if trap and any(cfg & 3 for cfg in out):
-        raise NumericalFailureError(
-            f"{fn.__name__[1:]} moved a branch onto a slot it does not track")
     get = amps.get
     for cfg, amp in out.items():
         prev = get(cfg)

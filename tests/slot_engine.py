@@ -2,11 +2,11 @@
 
 Every slot a gate list names gets its own fixed 2-bit field of an int key,
 so a branch holds the whole tree and every data cell, and each gate record
-is applied on its own through the int-key `int_gates.apply_gate`.  Field 0
-stays the trap, so offsets start at 2.  It shares none of `qram.query`'s
-branch table, column operations, level ops or product background, so a
-full query can be compared against it at sizes the dense oracle cannot
-reach, and the gate-level tests drive the int semantics through it.
+is applied on its own through the int-key `int_gates.apply_gate`.  It
+shares none of `qram.query`'s `state.Table`, column operations, level ops
+or product background, so a full query can be compared against it, support
+count included, at sizes the dense oracle cannot reach, and the gate-level
+tests drive the int semantics through it.
 """
 
 from __future__ import annotations
@@ -22,22 +22,13 @@ from phonon_qram.state import SparseState
 
 
 def to_frozenset(cfg: int, slots: list) -> frozenset:
-    """Frozenset configuration of int key `cfg`; field i + 1 is slots[i]."""
+    """Frozenset configuration of int key `cfg`; field i is slots[i]."""
     items = []
-    cfg >>= 2
     while cfg:
         i = (cfg & -cfg).bit_length() - 1 >> 1
         items.append((slots[i], cfg >> 2 * i & 3))
         cfg &= ~(3 << 2 * i)
     return frozenset(items)
-
-
-def slot_layout(configs, gates) -> tuple[list, dict]:
-    """(slots in field order, slot -> bit offset) over every slot named."""
-    slots = list(dict.fromkeys(
-        [s for cfg in configs for s, _ in cfg] + [s for g in gates for s in g.slots]
-    ))
-    return slots, {s: 2 * i + 2 for i, s in enumerate(slots)}
 
 
 class SlotState(SparseState):
@@ -59,8 +50,11 @@ class SlotState(SparseState):
         more than 1e-10 after a gate, or when it ends more than 1e-12 from
         the norm recomputed over every branch."""
         gates = list(gates)
-        slots, offset = slot_layout(self.amps, gates)
-        ops = [compile_gate(g.name, g.params, [tuple(offset[s] for s in g.slots)])
+        slots = list(dict.fromkeys(
+            [s for cfg in self.amps for s, _ in cfg] + [s for g in gates for s in g.slots]
+        ))
+        offset = {s: 2 * i for i, s in enumerate(slots)}
+        ops = [compile_gate(g.name, g.params, tuple(offset[s] for s in g.slots))
                for g in gates]
         amps = Amps(
             (sum(level << offset[s] for s, level in cfg), a)

@@ -242,6 +242,20 @@ def test_every_analytics_law_has_a_caller():
     assert set(analytics.__all__) - used == set()
 
 
+def test_every_reference_module_has_a_test():
+    # a helper module under tests/ that no test imports checks nothing; it is deleted
+    tests = Path(__file__).parent
+    imported = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+    helpers = {p.stem for p in tests.glob("*.py") if not p.stem.startswith("test_")}
+    assert helpers - {"conftest"} - imported == set()
+
+
 def test_only_cli_opens_files():
     # the layers return rows or dicts; cli.py is the one module that opens files
     openers = set()
@@ -618,6 +632,10 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     # a cell whose norm overflows is not normalised, not a traceback
     ("query-sim", {"n": 1, "mode": "quantum", "data": [[1e308, 1e308], [1, 0]],
                    "address": "0"}),
+    ("router-sim", {"control_init": [1e308, 1e308]}),
+    # an address pair is exactly [re, im]
+    ("query-sim", {"n": 1, "data": [0, 1], "address": [[], 1]}),
+    ("query-sim", {"n": 1, "data": [0, 1], "address": [[1], 0]}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2
@@ -668,6 +686,8 @@ def test_resolution_failure_exit_code(tmp_path):
     ("router-sim", {"kappa_mhz": 1e290}),
     ("route-fidelity", {"kappa_1d_mhz": 1e308,
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+    # the spectral width underflows before the time-domain grid is sized
+    ("route-fidelity", {"fwhm": "1e200ns"}),
 ])
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
     # the step count is checked before any array is built

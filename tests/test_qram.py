@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copy_engine import copy_run
 from dense_oracle import dense_amplitudes
 from phonon_qram import qram
 from phonon_qram.errors import InvalidParameterError, NumericalFailureError
@@ -16,7 +15,7 @@ from phonon_qram.qram import (
     query,
     trace_to_json,
 )
-from phonon_qram.qram_types import Encoding
+from phonon_qram.qram_types import DataMode, Encoding
 from phonon_qram.state import GateRecord
 from reference_decode import decode_frozensets, export
 from slot_engine import SlotState, reference_initial_state
@@ -219,11 +218,15 @@ def test_config_and_register_validation():
     with pytest.raises(InvalidParameterError):
         QramConfig(n=2, t=-1.0)
     with pytest.raises(InvalidParameterError):
+        QramConfig(n=3, t=math.inf)
+    with pytest.raises(InvalidParameterError):
         DataRegister.classical([0, 2]).validate(2)
     with pytest.raises(InvalidParameterError):
         DataRegister.classical([0, 1, 1]).validate(2)
     with pytest.raises(InvalidParameterError):
         DataRegister.quantum([(1.0, 1.0)])
+    with pytest.raises(InvalidParameterError):  # |a|**2 overflows
+        DataRegister.quantum([(1e308, 1e308), (1, 0)])
     with pytest.raises(InvalidParameterError):
         query(QramConfig(n=1), [1.0, 1.0], DataRegister.classical([0, 1]))
 
@@ -242,56 +245,32 @@ def _unit(rng, size):
     return v / np.linalg.norm(v)
 
 
-def _assert_matches_copy_engine(cfg, address, data):
-    """Query result and the copy engine's max support, once every final
-    amplitude agrees with the copy engine's."""
-    ref, ref_support = copy_run(export(initial_state(cfg, address, data), data.qubits).amps,
-                                build_query_gates(cfg, data))
-    res = query(cfg, address, data)
-    got = export(res.table, data.qubits).amps
-    assert set(got) == set(ref)
-    assert max(abs(got[k] - a) for k, a in ref.items()) <= 1e-14
-    return res, ref_support
-
-
-@pytest.mark.parametrize("enc", ALL_ENCODINGS)
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_superposed_classical_query_matches_copy_engine(n, enc):
-    # past the dense oracle's n <= 2: every amplitude and the support count
-    # against a per-gate copy of the whole map
-    rng = np.random.default_rng(100 + n)
-    bits = [int(b) for b in rng.integers(0, 2, 2 ** n)]
-    res, ref_support = _assert_matches_copy_engine(
-        QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n), DataRegister.classical(bits))
-    assert res.max_support == ref_support
-
-
-@pytest.mark.parametrize("enc", ALL_ENCODINGS)
-def test_superposed_quantum_query_matches_copy_engine(enc):
-    # the support counts path branches: the bus and the queried cell, two
-    # per address, where the copy engine holds every cell's 2^N branches
-    rng = np.random.default_rng(11)
-    cells = [tuple(_unit(rng, 2)) for _ in range(4)]
-    res, _ = _assert_matches_copy_engine(QramConfig(n=2, encoding=enc), _unit(rng, 4),
-                                         DataRegister.quantum(cells))
-    assert res.max_support == 2 * 4
-
-
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
 def test_query_matches_absolute_slot_engine(enc):
     # the absolute-slot engine holds the whole tree and every data cell in
     # each branch and applies one gate record at a time, from an initial
-    # state built cell by cell; the path engine must agree with it.  Its
-    # address_bus and tree_ground, decoded from the path keys, must agree
-    # with the reference decode of the exported frozensets
+    # state built cell by cell; the path engine must agree with it past the
+    # dense oracle's n <= 2.  Its address_bus and tree_ground, decoded from
+    # the path keys, must agree with the reference decode of the exported
+    # frozensets.  The path engine's support counts path branches: the
+    # reference's count for classical data, and the bus and the queried
+    # cell (two per address) for quantum data, where the reference holds
+    # every cell's 2^N branches
     rng = np.random.default_rng(43)
     cases = [(n, DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)]))
              for n in range(1, 7)]
     cases += [(n, DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)]))
               for n in range(1, 4)]
-    for n, data in cases:
+    cases = [(n, data, _unit(rng, 2 ** n)) for n, data in cases]
+    for n in (3, 4, 5):
+        rng = np.random.default_rng(100 + n)
+        bits = [int(b) for b in rng.integers(0, 2, 2 ** n)]
+        cases.append((n, DataRegister.classical(bits), _unit(rng, 2 ** n)))
+    rng = np.random.default_rng(11)
+    cells = [tuple(_unit(rng, 2)) for _ in range(4)]
+    cases.append((2, DataRegister.quantum(cells), _unit(rng, 4)))
+    for n, data, address in cases:
         cfg = QramConfig(n=n, encoding=enc)
-        address = _unit(rng, 2 ** n)
         ref = SlotState(reference_initial_state(cfg, address, data))
         init = export(initial_state(cfg, address, data), data.qubits).amps
         assert set(init) == set(ref.amps)
@@ -302,6 +281,8 @@ def test_query_matches_absolute_slot_engine(enc):
         got = final.amps
         assert set(got) == set(ref.amps), (n, data.mode)
         assert max(abs(got[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
+        quantum = data.mode is DataMode.QUANTUM
+        assert res.max_support == (2 * 2 ** n if quantum else ref.max_support), (n, data.mode)
         want, ground = decode_frozensets(cfg, data, final)
         assert res.tree_ground and ground
         assert set(res.address_bus) == set(want), (n, data.mode)

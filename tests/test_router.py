@@ -214,6 +214,9 @@ def test_config_validation():
             window=1000.0,
             control_init=(1.0, 1.0),
         )
+    with pytest.raises(InvalidParameterError):  # |a|**2 overflows
+        RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=1000.0,
+                        control_init=(1e308, 1e308))
 
 
 def test_sweep_kappa_rows_and_empty_grid():

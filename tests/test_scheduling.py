@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,12 @@ def test_invalid_parameters():
         residence_intervals(2, Encoding.HYBRID_DUAL_RAIL, 350.0, 5)
     with pytest.raises(InvalidParameterError):
         residence_intervals(2, Encoding.HYBRID_DUAL_RAIL, 350.0, 1, rail=1)
+    # n < 1, and a t that is not finite and > 0, are refused by both
+    for n, t in ((0, 350.0), (3, -350.0), (3, math.nan), (3, math.inf)):
+        with pytest.raises(InvalidParameterError):
+            residence_intervals(n, Encoding.HYBRID_DUAL_RAIL, t, 0)
+        with pytest.raises(InvalidParameterError):
+            build_schedule(n, Encoding.HYBRID_DUAL_RAIL, t)
 
 
 def test_csv_and_gantt_exports(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonon_qram import wavepackets
-from phonon_qram.errors import InvalidParameterError
+from phonon_qram.errors import InvalidParameterError, NumericalFailureError
 from phonon_qram.wavepackets import (
     PulseShape,
     ReflectionResponse,
@@ -132,6 +132,10 @@ def test_invalid_parameters():
         WavePacket(PulseShape.GAUSSIAN, fwhm=-1.0)
     with pytest.raises(InvalidParameterError):
         ReflectionResponse(kappa_max=0.0)
+    # so long a packet's kw**2 underflows to 0: its spectrum has no float form
+    with pytest.raises(NumericalFailureError):
+        distortion_fidelity(WavePacket(PulseShape.GAUSSIAN, fwhm=1e200),
+                            ReflectionResponse(200 * TWO_PI_MHZ))
 
 
 def test_importing_the_package_does_not_import_scipy_integrate():
