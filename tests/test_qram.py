@@ -245,48 +245,58 @@ def _unit(rng, size):
     return v / np.linalg.norm(v)
 
 
+def _assert_matches_slot_engine(cfg, address, data):
+    """Every amplitude, the support count (the reference's for classical
+    data; for quantum data the bus and the queried cell, two per address,
+    where the reference holds every cell's 2^N branches), and address_bus
+    and tree_ground decoded from the path keys, against the absolute-slot
+    engine, which holds the whole tree and every data cell per branch."""
+    n = cfg.n
+    ref = SlotState(reference_initial_state(cfg, address, data))
+    init = export(initial_state(cfg, address, data), data.qubits).amps
+    assert set(init) == set(ref.amps)
+    assert max(abs(init[k] - a) for k, a in ref.amps.items()) <= 1e-14
+    ref.apply_all(build_query_gates(cfg, data))
+    res = query(cfg, address, data)
+    final = export(res.table, data.qubits)
+    assert set(final.amps) == set(ref.amps), (n, data.mode)
+    assert max(abs(final.amps[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
+    quantum = data.mode is DataMode.QUANTUM
+    assert res.max_support == (2 * 2 ** n if quantum else ref.max_support), (n, data.mode)
+    want, ground = decode_frozensets(cfg, data, final)
+    assert res.tree_ground and ground
+    assert set(res.address_bus) == set(want), (n, data.mode)
+    assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
+
+
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
 def test_query_matches_absolute_slot_engine(enc):
-    # the absolute-slot engine holds the whole tree and every data cell in
-    # each branch and applies one gate record at a time, from an initial
-    # state built cell by cell; the path engine must agree with it past the
-    # dense oracle's n <= 2.  Its address_bus and tree_ground, decoded from
-    # the path keys, must agree with the reference decode of the exported
-    # frozensets.  The path engine's support counts path branches: the
-    # reference's count for classical data, and the bus and the queried
-    # cell (two per address) for quantum data, where the reference holds
-    # every cell's 2^N branches
+    # past the dense oracle's n <= 2: classical up to n = 6, quantum to n = 3
     rng = np.random.default_rng(43)
     cases = [(n, DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)]))
              for n in range(1, 7)]
     cases += [(n, DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)]))
               for n in range(1, 4)]
-    cases = [(n, data, _unit(rng, 2 ** n)) for n, data in cases]
-    for n in (3, 4, 5):
-        rng = np.random.default_rng(100 + n)
-        bits = [int(b) for b in rng.integers(0, 2, 2 ** n)]
-        cases.append((n, DataRegister.classical(bits), _unit(rng, 2 ** n)))
+    for n, data in cases:
+        _assert_matches_slot_engine(QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n), data)
+
+
+# named for the retired copy-per-gate reference; same cases, slot engine
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_superposed_classical_query_matches_copy_engine(n, enc):
+    rng = np.random.default_rng(100 + n)
+    bits = [int(b) for b in rng.integers(0, 2, 2 ** n)]
+    _assert_matches_slot_engine(QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n),
+                                DataRegister.classical(bits))
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_superposed_quantum_query_matches_copy_engine(enc):
     rng = np.random.default_rng(11)
     cells = [tuple(_unit(rng, 2)) for _ in range(4)]
-    cases.append((2, DataRegister.quantum(cells), _unit(rng, 4)))
-    for n, data, address in cases:
-        cfg = QramConfig(n=n, encoding=enc)
-        ref = SlotState(reference_initial_state(cfg, address, data))
-        init = export(initial_state(cfg, address, data), data.qubits).amps
-        assert set(init) == set(ref.amps)
-        assert max(abs(init[k] - a) for k, a in ref.amps.items()) <= 1e-14
-        ref.apply_all(build_query_gates(cfg, data))
-        res = query(cfg, address, data)
-        final = export(res.table, data.qubits)
-        got = final.amps
-        assert set(got) == set(ref.amps), (n, data.mode)
-        assert max(abs(got[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
-        quantum = data.mode is DataMode.QUANTUM
-        assert res.max_support == (2 * 2 ** n if quantum else ref.max_support), (n, data.mode)
-        want, ground = decode_frozensets(cfg, data, final)
-        assert res.tree_ground and ground
-        assert set(res.address_bus) == set(want), (n, data.mode)
-        assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
+    _assert_matches_slot_engine(QramConfig(n=2, encoding=enc), _unit(rng, 4),
+                                DataRegister.quantum(cells))
 
 
 def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
