@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,36 +93,86 @@ def _lifetime_us(value, key: str) -> float:
     return _duration_ns(value, key) / 1e3
 
 
-def _shape(name: str) -> PulseShape:
-    try:
-        return PulseShape(name)
-    except ValueError:
-        raise ConfigError(f"unknown pulse shape {name!r}") from None
+def _enum(kind):
+    """Parser for a value of the enum `kind`."""
+    def parse(value, key: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"unknown {key} {value!r}") from None
+    return parse
 
 
-def _encoding(name: str) -> Encoding:
-    try:
-        return Encoding(name)
-    except ValueError:
-        raise ConfigError(f"unknown encoding {name!r}") from None
+def _list_of(parse):
+    """Parser for a non-empty list, each item read by `parse`."""
+    return lambda value, key: [parse(x, key) for x in _list(value, key)]
 
 
-def _load_config(path, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if path is None:
-        return cfg
-    try:
-        with open(path) as fh:
-            user = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    if not isinstance(user, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg.update(user)
-    return cfg
+def _int_at_most(most: int):
+    """Parser for a size n that refuses n > `most` before anything is built."""
+    def parse(value, key: str) -> int:
+        n = _number(int, value, key)
+        if n > most:
+            raise ConfigError(f"n must be <= {most}, got {value!r}")
+        return n
+    return parse
+
+
+def _kappa_grid(value, key: str) -> np.ndarray:
+    """{min, max, points} in MHz -> a geometric grid in rad/ns."""
+    if not (isinstance(value, dict) and set(value) == {"min", "max", "points"}):
+        raise ConfigError(f"{key} needs exactly min, max and points: {value!r}")
+    points = _number(int, value["points"], f"{key}.points")
+    if not 1 <= points <= _MAX_KAPPA_POINTS:
+        raise ConfigError(f"{key}.points must be in 1..{_MAX_KAPPA_POINTS}, got {points}")
+    lo, hi = (_number(float, value[k], f"{key}.{k}") for k in ("min", "max"))
+    if not (lo > 0 and hi > 0):
+        raise ConfigError(f"{key} min/max must be > 0, got {lo}, {hi}")
+    return np.geomspace(lo, hi, points) * _TWO_PI_MHZ
+
+
+def _control_init(value, key: str) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{key} must be [alpha, beta]")
+    return tuple(_number(complex, c, key) for c in value)
+
+
+def _n_range(value, key: str) -> range:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{key} must be [lo, hi], got {value!r}")
+    lo, hi = _number(int, value[0], key), _int_at_most(_MAX_N)(value[1], key)
+    if lo > hi:
+        raise ConfigError(f"{key} must have lo <= hi, got {value!r}")
+    return range(lo, hi + 1)
+
+
+def _grid_point(value, key: str) -> tuple:
+    """A montecarlo grid point {n, T1_q, T1_m} -> (n, T1_q in us, T1_m in us)."""
+    if not (isinstance(value, dict) and set(value) == {"n", "T1_q", "T1_m"}):
+        raise ConfigError(f"{key} must be a list of {{n, T1_q, T1_m}} points: {value!r}")
+    return (_int_at_most(_MAX_N)(value["n"], "n"), _lifetime_us(value["T1_q"], "T1_q"),
+            _lifetime_us(value["T1_m"], "T1_m"))
+
+
+def _load_config(args, spec: dict) -> tuple[dict, dict]:
+    """(echo, values) for --config read against `spec`, {key: (default, parse)}.
+    echo is the config as given over the defaults, for the output metadata;
+    values holds parse(echo[key], key), so a command has checked its whole
+    config before it computes anything.  A parse of None leaves the key to a
+    check in the command that also reads other keys."""
+    echo = {key: default for key, (default, _) in spec.items()}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                user = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigError("config must be a JSON object")
+        if unknown := set(user) - set(spec):
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        echo.update(user)
+    return echo, {key: parse(echo[key], key) for key, (_, parse) in spec.items() if parse}
 
 
 def _meta(args, params: dict) -> str:
@@ -169,69 +220,41 @@ def _write_sweep(path, rows, meta: str) -> None:
 # subcommands
 
 def cmd_route_fidelity(args) -> int:
-    defaults = {
-        "fwhm": "50ns",
-        "shapes": ["gaussian", "sech"],
-        "kappa_grid_mhz": {"min": 10.0, "max": 1000.0, "points": 25},
-        "windows": ["150ns", "250ns", "350ns", "450ns", "550ns", "650ns",
-                    "750ns", "850ns", "950ns", "1050ns"],
-        "kappa_1d_mhz": 200.0,
-    }
-    cfg = _load_config(args.config, defaults)
-    fwhm = _duration_ns(cfg["fwhm"], "fwhm")
-    kappa_1d = _number(float, cfg["kappa_1d_mhz"], "kappa_1d_mhz") * _TWO_PI_MHZ
-    shapes = [_shape(s) for s in _list(cfg["shapes"], "shapes")]
-    grid = cfg["kappa_grid_mhz"]
-    if not (isinstance(grid, dict) and set(grid) == {"min", "max", "points"}):
-        raise ConfigError(f"kappa_grid_mhz needs exactly min, max and points: {grid!r}")
-    points = _number(int, grid["points"], "kappa_grid_mhz.points")
-    if not 1 <= points <= _MAX_KAPPA_POINTS:
-        raise ConfigError(f"kappa_grid_mhz.points must be in 1..{_MAX_KAPPA_POINTS}, "
-                          f"got {points}")
-    lo, hi = (_number(float, grid[k], f"kappa_grid_mhz.{k}") for k in ("min", "max"))
-    if not (lo > 0 and hi > 0):
-        raise ConfigError(f"kappa_grid_mhz min/max must be > 0, got {lo}, {hi}")
-    kappas = np.geomspace(lo, hi, points) * _TWO_PI_MHZ
-    windows = [_duration_ns(w, "windows") for w in _list(cfg["windows"], "windows")]
-
+    echo, cfg = _load_config(args, {
+        "fwhm": ("50ns", _duration_ns),
+        "shapes": (["gaussian", "sech"], _list_of(_enum(PulseShape))),
+        "kappa_grid_mhz": ({"min": 10.0, "max": 1000.0, "points": 25}, _kappa_grid),
+        "windows": (["150ns", "250ns", "350ns", "450ns", "550ns", "650ns",
+                     "750ns", "850ns", "950ns", "1050ns"], _list_of(_duration_ns)),
+        "kappa_1d_mhz": (200.0, partial(_number, float)),
+    })
     # both sweeps run before either file is written, so a failure writes nothing
-    c_rows = router.sweep_kappa(shapes, fwhm, kappas)
-    d_rows = router.sweep_window(shapes, fwhm, kappa_1d, windows)
+    c_rows = router.sweep_kappa(cfg["shapes"], cfg["fwhm"], cfg["kappa_grid_mhz"])
+    d_rows = router.sweep_window(cfg["shapes"], cfg["fwhm"],
+                                 cfg["kappa_1d_mhz"] * _TWO_PI_MHZ, cfg["windows"])
     out = _outdir(args)
-    _write_sweep(out / "fig1c.csv", c_rows, _meta(args, cfg))
-    _write_sweep(out / "fig1d.csv", d_rows, _meta(args, cfg))
+    _write_sweep(out / "fig1c.csv", c_rows, _meta(args, echo))
+    _write_sweep(out / "fig1d.csv", d_rows, _meta(args, echo))
     return 0
 
 
 def cmd_router_sim(args) -> int:
-    defaults = {
-        "shape": "gaussian",
-        "fwhm": "50ns",
-        "kappa_mhz": 200.0,
-        "window": "350ns",
-        "control_init": [0.7071067811865476, 0.7071067811865476],
-        "source": "left",
-        "dt": None,
-    }
-    cfg = _load_config(args.config, defaults)
-    packet = WavePacket(_shape(cfg["shape"]), _duration_ns(cfg["fwhm"], "fwhm"))
-    ctrl = cfg["control_init"]
-    if not (isinstance(ctrl, list) and len(ctrl) == 2):
-        raise ConfigError("control_init must be [alpha, beta]")
-    try:
-        source = router.Source(cfg["source"])
-    except ValueError:
-        raise ConfigError(f"unknown source {cfg['source']!r}") from None
+    echo, cfg = _load_config(args, {
+        "shape": ("gaussian", _enum(PulseShape)),
+        "fwhm": ("50ns", _duration_ns),
+        "kappa_mhz": (200.0, partial(_number, float)),
+        "window": ("350ns", _duration_ns),
+        "control_init": ([0.7071067811865476, 0.7071067811865476], _control_init),
+        "source": ("left", _enum(router.Source)),
+        "dt": (None, lambda value, key: None if value is None else _duration_ns(value, key)),
+    })
     sim = router.simulate_routing(router.RouterSimConfig(
-        packet=packet,
-        kappa_max=_number(float, cfg["kappa_mhz"], "kappa_mhz") * _TWO_PI_MHZ,
-        window=_duration_ns(cfg["window"], "window"),
-        dt=None if cfg["dt"] is None else _duration_ns(cfg["dt"], "dt"),
-        control_init=tuple(_number(complex, c, "control_init") for c in ctrl),
-        source=source,
+        packet=WavePacket(cfg["shape"], cfg["fwhm"]), kappa_max=cfg["kappa_mhz"] * _TWO_PI_MHZ,
+        window=cfg["window"], dt=cfg["dt"], control_init=cfg["control_init"],
+        source=cfg["source"],
     ))
     payload = {
-        "params": cfg,
+        "params": echo,
         "fidelity": sim.fidelity,
         "leakage": sim.leakage,
         "final_state": {k: [v.real, v.imag] for k, v in sim.final_state.items()},
@@ -257,12 +280,9 @@ def _parse_address(spec, N: int, n: int):
     if isinstance(spec, list):
         if len(spec) != N:
             raise ConfigError(f"address needs {N} amplitudes")
-        try:
-            v = np.asarray([complex(*(_number(float, y, "address") for y in x))
-                            if isinstance(x, list) and len(x) == 2
-                            else _number(complex, x, "address") for x in spec])
-        except (TypeError, ValueError):
-            raise ConfigError(f"cannot parse address amplitudes {spec!r}") from None
+        v = np.asarray([complex(*(_number(float, y, "address") for y in x))
+                        if isinstance(x, list) and len(x) == 2
+                        else _number(complex, x, "address") for x in spec])
         if not np.isfinite(v).all():
             raise ConfigError(f"address amplitudes must be finite, got {spec!r}")
         nrm = np.linalg.norm(v)
@@ -273,39 +293,34 @@ def _parse_address(spec, N: int, n: int):
 
 
 def cmd_query_sim(args) -> int:
-    defaults = {
-        "n": 2,
-        "encoding": "single_rail",
-        "mode": "classical",
-        "data": None,  # classical default: address parity, popcount(j) % 2
-        "address": "scan",
-        "export_trace": False,
-    }
-    cfg = _load_config(args.config, defaults)
-    n = _number(int, cfg["n"], "n")
-    if n > _MAX_QUERY_N:
-        raise ConfigError(f"n must be <= {_MAX_QUERY_N}, got {cfg['n']!r}")
-    qcfg = QramConfig(n=n, encoding=_encoding(cfg["encoding"]))
+    echo, cfg = _load_config(args, {
+        "n": (2, _int_at_most(_MAX_QUERY_N)),
+        "encoding": ("single_rail", _enum(Encoding)),
+        "mode": ("classical", None),
+        "data": (None, None),  # classical default: address parity, popcount(j) % 2
+        "address": ("scan", None),
+        "export_trace": (False, _bool),
+    })
+    qcfg = QramConfig(n=cfg["n"], encoding=cfg["encoding"])
     N = qcfg.N
-    export_trace = _bool(cfg["export_trace"], "export_trace")
-    if cfg["data"] is None:
-        if cfg["mode"] == "quantum":
+    if echo["data"] is None:
+        if echo["mode"] == "quantum":
             raise ConfigError("quantum mode needs an explicit data register")
-        cfg["data"] = [j.bit_count() % 2 for j in range(N)]
+        echo["data"] = [j.bit_count() % 2 for j in range(N)]
     try:
-        if cfg["mode"] == "classical":
+        if echo["mode"] == "classical":
             data = DataRegister.classical(
-                [_number(int, b, "data") for b in _list(cfg["data"], "data")])
-        elif cfg["mode"] == "quantum":
+                [_number(int, b, "data") for b in _list(echo["data"], "data")])
+        elif echo["mode"] == "quantum":
             data = DataRegister.quantum([tuple(_number(complex, a, "data") for a in q)
-                                         for q in _list(cfg["data"], "data")])
+                                         for q in _list(echo["data"], "data")])
         else:
-            raise ConfigError(f"unknown data mode {cfg['mode']!r}")
+            raise ConfigError(f"unknown data mode {echo['mode']!r}")
     except (TypeError, ValueError):
-        raise ConfigError(f"cannot parse {cfg['mode']} data {cfg['data']!r}") from None
-    addr = _parse_address(cfg["address"], N, qcfg.n)
-    if addr is None and n > _MAX_SCAN_N:
-        raise ConfigError(f"an address scan needs n <= {_MAX_SCAN_N}, got {n}")
+        raise ConfigError(f"cannot parse {echo['mode']} data {echo['data']!r}") from None
+    addr = _parse_address(echo["address"], N, qcfg.n)
+    if addr is None and qcfg.n > _MAX_SCAN_N:
+        raise ConfigError(f"an address scan needs n <= {_MAX_SCAN_N}, got {qcfg.n}")
     addresses = (_basis(N, j) for j in range(N)) if addr is None else [addr]
     records = []
     for v in addresses:
@@ -320,78 +335,51 @@ def cmd_query_sim(args) -> int:
             "tree_ground": res.tree_ground,
             "max_support": res.max_support,
         })
-    payload = {"params": cfg, "meta": _meta(args, cfg), "queries": records}
+    payload = {"params": echo, "meta": _meta(args, echo), "queries": records}
     out = _outdir(args)
     _write_json(out / "query_sim.json", payload)
-    if export_trace:
+    if cfg["export_trace"]:
         _write_json(out / "query_trace.json", trace_to_json(build_query_gates(qcfg, data)))
     return 0
 
 
 def cmd_heralding(args) -> int:
-    defaults = {
-        "n_range": [1, 10],
-        "t": "350ns",
-        "T1_q": "100us",
-        "T1_m_list": ["0.5us", "2us", "10us", "inf"],
-        "T2_q_list": ["100us", "300us", "1000us"],
-        "T2_m": "inf",
-        "encoding": "hybrid_dual_rail",
-    }
-    cfg = _load_config(args.config, defaults)
-    if not (isinstance(cfg["n_range"], list) and len(cfg["n_range"]) == 2):
-        raise ConfigError(f"n_range must be [lo, hi], got {cfg['n_range']!r}")
-    lo, hi = (_number(int, x, "n_range") for x in cfg["n_range"])
-    if lo > hi:
-        raise ConfigError(f"n_range must have lo <= hi, got {cfg['n_range']!r}")
-    if hi > _MAX_N:
-        raise ConfigError(f"n must be <= {_MAX_N}, got {cfg['n_range']!r}")
-    ns = range(lo, hi + 1)
-    t = _duration_ns(cfg["t"], "t")
-    T1q = _lifetime_us(cfg["T1_q"], "T1_q")
-    T1ms = [_lifetime_us(x, "T1_m_list") for x in _list(cfg["T1_m_list"], "T1_m_list")]
-    T2s = [_lifetime_us(x, "T2_q_list") for x in _list(cfg["T2_q_list"], "T2_q_list")]
-    T2m = _lifetime_us(cfg["T2_m"], "T2_m")
-    enc = _encoding(cfg["encoding"])
-
+    echo, cfg = _load_config(args, {
+        "n_range": ([1, 10], _n_range),
+        "t": ("350ns", _duration_ns),
+        "T1_q": ("100us", _lifetime_us),
+        "T1_m_list": (["0.5us", "2us", "10us", "inf"], _list_of(_lifetime_us)),
+        "T2_q_list": (["100us", "300us", "1000us"], _list_of(_lifetime_us)),
+        "T2_m": ("inf", _lifetime_us),
+        "encoding": ("hybrid_dual_rail", _enum(Encoding)),
+    })
+    ns, t = cfg["n_range"], cfg["t"]
     # both tables are built before either file is written, so an error writes nothing
-    rows = [row for T1m in T1ms
-            for row in analytics.heralding_sweep_rows(ns, t, T1q, T1m, enc)]
-    drows = analytics.dephasing_sweep_rows(ns, t, T2s, T2m)
+    rows = [row for T1m in cfg["T1_m_list"]
+            for row in analytics.heralding_sweep_rows(ns, t, cfg["T1_q"], T1m, cfg["encoding"])]
+    drows = analytics.dephasing_sweep_rows(ns, t, cfg["T2_q_list"], cfg["T2_m"])
     out = _outdir(args)
     _write_csv(out / "fig4a.csv",
                "n,N,t_ns,T1q_us,T1m_us,T,P,Pmin,Pmax,rate_hz".split(","),
-               rows, _meta(args, cfg))
+               rows, _meta(args, echo))
     _write_csv(out / "fig4b.csv",
                "n,T2q_us,P_dephasing,approx_first_order".split(","),
-               drows, _meta(args, cfg))
+               drows, _meta(args, echo))
     return 0
 
 
 def cmd_montecarlo(args) -> int:
-    defaults = {
-        "grid": [
-            {"n": 2, "T1_q": "100us", "T1_m": "100us"},
-            {"n": 4, "T1_q": "100us", "T1_m": "2us"},
-            {"n": 7, "T1_q": "100us", "T1_m": "2us"},
-        ],
-        "t": "350ns",
-        "encoding": "hybrid_dual_rail",
-        "trials": 100000,
-    }
-    cfg = _load_config(args.config, defaults)
-    trials = _number(int, cfg["trials"], "trials")
+    echo, cfg = _load_config(args, {
+        "grid": ([{"n": 2, "T1_q": "100us", "T1_m": "100us"},
+                  {"n": 4, "T1_q": "100us", "T1_m": "2us"},
+                  {"n": 7, "T1_q": "100us", "T1_m": "2us"}], _list_of(_grid_point)),
+        "t": ("350ns", _duration_ns),
+        "encoding": ("hybrid_dual_rail", _enum(Encoding)),
+        "trials": (100000, partial(_number, int)),
+    })
+    t, enc, trials, points = cfg["t"], cfg["encoding"], cfg["trials"], cfg["grid"]
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    t = _duration_ns(cfg["t"], "t")
-    enc = _encoding(cfg["encoding"])
-    grid = _list(cfg["grid"], "grid")
-    if not all(isinstance(p, dict) and set(p) == {"n", "T1_q", "T1_m"} for p in grid):
-        raise ConfigError(f"grid must be a list of {{n, T1_q, T1_m}} points: {grid!r}")
-    points = [(_number(int, p["n"], "n"), _lifetime_us(p["T1_q"], "T1_q"),
-               _lifetime_us(p["T1_m"], "T1_m")) for p in grid]
-    if max(n for n, _, _ in points) > _MAX_N:
-        raise ConfigError(f"n must be <= {_MAX_N}, got {grid!r}")
     if max(trials * (n + 1) for n, _, _ in points) > _MAX_MC_DRAWS:
         raise ConfigError(f"trials * (n + 1) must be <= {_MAX_MC_DRAWS:.0e}, got "
                           f"trials={trials} with n up to {max(n for n, _, _ in points)}")
@@ -409,24 +397,22 @@ def cmd_montecarlo(args) -> int:
                      p_hat, se, p_closed, dev, bool(dev < 3.0)))
     header = ("n,encoding,t_ns,T1q_us,T1m_us,trials,p_hat,stderr,p_closed,"
               "dev_sigma,agree_3sigma").split(",")
-    _write_csv(_outdir(args) / "montecarlo.csv", header, rows, _meta(args, cfg))
+    _write_csv(_outdir(args) / "montecarlo.csv", header, rows, _meta(args, echo))
     return 0
 
 
 def cmd_schedule(args) -> int:
-    defaults = {"n": 4, "t": "350ns",
-                "encodings": ["hybrid_dual_rail", "standard_dual_rail_vacuum"]}
-    cfg = _load_config(args.config, defaults)
-    n = _number(int, cfg["n"], "n")
-    if n > _MAX_N:
-        raise ConfigError(f"n must be <= {_MAX_N}, got {cfg['n']!r}")
-    t = _duration_ns(cfg["t"], "t")
-    encs = [_encoding(name) for name in _list(cfg["encodings"], "encodings")]
-    tags = ["standard" if enc.is_standard else "hybrid" for enc in encs]
+    echo, cfg = _load_config(args, {
+        "n": (4, _int_at_most(_MAX_N)),
+        "t": ("350ns", _duration_ns),
+        "encodings": (["hybrid_dual_rail", "standard_dual_rail_vacuum"],
+                      _list_of(_enum(Encoding))),
+    })
+    tags = ["standard" if enc.is_standard else "hybrid" for enc in cfg["encodings"]]
     if len(set(tags)) < len(tags):
-        raise ConfigError(f"encodings {cfg['encodings']!r} share an output file; "
+        raise ConfigError(f"encodings {echo['encodings']!r} share an output file; "
                           "give at most one standard and one non-standard")
-    scheds = [scheduling.build_schedule(n, enc, t) for enc in encs]
+    scheds = [scheduling.build_schedule(cfg["n"], enc, cfg["t"]) for enc in cfg["encodings"]]
     out = _outdir(args)
     report = {}
     for sched, tag in zip(scheds, tags):
@@ -434,7 +420,7 @@ def cmd_schedule(args) -> int:
                    ["k", "level", "slot_start", "direction", "rail"],
                    ((e.k, e.level, e.slot_start, e.direction, e.rail)
                     for e in sched.entries),
-                   _meta(args, cfg))
+                   _meta(args, echo))
         _write_json(out / f"schedule_{tag}_gantt.json",
                     scheduling.schedule_to_gantt_json(sched))
         report[tag] = {

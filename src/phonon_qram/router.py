@@ -174,7 +174,7 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
         raise ResolutionError(
             f"window/dt = {steps:.3g} steps; the grid limit is {_MAX_STEPS:.0e}"
         )
-    n = max(math.ceil(steps), 1000)
+    n = math.ceil(steps)
     dt = config.window / n
     t_half = np.arange(2 * n + 1) * (dt / 2.0)
     packet = WavePacket(config.packet.shape, config.packet.fwhm, config.window / 2.0)

@@ -68,7 +68,10 @@ class WavePacket:
     def width_param(self) -> float:
         """Shape-specific width parameter: kappa_w (Gaussian) or tau (sech)."""
         if self.shape is PulseShape.GAUSSIAN:
-            return 1.0 / self.fwhm
+            kw = 1.0 / self.fwhm
+            if kw**2 == 0.0:  # every Gaussian formula scales with kw**2
+                raise NumericalFailureError(f"fwhm={self.fwhm} ns: the spectral width underflows")
+            return kw
         return self.fwhm / 2.0
 
     @property
@@ -146,8 +149,6 @@ def _spectral_power(packet: WavePacket):
     """|envelope_freq(packet, w)|**2 as a plain-float function of scalar w."""
     if packet.shape is PulseShape.GAUSSIAN:
         kw = packet.width_param
-        if kw**2 == 0.0:
-            raise NumericalFailureError(f"fwhm={packet.fwhm} ns: the spectral width underflows")
         peak = (1.0 / (2.0 * math.pi * kw**2)) ** 0.25
         return lambda w: (peak * math.exp(-(w * w) / (4.0 * kw**2))) ** 2
     tau = packet.width_param

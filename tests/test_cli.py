@@ -170,6 +170,21 @@ def test_heralding_outputs(tmp_path):
         assert_cells_match(cells, row)
 
 
+def test_heralding_standard_encoding_has_one_probability(tmp_path):
+    # the standard dual-rail closed form is exact: P = Pmin = Pmax
+    config = {"n_range": [1, 3], "T1_m_list": ["2us"], "T2_q_list": ["100us"],
+              "encoding": "standard_dual_rail_vacuum"}
+    assert run(tmp_path, "heralding", config=config) == 0
+    header, rows = csv_table(tmp_path / "fig4a.csv")
+    expected = heralding_sweep_rows(range(1, 4), 350.0, 100.0, 2.0,
+                                    Encoding.STANDARD_DUAL_RAIL_VACUUM)
+    assert len(rows) == len(expected) == 3
+    for cells, row in zip(rows, expected):
+        assert_cells_match(cells, row)
+        p, p_min, p_max = (cells[header.split(",").index(c)] for c in ("P", "Pmin", "Pmax"))
+        assert p == p_min == p_max
+
+
 def test_heralding_finite_memory_dephasing(tmp_path):
     config = {"n_range": [1, 3], "T1_m_list": ["inf"], "T2_q_list": ["100us"]}
     assert run(tmp_path, "heralding", config=config) == 0
@@ -636,6 +651,17 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     # an address pair is exactly [re, im]
     ("query-sim", {"n": 1, "data": [0, 1], "address": [[], 1]}),
     ("query-sim", {"n": 1, "data": [0, 1], "address": [[1], 0]}),
+    # a config file that is not a JSON object
+    ("schedule", [4]),
+    # an address list of the wrong length, and one with zero norm
+    ("query-sim", {"n": 1, "data": [0, 1], "address": [1, 0, 0]}),
+    ("query-sim", {"n": 1, "data": [0, 1], "address": [0, 0]}),
+    # quantum cells that are not [a, b] pairs
+    ("query-sim", {"n": 1, "mode": "quantum", "data": [[1, 0, 0], [1, 0]], "address": "0"}),
+    ("query-sim", {"n": 1, "mode": "quantum", "data": [1, 2], "address": "0"}),
+    # a zero time step or coupling
+    ("router-sim", {"dt": "0ns"}),
+    ("router-sim", {"kappa_mhz": 0}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2
@@ -688,6 +714,8 @@ def test_resolution_failure_exit_code(tmp_path):
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
     # the spectral width underflows before the time-domain grid is sized
     ("route-fidelity", {"fwhm": "1e200ns"}),
+    # and before the time-domain envelope is drawn: not a zero envelope
+    ("router-sim", {"fwhm": "1e200ns"}),
 ])
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
     # the step count is checked before any array is built

@@ -229,6 +229,8 @@ def test_config_and_register_validation():
         DataRegister.quantum([(1e308, 1e308), (1, 0)])
     with pytest.raises(InvalidParameterError):
         query(QramConfig(n=1), [1.0, 1.0], DataRegister.classical([0, 1]))
+    with pytest.raises(InvalidParameterError):  # N = 2 needs 2 amplitudes
+        initial_state(QramConfig(n=1), [1.0, 0.0, 0.0], DataRegister.classical([0, 1]))
 
 
 def test_norm_guard_trips_on_non_unitary_record():
@@ -250,7 +252,10 @@ def _assert_matches_slot_engine(cfg, address, data):
     data; for quantum data the bus and the queried cell, two per address,
     where the reference holds every cell's 2^N branches), and address_bus
     and tree_ground decoded from the path keys, against the absolute-slot
-    engine, which holds the whole tree and every data cell per branch."""
+    engine, which holds the whole tree and every data cell per branch.
+    With classical data neither engine grows past its initial 2N rows, so
+    the support counts agree even if one never updates its count;
+    `test_state.test_max_support_tracking` is what checks the reference's."""
     n = cfg.n
     ref = SlotState(reference_initial_state(cfg, address, data))
     init = export(initial_state(cfg, address, data), data.qubits).amps

@@ -60,6 +60,16 @@ def test_validator_catches_premature_crossing():
     assert any("before its control is set" in p for p in problems)
 
 
+def test_validator_catches_entry_outside_makespan():
+    sched = build_schedule(3, Encoding.HYBRID_DUAL_RAIL)
+    late = ScheduleEntry(k=0, level=0, slot_start=sched.makespan_slots, direction="out")
+    bad = Schedule(
+        sched.n, sched.t, sched.encoding, sched.entries + (late,),
+        sched.makespan_slots,
+    )
+    assert validate_schedule(bad) == [f"entry outside makespan: {late}"]
+
+
 @pytest.mark.parametrize("enc", PIPELINED + STANDARD)
 @pytest.mark.parametrize("n", range(1, 13))
 def test_residence_partitions_cover_query(n, enc):

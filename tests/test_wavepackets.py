@@ -133,9 +133,14 @@ def test_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         ReflectionResponse(kappa_max=0.0)
     # so long a packet's kw**2 underflows to 0: its spectrum has no float form
+    long = WavePacket(PulseShape.GAUSSIAN, fwhm=1e200)
     with pytest.raises(NumericalFailureError):
-        distortion_fidelity(WavePacket(PulseShape.GAUSSIAN, fwhm=1e200),
-                            ReflectionResponse(200 * TWO_PI_MHZ))
+        distortion_fidelity(long, ReflectionResponse(200 * TWO_PI_MHZ))
+    # nor do its envelopes: not a zero peak, not a ZeroDivisionError
+    with pytest.raises(NumericalFailureError):
+        envelope_time(long, 0.0)
+    with pytest.raises(NumericalFailureError):
+        envelope_freq(long, 0.0)
 
 
 def test_importing_the_package_does_not_import_scipy_integrate():
