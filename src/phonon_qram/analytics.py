@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalFailureError
 from .qram_types import Encoding
 from .scheduling import check_nt, makespan_slots
 
@@ -68,10 +68,8 @@ def success_prob_hybrid(
     for k in range(n + 1):
         tk = 2 * k * t_ns
         P *= 0.5 * (math.exp(-tk / Tm) + math.exp(-tk / Tq)) * math.exp(-(T - tk) / Tq)
-    worst = min(Tq, Tm)
-    best = max(Tq, Tm)
-    P_min = math.exp(-(n + 1) * (T / Tq - n * t_ns / Tq + n * t_ns / worst))
-    P_max = math.exp(-(n + 1) * (T / Tq - n * t_ns / Tq + n * t_ns / best))
+    P_min = math.exp(-(n + 1) * (T / Tq - n * t_ns / Tq + n * t_ns / min(Tq, Tm)))
+    P_max = math.exp(-(n + 1) * (T / Tq - n * t_ns / Tq + n * t_ns / max(Tq, Tm)))
     return P, P_min, P_max
 
 
@@ -89,7 +87,9 @@ def success_prob_standard_vacuum(
 def heralding_rate(P_no_error: float, T_ns: float) -> float:
     """Successful queries per second: P/T."""
     _check_pos(T_ns=T_ns)
-    return P_no_error / (T_ns * 1e-9)
+    if not math.isfinite(rate := P_no_error / (T_ns * 1e-9 or math.nan)):  # 0 s -> NaN
+        raise NumericalFailureError(f"T={T_ns} ns is too short for a float heralding rate")
+    return rate
 
 
 def heralding_report(

@@ -15,7 +15,7 @@ from phonon_qram.analytics import (
     success_prob_standard_vacuum,
 )
 from phonon_qram.cli import main
-from phonon_qram.errors import InvalidParameterError
+from phonon_qram.errors import InvalidParameterError, NumericalFailureError
 from phonon_qram.qram_types import Encoding
 
 HYB = Encoding.HYBRID_DUAL_RAIL
@@ -110,6 +110,9 @@ def test_heralding_report_bounds_and_single_rail_rejection():
     )
     with pytest.raises(InvalidParameterError):
         heralding_report(3, 350.0, 50.0, 1.0, encoding=Encoding.SINGLE_RAIL)
+    # a rate with no float value is a numerical failure, not a ZeroDivisionError
+    with pytest.raises(NumericalFailureError):
+        heralding_rate(1.0, 5e-324)
 
 
 def test_dephasing_product_oracle():

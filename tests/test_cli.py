@@ -716,10 +716,20 @@ def test_resolution_failure_exit_code(tmp_path):
     ("route-fidelity", {"fwhm": "1e200ns"}),
     # and before the time-domain envelope is drawn: not a zero envelope
     ("router-sim", {"fwhm": "1e200ns"}),
+    # so short a Gaussian that kw**2 (1e-300ns) or kw (5e-324ns) overflows
+    ("route-fidelity", {"fwhm": "1e-300ns", "windows": ["350ns"],
+                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+    ("route-fidelity", {"fwhm": "5e-324ns", "windows": ["350ns"],
+                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+    # so short a query that T * 1e-9 s underflows and the rate P/T overflows
+    ("heralding", {"n_range": [1, 2], "t": "5e-324ns"}),
+    ("montecarlo", {"t": "1e-320us", "trials": 10,
+                    "grid": [{"n": 2, "T1_q": "100us", "T1_m": "100us"}]}),
 ])
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
-    # the step count is checked before any array is built
+    # the step count is checked before any array is built, and no output is written
     assert run(tmp_path, cmd, config=config) == 3
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_route_fidelity_failure_writes_no_csv(tmp_path):

@@ -19,7 +19,6 @@ from phonon_qram.wavepackets import (
     envelope_time,
     reflection_transfer,
 )
-from phonon_qram.wavepackets import _spectral_power
 
 TWO_PI_MHZ = 2 * math.pi * 1e-3
 
@@ -54,29 +53,6 @@ def test_freq_envelope_is_fourier_transform_of_time_envelope(shape):
         assert ft == pytest.approx(complex(envelope_freq(p, w)), abs=1e-9)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_spectral_std_matches_numerical_moment(shape):
-    p = WavePacket(shape, fwhm=50.0)
-    w = np.linspace(-3.0, 3.0, 600001)
-    u2 = np.abs(envelope_freq(p, w)) ** 2
-    second = np.trapezoid(w ** 2 * u2, w)
-    assert math.sqrt(second) == pytest.approx(p.spectral_std, rel=1e-6)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_scalar_spectral_power_matches_envelope_freq(shape):
-    # the plain-float |u(w)|^2 of the distortion integrand; the grid runs
-    # past |w| pi tau / 2 = 710, where the sech needs its 700 clip
-    p = WavePacket(shape, fwhm=50.0, center=37.0)
-    w_clip = 710.0 / (math.pi * (p.fwhm / 2.0) / 2.0)
-    w = np.concatenate([np.linspace(-0.5, 0.5, 1001),
-                        np.geomspace(1e-4, 3.0 * w_clip, 2000)])
-    power = _spectral_power(p)
-    got = np.array([power(x) for x in w])
-    np.testing.assert_allclose(got, np.abs(envelope_freq(p, w)) ** 2,
-                               rtol=1e-14, atol=0.0)
-
-
 @given(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
 @settings(max_examples=1000, deadline=None)
 def test_reflection_is_phase_only(omega):
@@ -91,17 +67,19 @@ def test_reflection_on_resonance_is_pi_phase():
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_distortion_fidelity_against_trapezoid_oracle(shape):
-    # independent route: brute-force trapezoid over a wide dense grid
-    p = WavePacket(shape, fwhm=50.0)
-    for kappa_mhz in (10, 50, 200, 1000):
-        kappa = kappa_mhz * TWO_PI_MHZ
-        w = np.linspace(-60 * p.spectral_std, 60 * p.spectral_std, 800001)
+    # independent route: brute-force trapezoid over a wide dense grid; past
+    # |w| = 60/fwhm both spectra are below 1e-40 of their peak
+    for fwhm in (10.0, 50.0, 200.0):
+        p = WavePacket(shape, fwhm=fwhm)
+        w = np.linspace(-60.0 / fwhm, 60.0 / fwhm, 800001)
         u2 = np.abs(envelope_freq(p, w)) ** 2
-        integral = np.trapezoid(u2 * w ** 2 / (kappa ** 2 + 4 * w ** 2), w)
-        oracle = (1.0 - 2.0 * integral) ** 2
-        assert distortion_fidelity(p, ReflectionResponse(kappa)) == pytest.approx(
-            oracle, abs=1e-9
-        )
+        for kappa_mhz in (1, 10, 50, 200, 1000, 10000):
+            kappa = kappa_mhz * TWO_PI_MHZ
+            integral = np.trapezoid(u2 * w ** 2 / (kappa ** 2 + 4 * w ** 2), w)
+            oracle = (1.0 - 2.0 * integral) ** 2
+            assert distortion_fidelity(p, ReflectionResponse(kappa)) == pytest.approx(
+                oracle, abs=1e-13
+            )
 
 
 def test_distortion_fidelity_limits():
@@ -118,6 +96,17 @@ def test_fidelity_bounded():
         for kappa in np.geomspace(1e-3, 1e3, 25):
             f = distortion_fidelity(p, ReflectionResponse(kappa))
             assert 0.25 - 1e-9 <= f <= 1.0 + 1e-12
+        # the closed forms' limits: F -> 1/4 as kappa -> 0 and F -> 1 as
+        # kappa -> inf, also where kappa * fwhm overflows
+        for fwhm in (1e-3, 50.0, 1e150):
+            p = WavePacket(shape, fwhm=fwhm)
+            for kappa in (1e-300, 1e300, math.inf):
+                f = distortion_fidelity(p, ReflectionResponse(kappa))
+                assert math.isfinite(f) and 0.25 <= f <= 1.0
+                if kappa == 1e-300:
+                    assert f == pytest.approx(0.25, abs=1e-12)
+                else:
+                    assert f == 1.0
 
 
 def test_reference_infidelity_value():
@@ -141,16 +130,25 @@ def test_invalid_parameters():
         envelope_time(long, 0.0)
     with pytest.raises(NumericalFailureError):
         envelope_freq(long, 0.0)
+    # so short a packet's kw or kw**2 overflows, for a plain or a NumPy float
+    # fwhm alike: an error, not an OverflowError or a RuntimeWarning
+    for fwhm in (1e-300, 5e-324, np.float64(1e-300), np.float64(5e-324)):
+        short = WavePacket(PulseShape.GAUSSIAN, fwhm=fwhm)
+        with pytest.raises(NumericalFailureError):
+            distortion_fidelity(short, ReflectionResponse(200 * TWO_PI_MHZ))
+        with pytest.raises(NumericalFailureError):
+            envelope_time(short, 0.0)
 
 
 def test_importing_the_package_does_not_import_scipy_integrate():
-    # quad and simpson are imported by the functions that call them, so a
-    # command that never integrates does not pay for scipy.integrate
+    # simpson, lfilter, erfcx and polygamma are imported by the functions that
+    # call them, so importing the package or its CLI loads no scipy module
     src = str(Path(wavepackets.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, phonon_qram; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, phonon_qram, phonon_qram.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
