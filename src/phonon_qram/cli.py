@@ -34,7 +34,7 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # before anything of that size is built
 _MAX_QUERY_N = 16
 # each scan record repeats the N-long address, so a scan's output grows as
-# N**2: 12.7 MB and 211 MB peak RSS at n = 10 (standard dual-rail)
+# N**2: 12.7 MB and 227 MB peak RSS at n = 10 (standard dual-rail)
 _MAX_SCAN_N = 10
 # route-fidelity runs a time-domain routing simulation per kappa point and
 # shape; refuse a larger grid before it is built (1e9 points need 7.45 GiB)
@@ -263,20 +263,16 @@ def cmd_router_sim(args) -> int:
     return 0
 
 
-def _basis(N: int, j: int) -> np.ndarray:
-    v = np.zeros(N, complex)
-    v[j] = 1.0
-    return v
-
-
-def _parse_address(spec, N: int, n: int):
-    """'scan' | bitstring | list of amplitudes."""
+def _parse_address(spec, N: int, n: int) -> np.ndarray:
+    """'scan' (every basis address) | bitstring | list of amplitudes -> (B, N)."""
     if spec == "scan":
-        return None
+        if n > _MAX_SCAN_N:
+            raise ConfigError(f"an address scan needs n <= {_MAX_SCAN_N}, got {n}")
+        return np.eye(N, dtype=complex)
     if isinstance(spec, str):
         if len(spec) != n or any(c not in "01" for c in spec):
             raise ConfigError(f"malformed address string {spec!r} for n={n}")
-        return _basis(N, int(spec, 2))
+        return np.eye(1, N, int(spec, 2), dtype=complex)
     if isinstance(spec, list):
         if len(spec) != N:
             raise ConfigError(f"address needs {N} amplitudes")
@@ -288,7 +284,7 @@ def _parse_address(spec, N: int, n: int):
         nrm = np.linalg.norm(v)
         if nrm < 1e-12:
             raise ConfigError("address state has zero norm")
-        return v / nrm
+        return (v / nrm)[None]
     raise ConfigError(f"cannot parse address {spec!r}")
 
 
@@ -318,23 +314,15 @@ def cmd_query_sim(args) -> int:
             raise ConfigError(f"unknown data mode {echo['mode']!r}")
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {echo['mode']} data {echo['data']!r}") from None
-    addr = _parse_address(echo["address"], N, qcfg.n)
-    if addr is None and qcfg.n > _MAX_SCAN_N:
-        raise ConfigError(f"an address scan needs n <= {_MAX_SCAN_N}, got {qcfg.n}")
-    addresses = (_basis(N, j) for j in range(N)) if addr is None else [addr]
-    records = []
-    for v in addresses:
-        res = query(qcfg, v, data)
-        records.append({
-            "address": [[a.real, a.imag] for a in v],
-            "address_bus": [
-                {"address_index": j, "bus": lvl,
-                 "amplitude": [complex(a).real, complex(a).imag]}
-                for (j, lvl), a in sorted(res.address_bus.items())
-            ],
-            "tree_ground": res.tree_ground,
-            "max_support": res.max_support,
-        })
+    addresses = _parse_address(echo["address"], N, qcfg.n)
+    records = [{
+        "address": address,
+        "address_bus": [{"address_index": j, "bus": lvl, "amplitude": [a.real, a.imag]}
+                        for (j, lvl), a in sorted(res.address_bus.items())],
+        "tree_ground": res.tree_ground,
+        "max_support": res.max_support,
+    } for res, address in zip(query(qcfg, addresses, data),
+                              addresses.view(float).reshape(len(addresses), N, 2).tolist())]
     payload = {"params": echo, "meta": _meta(args, echo), "queries": records}
     out = _outdir(args)
     _write_json(out / "query_sim.json", payload)

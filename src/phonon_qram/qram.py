@@ -22,19 +22,20 @@ gate records and for the absolute-slot export in `tests/`.
 for the trace export and for replay against the reference engines in
 `tests/`; a query never builds it.  `query` runs the level ops in path
 coordinates.  In address branch j every excitation stays on j's
-root-to-leaf path, so a query's state is one `state.Table` that owns
-its field layout (`_fields`: the registers, the control and ancilla of
-j's node at each level and rail, and, for quantum data, cell j's data
-slots) and holds a branch per row: j, one level per field and an
-amplitude.  A level op is one `state.apply_gate` call, a few column
-operations on every row at once; a row finds its node from j's prefix,
-and a hop into the child off j's path raises
-`NumericalFailureError`.  Only the bus decode splits rows, and it merges
-them again; the rows are merged once more at the end of every query, so
-an op that maps two rows onto one fails the norm check.  The cells a
+root-to-leaf path, so the state of B independent queries (a scan is one
+query per basis address) is one `state.Table` that owns its field layout
+(`_fields`: the registers, the control and ancilla of j's node at each
+level and rail, and, for quantum data, cell j's data slots) and holds a
+branch per row: its batch, j, one level per field and an amplitude.  A
+level op is one `state.apply_gate` call, a few column operations on every
+row at once; a row finds its node from j's prefix, and a hop into the
+child off j's path raises `NumericalFailureError`.  Only the bus decode
+splits rows, and it merges them again; the rows are merged once more at
+the end of every query, so an op that maps two rows onto one fails the
+norm check.  The cells a
 branch does not query are never touched, so they stay a product
-background of their (a, b) that no row holds.  The result is decoded
-from the table's columns, where the background sums out.
+background of their (a, b) that no row holds.  Each batch's result is
+decoded from its rows' columns, where the background sums out.
 `QueryResult.max_support` counts path branches: at most 2N.
 
 Timestamps on the emitted gate records are in units of the routing step t.
@@ -322,33 +323,33 @@ def _logical(std: bool, kind: str, level, b: int) -> tuple:
 
 def initial_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
     """Address amplitudes + bus prep + the queried cell of a quantum data
-    register, per address branch; a classical register puts nothing in
-    the state."""
+    register, per address branch of an (N,) address or of each row b of a
+    (B, N) batch, as batch b; a classical register puts nothing in it."""
     data.validate(cfg.N)
     amps = np.asarray(address, dtype=complex)
-    if amps.shape != (cfg.N,):
-        raise InvalidParameterError(
-            f"address state needs {cfg.N} amplitudes, got shape {amps.shape}"
-        )
-    nrm = np.linalg.norm(amps)
-    if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
-        raise InvalidParameterError("address state not normalized")
-    amps = amps / nrm  # normalised on entry: the engine holds the norm to 1e-10
-    n, std = cfg.n, cfg.encoding.is_standard
-    quantum = data.mode is DataMode.QUANTUM
+    if amps.ndim not in (1, 2) or amps.shape[-1] != cfg.N or not len(amps):
+        raise InvalidParameterError(f"address state needs {cfg.N} amplitudes, or a "
+                                    f"non-empty batch of them, got shape {amps.shape}")
+    amps = np.atleast_2d(amps)
+    nrm = np.array([np.linalg.norm(row) for row in amps])
+    for b, x in enumerate(nrm.tolist()):
+        if not abs(x - 1.0) <= 1e-9:  # NaN fails too
+            raise InvalidParameterError(f"address state {b} not normalized")
+    n, std, quantum = cfg.n, cfg.encoding.is_standard, data.mode is DataMode.QUANTUM
     # two rows per address branch: the |+> bus of a classical read, or the
     # queried cell of a quantum one under bus |1>; b is the bus or cell bit
-    js = np.flatnonzero(amps)
-    j, b = np.repeat(js, 2), np.tile([0, 1], len(js))
+    flat = np.repeat(np.flatnonzero(amps), 2)  # row-major: batch b, branch j at b*N + j
+    batch, j, b = flat >> n, flat & (cfg.N - 1), np.arange(len(flat)) & 1
+    amp = amps.ravel()[flat] / nrm[batch]  # normalised on entry: the engine holds norms to 1e-10
     if quantum:
-        cells = np.array([data.qubits[i] for i in js], dtype=complex).ravel()
-        amp, varied = amps[j] * cells, ("data", None)
+        cells = np.array(data.qubits, dtype=complex)[j[::2]].ravel()
+        amp, varied = amp * cells, ("data", None)
     else:
-        amp, varied = amps[j] / math.sqrt(2), ("reg", n)
+        amp, varied = amp / math.sqrt(2), ("reg", n)
     keep = np.abs(amp) > 1e-14
-    j, b, amp = j[keep], b[keep], amp[keep]
+    batch, j, b, amp = batch[keep], j[keep], b[keep], amp[keep]
     fields = _fields(cfg, quantum)
-    table = state.Table(n, fields, j, np.zeros((len(fields), len(j)), np.uint8), amp)
+    table = state.Table(n, fields, batch, j, np.zeros((len(fields), len(j)), np.uint8), amp)
     levels, col = table.levels, table.col
     for v in (0, 1):
         for k in range(n):
@@ -405,20 +406,20 @@ def _decode(t: state.Table, std: bool, quantum: bool) -> tuple[dict, bool]:
     return address_bus, not t.levels[tree].any()
 
 
-def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult:
+def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[QueryResult]:
     """Run the full pipeline; noiseless, so the outcome is exact.
 
-    Raises `NumericalFailureError` when a branch leaves its path, or when
-    the norm leaves 1 by more than 1e-10 after a split op or after the
-    final merge."""
+    An (N,) address returns its `QueryResult`, a (B, N) batch B of them
+    from one pass.  Raises `NumericalFailureError` when a branch leaves its
+    path, or a batch's norm leaves 1 by over 1e-10 at a split or the end."""
     table = initial_state(cfg, address, data)
-    support = len(table)
     for op in _protocol(cfg, data):
         table = state.apply_gate(table, op)
-        support = max(support, len(table))
     table.merge("the end of the query")
-    quantum = data.mode is DataMode.QUANTUM
-    return QueryResult(cfg, table, *_decode(table, cfg.encoding.is_standard, quantum), support)
+    std, quantum = cfg.encoding.is_standard, data.mode is DataMode.QUANTUM
+    results = [QueryResult(cfg, t, *_decode(t, std, quantum), support)
+               for t, support in zip(table.batches(), table.max_support.tolist())]
+    return results if np.ndim(address) == 2 else results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,11 @@ class RouterSimConfig:
         if not self.kappa_max > 0:
             raise InvalidParameterError("kappa_max must be > 0")
         step = self.step
-        if not step > 0:
-            raise InvalidParameterError(f"dt must be > 0, got {step}")
+        if not step > 0:  # a default step that underflows is a resolution failure
+            error = InvalidParameterError if self.dt is not None else ResolutionError
+            raise error(f"dt must be > 0, got {step}")
         if step > self.window / 1000.0:
-            raise InvalidParameterError(
-                f"dt={step} exceeds the resolution floor window/1000"
-            )
+            raise InvalidParameterError(f"dt={step} exceeds the resolution floor window/1000")
         a, b = self.control_init
         try:
             norm = abs(a) ** 2 + abs(b) ** 2
@@ -164,16 +163,12 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
     from scipy.integrate import simpson
 
     kappa = config.kappa_max
-    dt = config.step
+    dt = float(config.step)
     if dt * kappa > 0.1:
-        raise ResolutionError(
-            f"dt*kappa = {dt * kappa:.3f} > 0.1; grid too coarse"
-        )
-    steps = config.window / dt
+        raise ResolutionError(f"dt*kappa = {dt * kappa:.3f} > 0.1; grid too coarse")
+    steps = float(config.window) / dt  # in floats an overflow is inf, not a warning
     if not steps <= _MAX_STEPS:
-        raise ResolutionError(
-            f"window/dt = {steps:.3g} steps; the grid limit is {_MAX_STEPS:.0e}"
-        )
+        raise ResolutionError(f"window/dt = {steps:.3g} steps; the grid limit is {_MAX_STEPS:.0e}")
     n = math.ceil(steps)
     dt = config.window / n
     t_half = np.arange(2 * n + 1) * (dt / 2.0)

@@ -6,27 +6,28 @@ level 1 (e) or 2 (f), any slot not listed being in its ground state: that
 is `SparseState`, the format of the reference engines in `tests/`, which
 also own the export of a query's rows to it.
 
-Inside the engine a query's whole state is one `Table`: its fields, each
+Inside the engine B independent queries are one `Table`: its fields, each
 a slot on j's root-to-leaf path named (kind, level, rail), and its rows in
-path coordinates, each an address branch j, j's path bits, one uint8
-level per field and a complex amplitude.  `apply_gate` runs one level op,
-a gate on every node of a tree level with one template of fields per
-gate, on every row at once.  A field (kind, level, rail, c) names the slot
-in child c of the op's node: the row's own field when c is j's bit at the
-op's level, a slot off j's path otherwise.  A hop into the child off the
-path raises `NumericalFailureError`, and a hop out of it finds nothing to
-move; the four hops read their control through one `_control`.  An op
-on some nodes of a level acts on the rows whose j prefix is one of them.
+path coordinates, each a batch (its query), an address branch j, j's path
+bits, one uint8 level per field and a complex amplitude; rows of different
+batches or j never meet.  `apply_gate` runs one level op, a gate on every
+node of a tree level with one template of fields per gate, on every row
+at once.  A field (kind, level, rail, c) names the slot in child c of the
+op's node: the row's own field when c is j's bit at the op's level, a
+slot off j's path otherwise.  A hop into the child off the path raises
+`NumericalFailureError`, and a hop out of it finds nothing to move; the
+four hops read their control through one `_control`.  An op on some nodes
+of a level acts on the rows whose j prefix is one of them.
 
 Every gate but `h_ge` and `dualrail_h` maps each row to one row and keeps
 its weight, so only those two change the row count: they split rows, then
-`Table.merge` sums rows with equal (j, levels), prunes at 1e-14 and checks
-the norm against 1 to 1e-10.  The caller merges once more at the end of a
-query, which catches an op that mapped two rows onto one.
+`Table.merge` sums rows with equal (batch, j, levels), prunes at 1e-14,
+counts each batch's rows and checks each batch's norm against 1 to 1e-10.
+The caller merges once more at the end of a query, which catches an op
+that mapped two rows onto one.
 
-Gates are recorded as `GateRecord`s so an entire protocol can be exported,
-replayed against an independent dense simulation, or cross-checked against
-the routing schedule.
+A protocol exports as `GateRecord`s, for replay against independent
+simulations and a check against the routing schedule.
 """
 
 from __future__ import annotations
@@ -58,36 +59,47 @@ class GateRecord:
 
 
 class Table:
-    """A query's state: the field layout `fields`, `col[f]` the column of
-    field f, and rows in path coordinates: address branch `j` (int64),
-    `levels[col[f]]` the level of field f in every row (uint8, one
-    contiguous column per field), `amp` (complex) and, set with the rows,
-    `bits[l]`: whether j's bit at tree level l (0 most significant) is 1,
-    the child on j's path one level down."""
+    """The state of B queries: the field layout `fields`, `col[f]` the
+    column of field f, and rows in path coordinates: query `batch` and
+    address branch `j` (int64), `levels[col[f]]` the level of field f in
+    every row (uint8, one contiguous column per field), `amp` (complex)
+    and `bits[l]`, set with the rows: whether j's bit at tree level l (0
+    most significant) is 1.  `max_support[b]` (b < B) is the most rows
+    batch b has held, counted on construction and by every merge."""
 
-    __slots__ = ("n", "fields", "col", "j", "levels", "amp", "bits")
+    __slots__ = ("n", "fields", "col", "batch", "j", "levels", "amp", "bits", "max_support")
 
-    def __init__(self, n: int, fields, j, levels, amp):
+    def __init__(self, n: int, fields, batch, j, levels, amp):
         self.n, self.fields = n, fields
         self.col = {f: i for i, f in enumerate(fields)}
-        self.set_rows(j, levels, amp)
+        self.set_rows(batch, j, levels, amp)
+        self.max_support = np.bincount(batch)
 
     def __len__(self) -> int:
         return len(self.amp)
 
     support = __len__  # the benchmark tracer counts initial branches by it
 
-    def set_rows(self, j, levels, amp) -> None:
-        self.j, self.levels, self.amp = j, levels, amp
+    def set_rows(self, batch, j, levels, amp) -> None:
+        self.batch, self.j, self.levels, self.amp = batch, j, levels, amp
         self.bits = (j & (1 << np.arange(self.n - 1, -1, -1))[:, None]) != 0
 
+    def batches(self) -> list:
+        """A table per batch, rows in this table's order (one batch: this table)."""
+        if len(self.max_support) == 1:
+            return [self]
+        ends = np.cumsum(np.bincount(self.batch))[:-1]
+        return [Table(self.n, self.fields, np.zeros_like(r), self.j[r],
+                      np.take(self.levels, r, axis=1), self.amp[r])
+                for r in np.split(np.argsort(self.batch, kind="stable"), ends)]
+
     def merge(self, where: str) -> None:
-        """Sum rows with equal (j, levels), drop those at |amp| <= 1e-14,
-        and raise `NumericalFailureError` if the norm left 1 by more than
-        1e-10."""
+        """Sum rows with equal (batch, j, levels), drop those at |amp| <= 1e-14,
+        and raise `NumericalFailureError` if a batch's norm (0 with no rows) left 1 by > 1e-10."""
         width = 8 + len(self.levels)
         key = np.empty((len(self), width), np.uint8)
-        key[:, :8] = self.j.view(np.uint8).reshape(-1, 8)
+        # the batch sits above j's n bits, so (batch, j) is one 8-byte key
+        key[:, :8] = (self.batch << self.n | self.j).view(np.uint8).reshape(-1, 8)
         key[:, 8:] = self.levels.T
         # one opaque value per row, so that rows sort and compare as bytes
         key = key.view(np.dtype((np.void, width))).ravel()
@@ -101,10 +113,14 @@ class Table:
         keep = np.abs(amp) > 1e-14
         first = order[starts[keep]]
         # np.take keeps every column contiguous
-        self.set_rows(self.j[first], np.take(self.levels, first, axis=1), amp[keep])
-        nrm = math.sqrt(np.vdot(self.amp, self.amp).real)
-        if abs(nrm - 1.0) > 1e-10:
-            raise NumericalFailureError(f"norm drifted to {nrm!r} after {where}")
+        self.set_rows(self.batch[first], self.j[first], np.take(self.levels, first, axis=1),
+                      amp[keep])
+        batches = len(self.max_support)
+        self.max_support = np.maximum(self.max_support, np.bincount(self.batch, minlength=batches))
+        weight = np.bincount(self.batch, np.abs(self.amp) ** 2, minlength=batches)
+        for b, nrm in enumerate(map(math.sqrt, weight.tolist())):
+            if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
+                raise NumericalFailureError(f"norm drifted to {nrm!r} in batch {b} after {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +220,7 @@ def _split(t, m, factor, extra, op):
         levels[col] = lvl
     amp = t.amp[rows] * (_SQ2 * factor)
     t.amp[rows] *= _SQ2
-    t.set_rows(np.concatenate([t.j, t.j[rows]]),
+    t.set_rows(np.concatenate([t.batch, t.batch[rows]]), np.concatenate([t.j, t.j[rows]]),
                np.concatenate([t.levels, levels], axis=1),
                np.concatenate([t.amp, amp]))
     t.merge(f"gate {op.name}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_qram import __version__, analytics, cli
+from phonon_qram import __version__, analytics, cli, qram
 from phonon_qram.analytics import dephasing_sweep_rows, heralding_sweep_rows
 from phonon_qram.cli import main
 from phonon_qram.qram import DataRegister, QramConfig, trace_to_json
@@ -147,6 +147,27 @@ def test_query_sim_scan_builds_the_trace_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     want = trace_to_json(real_build(QramConfig(n=2), DataRegister.classical([0, 1, 1, 0])))
     assert json.loads((tmp_path / "query_trace.json").read_text()) == want
+
+
+def test_query_sim_scan_is_one_query(tmp_path, monkeypatch):
+    # a scan runs every address as one batched query, so the level-op
+    # protocol is built once, not once per address
+    calls = {"query": 0, "_protocol": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapped(*a):
+            calls[name] += 1
+            return fn(*a)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(cli, "query")
+    counting(qram, "_protocol")
+    assert run(tmp_path, "query-sim", config={"n": 3, "address": "scan"}) == 0
+    assert calls == {"query": 1, "_protocol": 1}
+    assert len(json.loads((tmp_path / "query_sim.json").read_text())["queries"]) == 8
 
 
 def test_heralding_outputs(tmp_path):
@@ -725,6 +746,12 @@ def test_resolution_failure_exit_code(tmp_path):
     ("heralding", {"n_range": [1, 2], "t": "5e-324ns"}),
     ("montecarlo", {"t": "1e-320us", "trials": 10,
                     "grid": [{"n": 2, "T1_q": "100us", "T1_m": "100us"}]}),
+    # so short a sech that its default step fwhm/200 is subnormal, so that
+    # window/dt overflows (1e-320ns), or rounds to 0 (5e-324ns)
+    ("route-fidelity", {"shapes": ["sech"], "fwhm": "1e-320ns", "windows": ["350ns"],
+                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+    ("route-fidelity", {"shapes": ["sech"], "fwhm": "5e-324ns", "windows": ["350ns"],
+                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
 ])
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
     # the step count is checked before any array is built, and no output is written

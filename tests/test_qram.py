@@ -233,6 +233,20 @@ def test_config_and_register_validation():
         initial_state(QramConfig(n=1), [1.0, 0.0, 0.0], DataRegister.classical([0, 1]))
 
 
+@pytest.mark.parametrize("address, match", [
+    (1.0, r"got shape \(\)"),
+    (np.full((1, 1, 2), 0.5 ** 0.5), r"got shape \(1, 1, 2\)"),
+    (np.zeros((0, 2)), r"got shape \(0, 2\)"),
+    ([[1.0, 0.0], [1.0, 1.0]], "address state 1 not normalized"),
+])
+def test_address_shape_and_batch_row_validation(address, match):
+    # an address is (N,) or a non-empty (B, N) batch of unit-norm rows
+    cfg, data = QramConfig(n=1), DataRegister.classical([0, 1])
+    for fn in (initial_state, query):
+        with pytest.raises(InvalidParameterError, match=match):
+            fn(cfg, address, data)
+
+
 def test_norm_guard_trips_on_non_unitary_record():
     state = SlotState({frozenset(): 1.0})
     # h_ge twice from vacuum interferes back; a single one is fine, but a
@@ -302,6 +316,33 @@ def test_superposed_quantum_query_matches_copy_engine(enc):
     cells = [tuple(_unit(rng, 2)) for _ in range(4)]
     _assert_matches_slot_engine(QramConfig(n=2, encoding=enc), _unit(rng, 4),
                                 DataRegister.quantum(cells))
+
+
+def _assert_same_result(got, want):
+    assert got.address_bus == want.address_bus
+    assert got.tree_ground == want.tree_ground and got.max_support == want.max_support
+    for col in ("j", "levels", "amp"):
+        assert np.array_equal(getattr(got.table, col), getattr(want.table, col)), col
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_a_batch_query_is_each_query_exactly(enc):
+    # rows of different batches never meet, so a scan run as one batch
+    # matches each basis query bit for bit, and so does a batch of two
+    # superposed addresses
+    rng = np.random.default_rng(23)
+    cases = [DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)])
+             for n in range(1, 6)]
+    cases += [DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)])
+              for n in range(1, 4)]
+    for data in cases:
+        N = len(data.bits or data.qubits)
+        cfg = QramConfig(n=N.bit_length() - 1, encoding=enc)
+        for addresses in (np.eye(N), np.array([_unit(rng, N), _unit(rng, N)])):
+            results = query(cfg, addresses, data)
+            assert len(results) == len(addresses)
+            for address, res in zip(addresses, results):
+                _assert_same_result(res, query(cfg, address, data))
 
 
 def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):

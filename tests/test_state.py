@@ -233,6 +233,28 @@ def test_random_circuits_match_dense_oracle(data):
     assert max(abs(state.amps.get(k, 0.0) - dense.get(k, 0.0)) for k in keys) < 1e-12
 
 
+def _batched_table(batch, amp):
+    """A single-rail n = 1 table whose rows differ in j, all fields in |g>."""
+    fields = qram._fields(QramConfig(n=1), False)
+    return state.Table(1, fields, np.array(batch), np.arange(len(batch)) % 2,
+                       np.zeros((len(fields), len(batch)), np.uint8), np.array(amp, complex))
+
+
+def test_merge_checks_the_norm_of_each_batch():
+    # batch weights 1 + d and 1 - d: their mean is 1, and each batch is off
+    d = 1e-6
+    t = _batched_table([0, 0, 1, 1], [((1 + d) / 2) ** 0.5] * 2 + [((1 - d) / 2) ** 0.5] * 2)
+    with pytest.raises(NumericalFailureError, match="in batch 0 after"):
+        t.merge("the test")
+
+
+def test_merge_fails_a_batch_whose_rows_are_all_pruned():
+    # batch 0 holds the whole unit norm; batch 1's rows are pruned at 1e-14
+    t = _batched_table([0, 0, 1, 1], [0.5 ** 0.5] * 2 + [1e-15] * 2)
+    with pytest.raises(NumericalFailureError, match="to 0.0 in batch 1 after"):
+        t.merge("the test")
+
+
 def test_max_support_tracking():
     s = make({frozenset(): 1.0})
     for slot in (A, B, C):
@@ -295,8 +317,8 @@ def _random_table(rng, cfg, quantum, op):
     fields = qram._fields(cfg, quantum)
     rows = int(rng.integers(1, 7))
     levels = rng.integers(0, 3, (len(fields), rows)).astype(np.uint8)
-    t = state.Table(cfg.n, fields, rng.integers(0, cfg.N, rows), levels,
-                    np.ones(rows, complex))
+    t = state.Table(cfg.n, fields, np.zeros(rows, np.int64), rng.integers(0, cfg.N, rows),
+                    levels, np.ones(rows, complex))
     for tpl in op.templates:
         c = [t.col[f[:3]] for f in tpl]
         if op.name == "dualrail_h":
@@ -307,7 +329,8 @@ def _random_table(rng, cfg, quantum, op):
             levels[c[2:]] = 0
     keys = np.unique(np.vstack([t.j, levels]), axis=1)
     amp = rng.normal(size=keys.shape[1]) + 1j * rng.normal(size=keys.shape[1])
-    t.set_rows(keys[0].copy(), keys[1:].astype(np.uint8), amp / np.linalg.norm(amp))
+    t.set_rows(np.zeros(keys.shape[1], np.int64), keys[0].copy(), keys[1:].astype(np.uint8),
+               amp / np.linalg.norm(amp))
     return t
 
 
@@ -318,8 +341,8 @@ def _reference(t, records) -> tuple[dict, bool]:
     image: dict = {}
     off = False
     for i, (j, a) in enumerate(zip(t.j.tolist(), t.amp.tolist())):
-        row = state.Table(n, t.fields, t.j[i:i + 1], t.levels[:, i:i + 1].copy(),
-                          np.ones(1, complex))
+        row = state.Table(n, t.fields, t.batch[i:i + 1], t.j[i:i + 1],
+                          t.levels[:, i:i + 1].copy(), np.ones(1, complex))
         ref = SlotState(export(row).amps)
         ref.apply_all(records)
         on_path = {_slot(f, j if f[1] is None else j >> (n - f[1])) for f in t.fields}
@@ -367,7 +390,8 @@ def test_each_rows_path_bit_follows_merge_and_split(enc, split):
     fields = qram._fields(cfg, False)
     # every branch twice, in descending j, each with a random bus bit
     j = np.repeat(np.arange(cfg.N)[::-1], 2)
-    t = state.Table(n, fields, j, np.zeros((len(fields), len(j)), np.uint8),
+    t = state.Table(n, fields, np.zeros(len(j), np.int64), j,
+                    np.zeros((len(fields), len(j)), np.uint8),
                     np.repeat(rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N), 2))
     t.amp /= 2 * np.linalg.norm(t.amp[::2])  # each pair sums to a unit-norm branch
     for i, b in enumerate(np.repeat(rng.integers(0, 2, cfg.N), 2)):
