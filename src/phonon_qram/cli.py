@@ -39,9 +39,9 @@ _MAX_SCAN_N = 10
 # route-fidelity runs a time-domain routing simulation per kappa point and
 # shape; refuse a larger grid before it is built (1e9 points need 7.45 GiB)
 _MAX_KAPPA_POINTS = 10**4
-# montecarlo draws trials * (n + 1) losses in one piece; a draw peaks at 12
-# bytes (hybrid; 9 standard) under tracemalloc, so this caps a grid point
-# near 0.24 GB
+# montecarlo draws the hybrid branch choices of trials * (n + 1) losses in one
+# piece, 5 bytes a draw under tracemalloc (standard keeps one block of u, about
+# 3 MB), so this caps a grid point near 0.1 GB
 _MAX_MC_DRAWS = 2 * 10**7
 # schedule, heralding and montecarlo grow as n**2 or loop over n; every
 # default has n <= 10, so refuse n above this before anything is built

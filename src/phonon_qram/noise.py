@@ -8,13 +8,17 @@ tree", sampled as a fair branch choice per (trial, excitation); averaging
 reproduces the closed-form success probability exactly.  Excitation k is
 lost when its uniform draw u reaches the keep-probability exp(-hazard) of
 its branch, at the time the hazard reaches -log(u); trials draw all branch
-choices, then all u, as one array each.  A standard dual-rail excitation
-then takes rail 0 or 1 (one slot later) by a fair draw, which moves its
-event times but never a verdict.  Dephasing and thermal events: the
-rate x time cells of every (excitation, medium, kind) are laid end to end,
-one Poisson draw counts the events, and one uniform point per event picks
-its cell and its time in that medium; its location names the excitation,
-the rail (standard dual-rail) and the medium.
+choices as one array, then all u, a block of trials at a time.  A standard
+dual-rail excitation then takes rail 0 or 1 (one slot later) by a fair
+draw, which moves its event times but never a verdict.  Dephasing and
+thermal events: the rate x time cells of every (excitation, medium, kind)
+are laid end to end, one Poisson draw counts the events, and one uniform
+point per event picks its cell and its time in that medium; its location
+names the excitation, the rail (standard dual-rail) and the medium.
+
+One table per (config, noise model), built once into a bounded cache
+(`_exposure`), holds the segments, dwell times, keep-probabilities and
+rates; a call adds only its seeded draws and its events.
 
 Detection is a pure function of the final measurement pattern: a lost
 excitation leaves a register transmon in |f> (hybrid) or a dual-rail pair
@@ -26,6 +30,7 @@ to the dual-rail check.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,8 +40,8 @@ import numpy as np
 from .errors import InvalidParameterError
 from .qram import QramConfig
 from .qram_types import Encoding
-# nothing here builds a Schedule; the benchmark tracer binds
-# `noise.build_schedule`, so the name stays importable from this module
+# nothing here builds a Schedule, but the benchmark tracer binds both names in
+# this module, and `_exposure` calls `residence_intervals` through its binding
 from .scheduling import build_schedule, residence_intervals
 
 __all__ = [
@@ -129,32 +134,51 @@ def _classify(cfg: QramConfig, lost: list) -> tuple[bool, str | None]:
 
 
 _MEDIA = ("transmon", "waveguide")
+_ROWS = 1 << 14  # trials per block of u draws
 
 
-def _draw_losses(cfg: QramConfig, noise: NoiseModel, trials: int, rng):
-    """(branches, dwell, in_tree, u, lost) per (trial, excitation): the
-    rail-0 segments of each excitation routed, then of a hybrid qubit kept
-    in its register (`in_tree` False), and each one's time per medium; a
-    qubit is lost when its u reaches exp(-hazard) of the branch it took."""
-    rate = {m: noise.loss_rate(m) for m in _MEDIA}
-    branches = [residence_intervals(cfg.n, cfg.encoding, cfg.t, k) for k in range(cfg.n + 1)]
-    branches.append([(0.0, cfg.makespan_slots * cfg.t, "transmon")])
+@functools.lru_cache(maxsize=128)
+def _exposure(cfg: QramConfig, noise: NoiseModel) -> tuple:
+    """(branches, rail1, dwell, loss, rates, keep) of a (config, noise model),
+    built once and shared, so read only: the rail-0 segments of each
+    excitation, then of a hybrid qubit kept in its register; the rail-1
+    segments (standard dual-rail); each branch's time per medium; the loss
+    rates; the dephasing and thermal (medium, kind, rate); exp(-hazard)."""
+    n, enc, t = cfg.n, cfg.encoding, cfg.t
+    loss = {m: noise.loss_rate(m) for m in _MEDIA}
+    branches = [residence_intervals(n, enc, t, k) for k in range(n + 1)]
+    branches.append([(0.0, cfg.makespan_slots * t, "transmon")])
+    rail1 = [residence_intervals(n, enc, t, k, 1) for k in range(n + 1)] if enc.is_standard else []
     hazard, dwell = [], []
     for segs in branches:
         h, d = 0.0, dict.fromkeys(_MEDIA, 0.0)
         for start, end, medium in segs:
-            h += (end - start) * rate[medium]
+            h += (end - start) * loss[medium]
             d[medium] += end - start
         hazard.append(h)
         dwell.append(d)
     keep = np.exp(-np.array(hazard))
-    shape = (trials, cfg.n + 1)
-    if cfg.encoding.is_standard:
-        u = rng.random(shape)
-        return branches, dwell, np.broadcast_to(True, shape), u, u >= keep[:-1]
-    in_tree = rng.integers(0, 2, size=shape).astype(bool)
-    u = rng.random(shape)
-    return branches, dwell, in_tree, u, (u >= keep[:-1]) & in_tree | (u >= keep[-1]) & ~in_tree
+    rates = tuple((m, kind, r) for m in _MEDIA for kind, r in
+                  (("dephase", noise.dephasing_rate(m)), ("thermal", noise.thermal_rate(m))))
+    return tuple(branches), tuple(rail1), tuple(dwell), loss, rates, keep
+
+
+def _draw_losses(cfg: QramConfig, keep, trials: int, rng):
+    """Yield (in_tree, u, lost) per (trial, excitation), `_ROWS` trials at a
+    time: a hybrid qubit is routed (`in_tree`) or kept in its register by a
+    fair draw, all drawn first, and is lost when its u reaches `keep`, its
+    branch's keep-probability from the `_exposure` table built once per
+    (config, noise model).  The int32 branch draws and the u drawn a block
+    at a time give the stream of one int64 and one float draw, in a
+    fraction of the memory."""
+    shape, std = (trials, cfg.n + 1), cfg.encoding.is_standard
+    in_tree = (np.broadcast_to(True, shape) if std
+               else rng.integers(0, 2, size=shape, dtype=np.int32).astype(bool))
+    for start in range(0, trials, _ROWS):
+        branch = in_tree[start:start + _ROWS]
+        u = rng.random(branch.shape)
+        routed = u >= keep[:-1]
+        yield branch, u, routed if std else routed & branch | (u >= keep[-1]) & ~branch
 
 
 def _time_at(segs, rate: dict, target: float):
@@ -175,24 +199,21 @@ def _time_at(segs, rate: dict, target: float):
 def sample_trajectory(cfg: QramConfig, noise: NoiseModel, seed) -> TrajectoryVerdict:
     """Draw one noisy trajectory and evaluate end-of-query detection."""
     _check_encoding(cfg)
-    n, enc, t, std = cfg.n, cfg.encoding, cfg.t, cfg.encoding.is_standard
+    n, std = cfg.n, cfg.encoding.is_standard
+    branches, rail1, dwell, loss, rates, keep = _exposure(cfg, noise)
     rng = np.random.default_rng(seed)
-    branches, dwell, *draws = _draw_losses(cfg, noise, 1, rng)
-    in_tree, u, lost = (a[0].tolist() for a in draws)
+    in_tree, u, lost = (a[0].tolist() for a in next(_draw_losses(cfg, keep, 1, rng)))
     rails = (rng.random(n + 1) < 0.5).tolist() if std else [False] * (n + 1)
     took = [k if in_tree[k] else -1 for k in range(n + 1)]  # -1: kept in the register
 
     def event(k, kind, rate, target):
-        segs = residence_intervals(n, enc, t, k, 1) if rails[k] else branches[took[k]]
+        segs = rail1[k] if rails[k] else branches[took[k]]
         time, medium = _time_at(segs, rate, target)
         rail = f":rail{rails[k]:d}" if std else ""
         return NoiseEvent(time, f"excitation{k}{rail}:{medium}", kind)
 
     lost_ks = [k for k in range(n + 1) if lost[k]]
-    loss = {m: noise.loss_rate(m) for m in _MEDIA}
     events = [event(k, "loss", loss, -math.log(u[k])) for k in lost_ks]
-    rates = [(m, kind, r) for m in _MEDIA for kind, r in
-             (("dephase", noise.dephasing_rate(m)), ("thermal", noise.thermal_rate(m)))]
     cells = [(k, m, kind, r, r * dwell[took[k]][m]) for k in range(n + 1) for m, kind, r in rates]
     ends = list(itertools.accumulate(cell[-1] for cell in cells))
     for x in (rng.random(rng.poisson(ends[-1])) * ends[-1]).tolist():
@@ -230,11 +251,14 @@ def estimate_success_prob(
     _check_encoding(cfg)
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    lost = _draw_losses(cfg, noise, trials, np.random.default_rng(seed))[-1]
-    # column by column: numpy's any(axis=1) is several times slower on rows this short
-    hit = lost[:, 0].copy()
-    for col in lost.T[1:]:
-        hit |= col
-    p_hat = (trials - int(np.count_nonzero(hit))) / trials
+    lossless = trials
+    for *_, lost in _draw_losses(cfg, _exposure(cfg, noise)[-1], trials,
+                                 np.random.default_rng(seed)):
+        # column by column: numpy's any(axis=1) is several times slower on rows this short
+        hit = lost[:, 0].copy()
+        for col in lost.T[1:]:
+            hit |= col
+        lossless -= int(np.count_nonzero(hit))
+    p_hat = lossless / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
     return p_hat, stderr

@@ -14,7 +14,8 @@ Routing here is ideal: distortion and decoherence are composed on top
 analytically or by Monte Carlo elsewhere.
 
 The protocol is written once as level ops, each the node-parallel gates
-of one (time, gate name, level, rail).  A level op names its slots as
+of one (time, gate name, level, rail); all but the read are built once per
+(config, data mode) and kept in a bounded cache.  A level op names its slots as
 path fields (kind, level, rail), plus a child bit for a slot one
 level down, and `_slot` gives a field's absolute slot at a node, for the
 gate records and for the absolute-slot export in `tests/`.
@@ -34,8 +35,8 @@ splits rows, and it merges them again; the rows are merged once more at
 the end of every query, so an op that maps two rows onto one fails the
 norm check.  The cells a
 branch does not query are never touched, so they stay a product
-background of their (a, b) that no row holds.  Each batch's result is
-decoded from its rows' columns, where the background sums out.
+background of their (a, b) that no row holds.  Every batch's result is
+decoded at once from the columns of all rows, where the background sums out.
 `QueryResult.max_support` counts path branches: at most 2N.
 
 Timestamps on the emitted gate records are in units of the routing step t.
@@ -48,6 +49,7 @@ for makespan M, which lands every out-hop on its "out" entry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -241,40 +243,45 @@ def _mirror(op: _LevelOp, M: int) -> _LevelOp:
 # ---------------------------------------------------------------------------
 # full protocol
 
-def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
-    """Chronological level ops of a complete query: the inward half, the
-    read, the mirrored inverse of the inward half, then the bus decode.
+@functools.lru_cache(maxsize=64)
+def _around_read(cfg: QramConfig, mode: DataMode) -> tuple[tuple, tuple]:
+    """The level ops of a query before and after its read, which no cell value
+    changes: the inward half, then its mirrored inverse and the bus decode.
 
     Each excitation's emission, in-hops and control setting are appended
     in (k, rail) order and sorted by time alone; the sort is stable, so
     within a slot a deeper excitation moves first and a control is set
     before the next excitation reaches its ancilla."""
-    data.validate(cfg.N)
-    qbus = data.mode is DataMode.QUANTUM
     n, M = cfg.n, cfg.makespan_slots
     std = cfg.encoding.is_standard
     inward: list[_LevelOp] = []
     for k in range(n + 1):
         for r in (0, 1) if std else (None,):
             s = start_slot(k, r or 0, cfg.encoding)
-            inward += _emit_block(cfg, k, s, rail=r, quantum_bus=qbus)
+            inward += _emit_block(cfg, k, s, rail=r, quantum_bus=mode is DataMode.QUANTUM)
             # excitation k hops from level lvl over [s + lvl, s + lvl + 1)
             inward += [_route_level(cfg, lvl, s + lvl, rail=r) for lvl in range(k)]
             if k < n:
                 inward.append(_set_level(k, s + k, rail=r))
     inward.sort(key=lambda op: op.time)
-    ops = (inward + _read_block(cfg, data, M // 2)
-           + [_mirror(op, M) for op in reversed(inward)])
+    outward = [_mirror(op, M) for op in reversed(inward)]
 
     # decode the bus back to the computational basis
-    if data.mode is DataMode.CLASSICAL:
+    if mode is DataMode.CLASSICAL:
         if std:
-            ops.append(_op(M, "dualrail_h", 0, (("reg", n, 0), ("reg", n, 1))))
+            outward.append(_op(M, "dualrail_h", 0, (("reg", n, 0), ("reg", n, 1))))
         else:
-            ops.append(_op(M, "h_ge", 0, (("reg", n, None),)))
+            outward.append(_op(M, "h_ge", 0, (("reg", n, None),)))
             if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
-                ops.append(_op(M, "z_ge", 0, (("reg", n, None),)))
-    return ops
+                outward.append(_op(M, "z_ge", 0, (("reg", n, None),)))
+    return tuple(inward), tuple(outward)
+
+
+def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
+    """Chronological level ops of a complete query: `_around_read`'s, with the read between."""
+    data.validate(cfg.N)
+    inward, outward = _around_read(cfg, data.mode)
+    return [*inward, *_read_block(cfg, data, cfg.makespan_slots // 2), *outward]
 
 
 def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
@@ -376,8 +383,9 @@ class QueryResult:
         return best[0][1]
 
 
-def _decode(t: state.Table, std: bool, quantum: bool) -> tuple[dict, bool]:
-    """(address_bus, tree_ground) of a final state, read from its columns.
+def _decode(t: state.Table, std: bool, quantum: bool) -> list[tuple[dict, bool]]:
+    """(address_bus, tree_ground) of each batch of a final state, read from
+    the columns of all its rows at once.
 
     j comes from the address registers, not the rows' j, so a failed
     unwind shows; a standard dual-rail bit or bus is rail 1 in |e>.  Any
@@ -394,16 +402,15 @@ def _decode(t: state.Table, std: bool, quantum: bool) -> tuple[dict, bool]:
     j = np.zeros(len(t), np.int64)
     for lvl in regs[:-1]:
         j = j << 1 | (lvl > 0)
-    address_bus: dict = {}
-    for k, amp in zip(zip(j.tolist(), regs[-1].tolist()), t.amp.tolist()):
-        if quantum:
-            address_bus[k] = address_bus.get(k, 0.0) + abs(amp) ** 2
-        else:
-            address_bus[k] = address_bus.get(k, 0j) + amp
+    buses: list = [{} for _ in t.max_support]
+    for b, k, amp in zip(t.batch.tolist(), zip(j.tolist(), regs[-1].tolist()), t.amp.tolist()):
+        # an int 0 adds like 0.0 or 0j, so every sum keeps the bits of a float one
+        buses[b][k] = buses[b].get(k, 0) + (abs(amp) ** 2 if quantum else amp)
     if quantum:
-        address_bus = {k: math.sqrt(p) for k, p in address_bus.items()}
+        buses = [{k: math.sqrt(p) for k, p in bus.items()} for bus in buses]
     tree = [i for i, f in enumerate(t.fields) if f[0] in ("ctrl", "anc", "dwg")]
-    return address_bus, not t.levels[tree].any()
+    excited = np.bincount(t.batch[t.levels[tree].any(axis=0)], minlength=len(buses))
+    return list(zip(buses, (excited == 0).tolist()))
 
 
 def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[QueryResult]:
@@ -417,8 +424,8 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[Qu
         table = state.apply_gate(table, op)
     table.merge("the end of the query")
     std, quantum = cfg.encoding.is_standard, data.mode is DataMode.QUANTUM
-    results = [QueryResult(cfg, t, *_decode(t, std, quantum), support)
-               for t, support in zip(table.batches(), table.max_support.tolist())]
+    results = [QueryResult(cfg, t, *decoded, support) for t, decoded, support in
+               zip(table.batches(), _decode(table, std, quantum), table.max_support.tolist())]
     return results if np.ndim(address) == 2 else results[0]
 
 

@@ -85,13 +85,19 @@ class Table:
         self.bits = (j & (1 << np.arange(self.n - 1, -1, -1))[:, None]) != 0
 
     def batches(self) -> list:
-        """A table per batch, rows in this table's order (one batch: this table)."""
+        """A table per batch, rows in this table's order (one batch: this table):
+        slices of one batch-ordered copy of the rows and `bits`, sharing `col`."""
         if len(self.max_support) == 1:
             return [self]
-        ends = np.cumsum(np.bincount(self.batch))[:-1]
-        return [Table(self.n, self.fields, np.zeros_like(r), self.j[r],
-                      np.take(self.levels, r, axis=1), self.amp[r])
-                for r in np.split(np.argsort(self.batch, kind="stable"), ends)]
+        order = np.argsort(self.batch, kind="stable")
+        rows = (np.zeros_like(order), self.j[order], np.take(self.levels, order, axis=1),
+                self.amp[order], self.bits[:, order])
+        ends = np.cumsum(np.bincount(self.batch)).tolist()
+        tables = [Table.__new__(Table) for _ in ends]
+        for t, a, b in zip(tables, [0] + ends, ends):
+            t.n, t.fields, t.col, t.max_support = self.n, self.fields, self.col, np.array([b - a])
+            t.batch, t.j, t.levels, t.amp, t.bits = (r[..., a:b] for r in rows)
+        return tables
 
     def merge(self, where: str) -> None:
         """Sum rows with equal (batch, j, levels), drop those at |amp| <= 1e-14,

@@ -218,22 +218,32 @@ PINNED_LOSSES = [
 ]
 
 
+def _assert_pinned_draws(cold: bool):
+    """Every pinned case, each after clearing the exposure table cache if
+    `cold`."""
+    for n, enc, T1_q, T1_m, seed, want in PINNED_ESTIMATES:
+        if cold:
+            noise_module._exposure.cache_clear()
+        got = estimate_success_prob(QramConfig(n=n, encoding=enc),
+                                    NoiseModel(T1_q=T1_q, T1_m=T1_m), 20_000, seed)
+        assert got == want, (n, enc, T1_q, T1_m, seed, cold)
+    for enc, seed, basis, losses in PINNED_LOSSES:
+        if cold:
+            noise_module._exposure.cache_clear()
+        v = sample_trajectory(QramConfig(n=4, encoding=enc), PINNED_NOISE, seed)
+        assert v.detection_basis == basis and v.detected == bool(losses)
+        lost = sorted((e.location.split(":")[0], e.time_ns)
+                      for e in v.events if e.kind == "loss")
+        assert (lost if enc is HYB else [k for k, _ in lost]) == losses, (enc, seed, cold)
+
+
 def test_sampling_builds_no_schedule_and_keeps_every_loss_draw(monkeypatch):
     def no_schedule(*args, **kwargs):
         raise AssertionError("the sampling path built a Schedule")
 
     monkeypatch.setattr(noise_module, "build_schedule", no_schedule)
     monkeypatch.setattr(scheduling, "build_schedule", no_schedule)
-    for n, enc, T1_q, T1_m, seed, want in PINNED_ESTIMATES:
-        got = estimate_success_prob(QramConfig(n=n, encoding=enc),
-                                    NoiseModel(T1_q=T1_q, T1_m=T1_m), 20_000, seed)
-        assert got == want, (n, enc, T1_q, T1_m, seed)
-    for enc, seed, basis, losses in PINNED_LOSSES:
-        v = sample_trajectory(QramConfig(n=4, encoding=enc), PINNED_NOISE, seed)
-        assert v.detection_basis == basis and v.detected == bool(losses)
-        lost = sorted((e.location.split(":")[0], e.time_ns)
-                      for e in v.events if e.kind == "loss")
-        assert (lost if enc is HYB else [k for k, _ in lost]) == losses
+    _assert_pinned_draws(cold=False)
     # a forced loss reads the query window from the timing rules too
     for enc in Encoding:
         cfg = QramConfig(n=3, encoding=enc)
@@ -244,6 +254,40 @@ def test_sampling_builds_no_schedule_and_keeps_every_loss_draw(monkeypatch):
                 continue
             for time_ns in (0.0, cfg.t, query_time(cfg.n, cfg.t, enc)):
                 assert inject_loss(cfg, k, time_ns).detected, (enc, k, time_ns)
+
+
+def test_pinned_draws_hold_with_cold_and_warm_exposure_tables():
+    # the table is cached per (config, noise model): a fresh build and a
+    # reused one must give the same draws to the last bit
+    _assert_pinned_draws(cold=True)
+    _assert_pinned_draws(cold=False)
+
+
+def test_the_exposure_table_is_built_once_per_config_and_noise_model(monkeypatch):
+    # counted through this module's binding, as the benchmark tracer counts
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3:])  # (k,) on rail 0, (k, 1) on rail 1
+        return residence_intervals(*args)
+
+    monkeypatch.setattr(noise_module, "residence_intervals", counting)
+    for enc in (HYB, STD):
+        cfg = QramConfig(n=4, encoding=enc)
+        want = sorted((k,) + (1,) * rail for k in range(cfg.n + 1) for rail in enc.rails)
+        noise_module._exposure.cache_clear()
+        calls.clear()
+        for seed in range(100):
+            sample_trajectory(cfg, PINNED_NOISE, seed)
+        estimate_success_prob(cfg, PINNED_NOISE, 1_000, 0)
+        assert sorted(calls) == want, enc
+        # a second noise model is a second table; the first stays cached
+        calls.clear()
+        sample_trajectory(cfg, NoiseModel(T1_q=10.0, T1_m=1.0), 0)
+        assert sorted(calls) == want, enc
+        calls.clear()
+        sample_trajectory(cfg, PINNED_NOISE, 100)
+        assert calls == [], enc
 
 
 def test_dephasing_and_thermal_events_do_not_trigger_detection():

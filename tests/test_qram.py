@@ -318,6 +318,23 @@ def test_superposed_quantum_query_matches_copy_engine(enc):
                                 DataRegister.quantum(cells))
 
 
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_registers_that_share_a_config_each_get_their_own_read(enc):
+    # the ops around the read are built once per (config, data mode): two
+    # classical registers run in turn on one config, the first again after
+    # the second, must each read their own 1-bits
+    qram._around_read.cache_clear()
+    cfg = QramConfig(n=3, encoding=enc)
+    address = _unit(np.random.default_rng(67), 8)
+    for bits in ([1, 0, 0, 1, 1, 0, 1, 0], [0, 1, 1, 0, 0, 0, 1, 1], [1, 0, 0, 1, 1, 0, 1, 0]):
+        data = DataRegister.classical(bits)
+        (read,) = [op for op in qram._protocol(cfg, data)
+                   if op.name == "z_ge" and op.level == cfg.n]
+        assert list(read.nodes) == [j for j in range(8) if bits[j]], bits
+        _assert_matches_slot_engine(cfg, address, data)
+    assert qram._around_read.cache_info().misses == 1
+
+
 def _assert_same_result(got, want):
     assert got.address_bus == want.address_bus
     assert got.tree_ground == want.tree_ground and got.max_support == want.max_support
@@ -366,6 +383,16 @@ def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
             assert res.tree_ground is False and ground is False, (enc, data.mode)
             assert set(res.address_bus) == set(want)
             assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
+    # in one batch each address keeps its own verdict; a single-rail 0 bit
+    # sends no excitation, so only some basis addresses are left excited
+    data = DataRegister.classical([0, 1, 1, 0])
+    for enc in ALL_ENCODINGS:
+        cfg = QramConfig(n=2, encoding=enc)
+        results = query(cfg, np.eye(4), data)
+        for j, res in enumerate(results):
+            _assert_same_result(res, query(cfg, basis_address(2, j), data))
+        if enc is Encoding.SINGLE_RAIL:
+            assert {res.tree_ground for res in results} == {True, False}
 
 
 def test_query_builds_its_protocol_once(monkeypatch):
