@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InvalidParameterError, NumericalFailureError
-from .qram_types import Encoding
+from .qram_types import DataMode, Encoding
 from .wavepackets import PulseShape, WavePacket
 from . import analytics, noise, router, scheduling
 from .qram import DataRegister, QramConfig, build_query_gates, query, trace_to_json
@@ -292,26 +292,25 @@ def cmd_query_sim(args) -> int:
     echo, cfg = _load_config(args, {
         "n": (2, _int_at_most(_MAX_QUERY_N)),
         "encoding": ("single_rail", _enum(Encoding)),
-        "mode": ("classical", None),
+        "mode": ("classical", _enum(DataMode)),
         "data": (None, None),  # classical default: address parity, popcount(j) % 2
         "address": ("scan", None),
         "export_trace": (False, _bool),
     })
     qcfg = QramConfig(n=cfg["n"], encoding=cfg["encoding"])
     N = qcfg.N
+    quantum = cfg["mode"] is DataMode.QUANTUM
     if echo["data"] is None:
-        if echo["mode"] == "quantum":
+        if quantum:
             raise ConfigError("quantum mode needs an explicit data register")
         echo["data"] = [j.bit_count() % 2 for j in range(N)]
     try:
-        if echo["mode"] == "classical":
-            data = DataRegister.classical(
-                [_number(int, b, "data") for b in _list(echo["data"], "data")])
-        elif echo["mode"] == "quantum":
+        if quantum:
             data = DataRegister.quantum([tuple(_number(complex, a, "data") for a in q)
                                          for q in _list(echo["data"], "data")])
         else:
-            raise ConfigError(f"unknown data mode {echo['mode']!r}")
+            data = DataRegister.classical(
+                [_number(int, b, "data") for b in _list(echo["data"], "data")])
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {echo['mode']} data {echo['data']!r}") from None
     addresses = _parse_address(echo["address"], N, qcfg.n)

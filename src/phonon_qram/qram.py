@@ -21,8 +21,8 @@ level down, and `_slot` gives a field's absolute slot at a node, for the
 gate records and for the absolute-slot export in `tests/`.
 `build_query_gates` is their node-by-node expansion into `GateRecord`s,
 for the trace export and for replay against the reference engines in
-`tests/`; a query never builds it.  `query` runs the level ops in path
-coordinates.  In address branch j every excitation stays on j's
+`tests/`; a query never builds it.  `final_state` runs the level ops in
+path coordinates.  In address branch j every excitation stays on j's
 root-to-leaf path, so the state of B independent queries (a scan is one
 query per basis address) is one `state.Table` that owns its field layout
 (`_fields`: the registers, the control and ancilla of j's node at each
@@ -31,13 +31,13 @@ branch per row: its batch, j, one level per field and an amplitude.  A
 level op is one `state.apply_gate` call, a few column operations on every
 row at once; a row finds its node from j's prefix, and a hop into the
 child off j's path raises `NumericalFailureError`.  Only the bus decode
-splits rows, and it merges them again; the rows are merged once more at
-the end of every query, so an op that maps two rows onto one fails the
-norm check.  The cells a
-branch does not query are never touched, so they stay a product
-background of their (a, b) that no row holds.  Every batch's result is
-decoded at once from the columns of all rows, where the background sums out.
-`QueryResult.max_support` counts path branches: at most 2N.
+splits rows, and it merges them again; `final_state` merges them once
+more at the end, so an op that maps two rows onto one fails the norm
+check.  The cells a branch does not query are never touched, so they stay
+a product background of their (a, b) that no row holds.  `query` decodes
+every batch's readout at once from the columns of the final rows, where
+the background sums out: `address_bus`, `tree_ground`, and `max_support`,
+which counts path branches, at most 2N.
 
 Timestamps on the emitted gate records are in units of the routing step t.
 Emissions and control settings sit on `scheduling.start_slot`, and the hop
@@ -67,6 +67,7 @@ __all__ = [
     "DataRegister",
     "QueryResult",
     "query",
+    "final_state",
     "build_query_gates",
     "initial_state",
     "trace_to_json",
@@ -278,8 +279,8 @@ def _around_read(cfg: QramConfig, mode: DataMode) -> tuple[tuple, tuple]:
 
 
 def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
-    """Chronological level ops of a complete query: `_around_read`'s, with the read between."""
-    data.validate(cfg.N)
+    """Chronological level ops of a complete query: `_around_read`'s, with
+    the read between, for a register its caller has validated."""
     inward, outward = _around_read(cfg, data.mode)
     return [*inward, *_read_block(cfg, data, cfg.makespan_slots // 2), *outward]
 
@@ -287,7 +288,8 @@ def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
 def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
     """Chronological gate list for a complete query: the inward half, the
     read, the mirrored inverse of the inward half, then the bus decode.
-    It is the node-by-node expansion of the level ops `query` runs."""
+    It is the node-by-node expansion of the level ops `final_state` runs."""
+    data.validate(cfg.N)
     rows: dict = {}  # (template, level) -> the template's slots at every node
     gates: list[GateRecord] = []
     for op in _protocol(cfg, data):
@@ -371,8 +373,6 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
 
 @dataclass
 class QueryResult:
-    config: QramConfig
-    table: state.Table
     address_bus: dict  # (j, bus_level) -> amp
     tree_ground: bool
     max_support: int
@@ -383,9 +383,9 @@ class QueryResult:
         return best[0][1]
 
 
-def _decode(t: state.Table, std: bool, quantum: bool) -> list[tuple[dict, bool]]:
-    """(address_bus, tree_ground) of each batch of a final state, read from
-    the columns of all its rows at once.
+def _decode(t: state.Table, std: bool, quantum: bool) -> list[QueryResult]:
+    """The `QueryResult` of each batch of a final state, read from the
+    columns of all its rows at once.
 
     j comes from the address registers, not the rows' j, so a failed
     unwind shows; a standard dual-rail bit or bus is rail 1 in |e>.  Any
@@ -410,22 +410,31 @@ def _decode(t: state.Table, std: bool, quantum: bool) -> list[tuple[dict, bool]]
         buses = [{k: math.sqrt(p) for k, p in bus.items()} for bus in buses]
     tree = [i for i, f in enumerate(t.fields) if f[0] in ("ctrl", "anc", "dwg")]
     excited = np.bincount(t.batch[t.levels[tree].any(axis=0)], minlength=len(buses))
-    return list(zip(buses, (excited == 0).tolist()))
+    return [QueryResult(*r) for r in
+            zip(buses, (excited == 0).tolist(), t.max_support.tolist())]
 
 
-def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[QueryResult]:
-    """Run the full pipeline; noiseless, so the outcome is exact.
+def final_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
+    """The engine pass of a query: `initial_state`, every level op, and a
+    closing merge, which catches an op that mapped two rows onto one.
 
-    An (N,) address returns its `QueryResult`, a (B, N) batch B of them
-    from one pass.  Raises `NumericalFailureError` when a branch leaves its
-    path, or a batch's norm leaves 1 by over 1e-10 at a split or the end."""
+    Batch b of the returned table holds the final rows of address b.
+    Raises `NumericalFailureError` when a branch leaves its path, or a
+    batch's norm leaves 1 by over 1e-10 at a split or the end."""
     table = initial_state(cfg, address, data)
     for op in _protocol(cfg, data):
         table = state.apply_gate(table, op)
     table.merge("the end of the query")
-    std, quantum = cfg.encoding.is_standard, data.mode is DataMode.QUANTUM
-    results = [QueryResult(cfg, t, *decoded, support) for t, decoded, support in
-               zip(table.batches(), _decode(table, std, quantum), table.max_support.tolist())]
+    return table
+
+
+def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[QueryResult]:
+    """The readout of `final_state`; noiseless, so the outcome is exact.
+
+    An (N,) address returns its `QueryResult`, a (B, N) batch B of them
+    from one pass."""
+    results = _decode(final_state(cfg, address, data), cfg.encoding.is_standard,
+                      data.mode is DataMode.QUANTUM)
     return results if np.ndim(address) == 2 else results[0]
 
 

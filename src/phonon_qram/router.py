@@ -51,7 +51,7 @@ class Source(enum.Enum):
 
 
 def default_dt(kappa_max: float, fwhm: float) -> float:
-    return min(0.05 / kappa_max, fwhm / 200.0)
+    return min(0.05 / float(kappa_max), fwhm / 200.0)  # in floats an overflow is inf, not a warning
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
 
 def auto_window(packet: WavePacket, kappa_max: float) -> float:
     """Window long enough that truncation effects are below ~1e-10."""
-    return 20.0 * packet.fwhm + 120.0 / kappa_max
+    return 20.0 * packet.fwhm + 120.0 / float(kappa_max)
 
 
 def _infidelity_timedomain(packet: WavePacket, kappa: float, window: float) -> float:

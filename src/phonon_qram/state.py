@@ -23,8 +23,8 @@ Every gate but `h_ge` and `dualrail_h` maps each row to one row and keeps
 its weight, so only those two change the row count: they split rows, then
 `Table.merge` sums rows with equal (batch, j, levels), prunes at 1e-14,
 counts each batch's rows and checks each batch's norm against 1 to 1e-10.
-The caller merges once more at the end of a query, which catches an op
-that mapped two rows onto one.
+`qram.final_state` merges once more at the end of a query, which catches
+an op that mapped two rows onto one, and returns the one final table.
 
 A protocol exports as `GateRecord`s, for replay against independent
 simulations and a check against the routing schedule.
@@ -83,21 +83,6 @@ class Table:
     def set_rows(self, batch, j, levels, amp) -> None:
         self.batch, self.j, self.levels, self.amp = batch, j, levels, amp
         self.bits = (j & (1 << np.arange(self.n - 1, -1, -1))[:, None]) != 0
-
-    def batches(self) -> list:
-        """A table per batch, rows in this table's order (one batch: this table):
-        slices of one batch-ordered copy of the rows and `bits`, sharing `col`."""
-        if len(self.max_support) == 1:
-            return [self]
-        order = np.argsort(self.batch, kind="stable")
-        rows = (np.zeros_like(order), self.j[order], np.take(self.levels, order, axis=1),
-                self.amp[order], self.bits[:, order])
-        ends = np.cumsum(np.bincount(self.batch)).tolist()
-        tables = [Table.__new__(Table) for _ in ends]
-        for t, a, b in zip(tables, [0] + ends, ends):
-            t.n, t.fields, t.col, t.max_support = self.n, self.fields, self.col, np.array([b - a])
-            t.batch, t.j, t.levels, t.amp, t.bits = (r[..., a:b] for r in rows)
-        return tables
 
     def merge(self, where: str) -> None:
         """Sum rows with equal (batch, j, levels), drop those at |amp| <= 1e-14,

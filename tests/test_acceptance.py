@@ -23,7 +23,7 @@ from phonon_qram.noise import (
     inject_loss,
     sample_trajectory,
 )
-from phonon_qram.qram import DataRegister, QramConfig, query
+from phonon_qram.qram import DataRegister, QramConfig, final_state, query
 from phonon_qram.qram_types import Encoding
 from phonon_qram.router import (
     RouterSimConfig,
@@ -193,9 +193,8 @@ def test_criterion_6_query_map_exactness():
                 good = res.address_bus.pop((j, int(bits[j])))
                 assert abs(good - 1.0) < 1e-10
                 assert all(abs(a) < 1e-10 for a in res.address_bus.values())
-                assert _purity_on_register(export(res.table)) == pytest.approx(
-                    1.0, abs=1e-10
-                )
+                final = export(final_state(cfg, addr, cdata))
+                assert _purity_on_register(final) == pytest.approx(1.0, abs=1e-10)
             # quantum register: the final state is the exact product of the
             # routed bus qubit with the untouched data cells
             qubits = []
@@ -225,7 +224,7 @@ def test_criterion_6_query_map_exactness():
                         nxt[conf] = amp * qubits[i][0]
                         nxt[conf | {(("data", i), 1)}] = amp * qubits[i][1]
                     expected = nxt
-                final = export(res.table, qubits)
+                final = export(final_state(cfg, addr, qdata), qubits)
                 keys = set(expected) | set(final.amps)
                 err = max(
                     abs(final.amps.get(c, 0.0) - expected.get(c, 0.0))
@@ -253,7 +252,8 @@ def test_criterion_6_superposed_addresses():
             got = res.address_bus.get((j, int(bits[j])), 0.0)
             assert abs(got - addr[j]) < 1e-10
             assert abs(res.address_bus.get((j, 1 - int(bits[j])), 0.0)) < 1e-10
-        assert _purity_on_register(export(res.table)) == pytest.approx(1.0, abs=1e-10)
+        final = export(final_state(cfg, addr, data))
+        assert _purity_on_register(final) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import math
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -683,9 +685,12 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     # a zero time step or coupling
     ("router-sim", {"dt": "0ns"}),
     ("router-sim", {"kappa_mhz": 0}),
+    # a data mode that is neither classical nor quantum
+    ("query-sim", {"mode": "x"}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
 # Small, fast configs: each top-level key in turn is replaced by a value of
@@ -717,6 +722,52 @@ def test_every_config_key_keeps_the_exit_code_contract(tmp_path, cmd):
         for value in (True, None, "x"):
             config = {**SMALL_CONFIGS[cmd], key: value}
             assert run(tmp_path, cmd, config=config) in (0, 2, 3), (key, value)
+
+
+def _in_grid_point(key):
+    return lambda v: [{**SMALL_CONFIGS["montecarlo"]["grid"][0], key: v}]
+
+
+# every duration, lifetime and coupling key of SMALL_CONFIGS: (command, key,
+# whether it is a duration, the key's value built around one such value);
+# query-sim runs in units of t and has none
+SCALE_KEYS = [
+    ("route-fidelity", "fwhm", True, None),
+    ("route-fidelity", "windows", True, lambda v: [v]),
+    ("route-fidelity", "kappa_grid_mhz", False, lambda v: {"min": v, "max": v, "points": 1}),
+    ("route-fidelity", "kappa_1d_mhz", False, None),
+    ("router-sim", "fwhm", True, None),
+    ("router-sim", "kappa_mhz", False, None),
+    ("router-sim", "window", True, None),
+    ("router-sim", "dt", True, None),
+    ("heralding", "t", True, None),
+    ("heralding", "T1_q", True, None),
+    ("heralding", "T1_m_list", True, lambda v: [v]),
+    ("heralding", "T2_q_list", True, lambda v: [v]),
+    ("heralding", "T2_m", True, None),
+    ("montecarlo", "grid", True, _in_grid_point("T1_q")),
+    ("montecarlo", "grid", True, _in_grid_point("T1_m")),
+    ("montecarlo", "t", True, None),
+    ("schedule", "t", True, None),
+]
+
+
+@pytest.mark.parametrize("cmd", list(dict.fromkeys(k[0] for k in SCALE_KEYS)))
+def test_extreme_scales_keep_the_exit_code_contract(tmp_path, cmd):
+    # a subnormal or a huge duration or coupling runs, or is refused with 2
+    # or 3 and writes nothing; it never warns or ends in a traceback
+    cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+    for key, duration, wrap in [k[1:] for k in SCALE_KEYS if k[0] == cmd]:
+        for value in ("1e-320us", "1e300us") if duration else (1e-310, 1e308):
+            config = {**SMALL_CONFIGS[cmd], key: wrap(value) if wrap else value}
+            cfg_path.write_text(json.dumps(config))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([cmd, "--config", str(cfg_path), "--out", str(out)])
+            assert rc in (0, 2, 3), (key, value)
+            if rc:
+                assert not out.exists(), (key, value, rc)
+            shutil.rmtree(out, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +803,10 @@ def test_resolution_failure_exit_code(tmp_path):
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
     ("route-fidelity", {"shapes": ["sech"], "fwhm": "5e-324ns", "windows": ["350ns"],
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+    # so weak a coupling that the window and step, 120/kappa and 0.05/kappa,
+    # overflow: in floats, not with a NumPy warning
+    ("route-fidelity", {"kappa_grid_mhz": {"min": 1e-310, "max": 1e-310, "points": 1},
+                        "windows": ["350ns"]}),
 ])
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
     # the step count is checked before any array is built, and no output is written

@@ -11,6 +11,7 @@ from phonon_qram.qram import (
     DataRegister,
     QramConfig,
     build_query_gates,
+    final_state,
     initial_state,
     query,
     trace_to_json,
@@ -43,7 +44,8 @@ def test_basis_address_reads_its_cell(enc, n):
         res = query(cfg, basis_address(n, j), data)
         assert res.bus_bit() == data.bits[j], (enc, n, j)
         assert res.tree_ground
-        assert export(res.table).norm() == pytest.approx(1.0, abs=1e-10)
+        final = export(final_state(cfg, basis_address(n, j), data))
+        assert final.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
@@ -108,7 +110,7 @@ def test_classical_read_is_a_phase_on_the_leaf(enc):
         ]
         address = _unit(rng, 2 ** n)
         keys = list(export(initial_state(cfg, address, data)).amps)
-        keys += list(export(query(cfg, address, data).table).amps)
+        keys += list(export(final_state(cfg, address, data)).amps)
         assert all(slot[0] != "data" for key in keys for slot, _ in key)
 
 
@@ -137,7 +139,8 @@ def test_quantum_read_returns_data_qubit_weights(enc):
     cfg = QramConfig(n=n, encoding=enc)
     for j, th in enumerate((th0, th1)):
         res = query(cfg, basis_address(n, j), data)
-        assert export(res.table, data.qubits).norm() == pytest.approx(1.0, abs=1e-10)
+        final = export(final_state(cfg, basis_address(n, j), data), data.qubits)
+        assert final.norm() == pytest.approx(1.0, abs=1e-10)
         assert res.address_bus.get((j, 0), 0.0) == pytest.approx(
             abs(math.cos(th)), abs=1e-10
         )
@@ -201,7 +204,7 @@ def test_dense_oracle_replay(enc, n, quantum):
     dense = dense_amplitudes(dict(init.amps), gates)
 
     # the absolute-slot reference and the path engine, each against dense
-    for sparse in (reference, export(query(cfg, amps, data).table, data.qubits)):
+    for sparse in (reference, export(final_state(cfg, amps, data), data.qubits)):
         keys = set(sparse.amps) | set(dense)
         err = max(
             abs(sparse.amps.get(k, 0.0) - dense.get(k, 0.0)) for k in keys
@@ -231,6 +234,21 @@ def test_config_and_register_validation():
         query(QramConfig(n=1), [1.0, 1.0], DataRegister.classical([0, 1]))
     with pytest.raises(InvalidParameterError):  # N = 2 needs 2 amplitudes
         initial_state(QramConfig(n=1), [1.0, 0.0, 0.0], DataRegister.classical([0, 1]))
+
+
+@pytest.mark.parametrize("data", [
+    DataRegister.classical([1]), DataRegister.classical([0, 1, 1]),
+    DataRegister.quantum([(0.6, 0.8)]), DataRegister.quantum([(0.6, 0.8)] * 3),
+])
+def test_every_entry_point_refuses_a_register_of_the_wrong_size(data):
+    # N = 2 cells: a short register must not index past its end, nor a
+    # long one run with its extra cells ignored
+    cfg = QramConfig(n=1)
+    for fn in (query, final_state, initial_state):
+        with pytest.raises(InvalidParameterError, match="data register needs 2"):
+            fn(cfg, [0.6, 0.8], data)
+    with pytest.raises(InvalidParameterError, match="data register needs 2"):
+        build_query_gates(cfg, data)
 
 
 @pytest.mark.parametrize("address, match", [
@@ -277,7 +295,7 @@ def _assert_matches_slot_engine(cfg, address, data):
     assert max(abs(init[k] - a) for k, a in ref.amps.items()) <= 1e-14
     ref.apply_all(build_query_gates(cfg, data))
     res = query(cfg, address, data)
-    final = export(res.table, data.qubits)
+    final = export(final_state(cfg, address, data), data.qubits)
     assert set(final.amps) == set(ref.amps), (n, data.mode)
     assert max(abs(final.amps[k] - a) for k, a in ref.amps.items()) <= 1e-14, (n, data.mode)
     quantum = data.mode is DataMode.QUANTUM
@@ -335,11 +353,12 @@ def test_registers_that_share_a_config_each_get_their_own_read(enc):
     assert qram._around_read.cache_info().misses == 1
 
 
-def _assert_same_result(got, want):
-    assert got.address_bus == want.address_bus
-    assert got.tree_ground == want.tree_ground and got.max_support == want.max_support
-    for col in ("j", "levels", "amp"):
-        assert np.array_equal(getattr(got.table, col), getattr(want.table, col)), col
+def _assert_same_rows(batched, b, single):
+    """Batch b's rows of the final table `batched`, in table order, are the
+    rows of the one-address final table `single`, bit for bit."""
+    rows = batched.batch == b
+    for col in ("j", "levels", "amp", "bits"):
+        assert np.array_equal(getattr(batched, col)[..., rows], getattr(single, col)), col
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
@@ -357,9 +376,11 @@ def test_a_batch_query_is_each_query_exactly(enc):
         cfg = QramConfig(n=N.bit_length() - 1, encoding=enc)
         for addresses in (np.eye(N), np.array([_unit(rng, N), _unit(rng, N)])):
             results = query(cfg, addresses, data)
+            table = final_state(cfg, addresses, data)
             assert len(results) == len(addresses)
-            for address, res in zip(addresses, results):
-                _assert_same_result(res, query(cfg, address, data))
+            for b, (address, res) in enumerate(zip(addresses, results)):
+                assert res == query(cfg, address, data)
+                _assert_same_rows(table, b, final_state(cfg, address, data))
 
 
 def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
@@ -377,9 +398,10 @@ def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
     for enc in ALL_ENCODINGS:
         for data in (DataRegister.classical([0, 1, 1, 0]),
                      DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(4)])):
-            cfg = QramConfig(n=2, encoding=enc)
-            res = query(cfg, _unit(rng, 4), data)
-            want, ground = decode_frozensets(cfg, data, export(res.table, data.qubits))
+            cfg, address = QramConfig(n=2, encoding=enc), _unit(rng, 4)
+            res = query(cfg, address, data)
+            final = export(final_state(cfg, address, data), data.qubits)
+            want, ground = decode_frozensets(cfg, data, final)
             assert res.tree_ground is False and ground is False, (enc, data.mode)
             assert set(res.address_bus) == set(want)
             assert max(abs(res.address_bus[k] - a) for k, a in want.items()) <= 1e-15
@@ -389,14 +411,17 @@ def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
     for enc in ALL_ENCODINGS:
         cfg = QramConfig(n=2, encoding=enc)
         results = query(cfg, np.eye(4), data)
+        table = final_state(cfg, np.eye(4), data)
         for j, res in enumerate(results):
-            _assert_same_result(res, query(cfg, basis_address(2, j), data))
+            assert res == query(cfg, basis_address(2, j), data)
+            _assert_same_rows(table, j, final_state(cfg, basis_address(2, j), data))
         if enc is Encoding.SINGLE_RAIL:
             assert {res.tree_ground for res in results} == {True, False}
 
 
 def test_query_builds_its_protocol_once(monkeypatch):
-    calls = {"_protocol": 0, "build_query_gates": 0}
+    # and validates its data register once, in initial_state
+    calls = {"_protocol": 0, "build_query_gates": 0, "validate": 0}
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -409,9 +434,10 @@ def test_query_builds_its_protocol_once(monkeypatch):
 
     counting(qram, "_protocol")
     counting(qram, "build_query_gates")
+    counting(DataRegister, "validate")
     cells = [(0.6, 0.8j)] * 8
     query(QramConfig(n=3), _unit(np.random.default_rng(3), 8), DataRegister.quantum(cells))
-    assert calls == {"_protocol": 1, "build_query_gates": 0}
+    assert calls == {"_protocol": 1, "build_query_gates": 0, "validate": 1}
 
 
 def test_export_multiplies_in_the_background_of_each_branch():
@@ -419,9 +445,8 @@ def test_export_multiplies_in_the_background_of_each_branch():
     # do not: 4 such j with 2 path keys and 2^3 background branches each,
     # 4 other j with 1 path key and 2^4 background branches each
     cells = [(0.6, 0.8), (1, 0), (0, 1j), (0.8, -0.6)] * 2
-    res = query(QramConfig(n=3), _unit(np.random.default_rng(5), 8),
-                DataRegister.quantum(cells))
-    final = export(res.table, cells)
+    final = export(final_state(QramConfig(n=3), _unit(np.random.default_rng(5), 8),
+                               DataRegister.quantum(cells)), cells)
     assert len(final.amps) == 128
     assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -496,10 +521,10 @@ def test_superposed_query_is_linear_in_the_address(enc):
         alpha = _unit(rng, 2 ** n)
         total: dict = {}
         for j, a in enumerate(alpha):
-            basis = export(query(cfg, basis_address(n, j), data).table, data.qubits)
+            basis = export(final_state(cfg, basis_address(n, j), data), data.qubits)
             for k, amp in basis.amps.items():
                 total[k] = total.get(k, 0.0) + a * amp
-        got = export(query(cfg, alpha, data).table, data.qubits).amps
+        got = export(final_state(cfg, alpha, data), data.qubits).amps
         assert max(abs(got.get(k, 0.0) - total.get(k, 0.0))
                    for k in set(got) | set(total)) <= 1e-12
 
