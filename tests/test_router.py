@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from phonon_qram.errors import InvalidParameterError, ResolutionError
 from phonon_qram.router import (
+    _BLOCK,
     RouterSimConfig,
     Source,
     auto_window,
@@ -183,20 +185,64 @@ def test_two_overlaps_match_the_full_field_pipeline(source, control_init, shape)
     # every output field is a multiple of u or of its reflection, so the two
     # overlaps <u|u>, <u|r> must give what four field overlaps give
     packet = WavePacket(shape, fwhm=50.0)
-    for mhz in (10, 200, 1000):
-        kappa = mhz * TWO_PI_MHZ
-        for window in (auto_window(packet, kappa), 150.0):
-            dt = min(default_dt(kappa, packet.fwhm), window / 1000.0)
-            cfg = RouterSimConfig(packet=packet, kappa_max=kappa, window=window, dt=dt,
-                                  control_init=control_init, source=source)
-            res = simulate_routing(cfg)
-            final, fidelity, leakage, steps = field_run(cfg)
-            assert res.final_state.keys() == final.keys()
-            for k, v in final.items():
-                assert abs(res.final_state[k] - v) < 1e-13, (mhz, window, k)
-            assert abs(res.fidelity - fidelity) < 1e-13
-            assert abs(res.leakage - leakage) < 1e-13
-            assert len(res.traces["time"]) == steps
+    cases = [(mhz, window, min(default_dt(mhz * TWO_PI_MHZ, packet.fwhm), window / 1000.0))
+             for mhz in (10, 200, 1000)
+             for window in (auto_window(packet, mhz * TWO_PI_MHZ), 150.0)]
+    # n = window/dt on the block edges: odd and even n, 1 or 2 steps past a
+    # block, and Cartwright's last interval (points n-2..n) across an edge
+    edges = (_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 3 * _BLOCK)
+    cases += [(200, n / 64, 1 / 64) for n in edges]
+    # field_run re-derives n from dt, so each window must hold exactly n steps
+    assert [math.ceil(w / dt) for _, w, dt in cases[-len(edges):]] == list(edges)
+    for mhz, window, dt in cases:
+        cfg = RouterSimConfig(packet=packet, kappa_max=mhz * TWO_PI_MHZ, window=window,
+                              dt=dt, control_init=control_init, source=source)
+        res = simulate_routing(cfg)
+        final, fidelity, leakage, steps = field_run(cfg)
+        assert res.final_state.keys() == final.keys()
+        for k, v in final.items():
+            assert abs(res.final_state[k] - v) < 1e-13, (mhz, window, k)
+        assert abs(res.fidelity - fidelity) < 1e-13
+        assert abs(res.leakage - leakage) < 1e-13
+        assert len(res.traces["time"]) == steps
+
+
+@pytest.mark.parametrize("mhz", [10, 200])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_scatter_state_continues_from_its_carried_value(mhz, dtype):
+    # 10 MHz at dt = 0.02 takes the x < 1e-3 series branch, 200 MHz does not
+    kappa, dt = mhz * TWO_PI_MHZ, 0.02
+    packet = WavePacket(PulseShape.SECH, fwhm=50.0, center=300.0)
+    b_half = np.asarray(envelope_time(packet, np.arange(60001) * (dt / 2)), dtype=dtype)
+    if dtype is complex:
+        b_half *= np.exp(0.3j * np.arange(60001))
+    whole = scatter_state(b_half, dt, kappa)
+    cuts = [0, 2, 1000, 1002, 25000, 59998, 60000]
+    pieces = [whole[:1]]
+    for a, b in zip(cuts, cuts[1:]):
+        pieces.append(scatter_state(b_half[a:b + 1], dt, kappa, pieces[-1][-1])[1:])
+    chained = np.concatenate(pieces)
+    assert len(chained) == len(whole) == 30001
+    assert np.max(np.abs(chained - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
+def test_routing_memory_does_not_grow_with_whole_grid_temporaries(shape):
+    # the grid is streamed in blocks: past the n+1-float time trace, a call
+    # holds O(block) arrays, so 10**6 steps peak at most at 24 B/step (64 to
+    # 80 with whole-grid arrays); the first call's scipy import is not counted
+    packet = WavePacket(shape, fwhm=50.0)
+    simulate_routing(RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=150.0))
+    n = 10**6
+    cfg = RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=n / 64, dt=1 / 64)
+    tracemalloc.start()
+    try:
+        res = simulate_routing(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.traces["time"]) == n + 1
+    assert peak <= 24 * n, peak / n
 
 
 def test_config_validation():

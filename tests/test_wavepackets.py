@@ -141,8 +141,8 @@ def test_invalid_parameters():
 
 
 def test_importing_the_package_does_not_import_scipy_integrate():
-    # simpson, lfilter, erfcx and polygamma are imported by the functions that
-    # call them, so importing the package or its CLI loads no scipy module
+    # lfilter, erfcx and polygamma are imported by the functions that call
+    # them, so importing the package or its CLI loads no scipy module
     src = str(Path(wavepackets.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
