@@ -26,16 +26,17 @@ from .errors import ConfigError, InvalidParameterError, NumericalFailureError
 from .qram_types import DataMode, Encoding
 from .wavepackets import PulseShape, WavePacket
 from . import analytics, noise, router, scheduling
-from .qram import DataRegister, QramConfig, build_query_gates, query, trace_to_json
+from .qram import DataRegister, QramConfig, query, trace_to_json
 
 _DUR_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(ns|us)\s*$")
 _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # query-sim sizes its data register and a scan by N = 2**n; refuse larger n
 # before anything of that size is built
 _MAX_QUERY_N = 16
-# each scan record repeats the N-long address, so a scan's output grows as
-# N**2: 12.7 MB and 227 MB peak RSS at n = 10 (standard dual-rail)
-_MAX_SCAN_N = 10
+# a scan is one dense (N, N) complex address batch, 16 * N**2 bytes; peak RSS
+# 47 / 96 / 291 MB at n = 10 / 11 / 12 (cli.main 0.02 / 0.05 / 0.16 s, 2 cores),
+# against 224 MB at n = 10 when every record repeated its N-long address
+_MAX_SCAN_N = 11
 # route-fidelity runs a time-domain routing simulation per kappa point and
 # shape; refuse a larger grid before it is built (1e9 points need 7.45 GiB)
 _MAX_KAPPA_POINTS = 10**4
@@ -126,8 +127,8 @@ def _kappa_grid(value, key: str) -> np.ndarray:
     if not 1 <= points <= _MAX_KAPPA_POINTS:
         raise ConfigError(f"{key}.points must be in 1..{_MAX_KAPPA_POINTS}, got {points}")
     lo, hi = (_number(float, value[k], f"{key}.{k}") for k in ("min", "max"))
-    if not (lo > 0 and hi > 0):
-        raise ConfigError(f"{key} min/max must be > 0, got {lo}, {hi}")
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ConfigError(f"{key} min/max must be finite and > 0, got {lo}, {hi}")
     return np.geomspace(lo, hi, points) * _TWO_PI_MHZ
 
 
@@ -279,11 +280,10 @@ def _parse_address(spec, N: int, n: int) -> np.ndarray:
         v = np.asarray([complex(*(_number(float, y, "address") for y in x))
                         if isinstance(x, list) and len(x) == 2
                         else _number(complex, x, "address") for x in spec])
-        if not np.isfinite(v).all():
-            raise ConfigError(f"address amplitudes must be finite, got {spec!r}")
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise ConfigError("address state has zero norm")
+        with np.errstate(over="ignore"):  # finite amplitudes can square past a float
+            nrm = np.linalg.norm(v)
+        if not 1e-12 <= nrm < math.inf:  # NaN and inf amplitudes fail too
+            raise ConfigError(f"address norm must be finite and nonzero, got {spec!r}")
         return (v / nrm)[None]
     raise ConfigError(f"cannot parse address {spec!r}")
 
@@ -314,19 +314,19 @@ def cmd_query_sim(args) -> int:
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {echo['mode']} data {echo['data']!r}") from None
     addresses = _parse_address(echo["address"], N, qcfg.n)
+    # record i is row i of the batch: basis address i in a scan, else the one
+    # address, which `params` echoes
     records = [{
-        "address": address,
         "address_bus": [{"address_index": j, "bus": lvl, "amplitude": [a.real, a.imag]}
                         for (j, lvl), a in sorted(res.address_bus.items())],
         "tree_ground": res.tree_ground,
         "max_support": res.max_support,
-    } for res, address in zip(query(qcfg, addresses, data),
-                              addresses.view(float).reshape(len(addresses), N, 2).tolist())]
+    } for res in query(qcfg, addresses, data)]
     payload = {"params": echo, "meta": _meta(args, echo), "queries": records}
     out = _outdir(args)
     _write_json(out / "query_sim.json", payload)
     if cfg["export_trace"]:
-        _write_json(out / "query_trace.json", trace_to_json(build_query_gates(qcfg, data)))
+        _write_json(out / "query_trace.json", trace_to_json(qcfg, data))
     return 0
 
 

@@ -14,33 +14,33 @@ Routing here is ideal: distortion and decoherence are composed on top
 analytically or by Monte Carlo elsewhere.
 
 The protocol is written once as level ops, each the node-parallel gates
-of one (time, gate name, level, rail); all but the read are built once per
-(config, data mode) and kept in a bounded cache.  A level op names its slots as
-path fields (kind, level, rail), plus a child bit for a slot one
-level down, and `_slot` gives a field's absolute slot at a node, for the
-gate records and for the absolute-slot export in `tests/`.
-`build_query_gates` is their node-by-node expansion into `GateRecord`s,
-for the trace export and for replay against the reference engines in
-`tests/`; a query never builds it.  `final_state` runs the level ops in
-path coordinates.  In address branch j every excitation stays on j's
-root-to-leaf path, so the state of B independent queries (a scan is one
-query per basis address) is one `state.Table` that owns its field layout
-(`_fields`: the registers, the control and ancilla of j's node at each
-level and rail, and, for quantum data, cell j's data slots) and holds a
-branch per row: its batch, j, one level per field and an amplitude.  A
-level op is one `state.apply_gate` call, a few column operations on every
-row at once; a row finds its node from j's prefix, and a hop into the
-child off j's path raises `NumericalFailureError`.  Only the bus decode
-splits rows, and it merges them again; `final_state` merges them once
-more at the end, so an op that maps two rows onto one fails the norm
-check.  The cells a branch does not query are never touched, so they stay
-a product background of their (a, b) that no row holds.  `query` decodes
-every batch's readout at once from the columns of the final rows, where
-the background sums out: `address_bus`, `tree_ground`, and `max_support`,
-which counts path branches, at most 2N.
+of one (time, gate name, level, rail); all but the read are built once
+per (config, data mode) and kept in a bounded cache.  A level op names
+its slots as path fields (kind, level, rail), plus a child bit for a slot
+one level down, and `_slot` gives a field's absolute slot at a node.
+`trace_to_json` exports the level ops as they run.  `build_query_gates`
+is their node-by-node expansion into `GateRecord`s, for replay against
+the reference engines in `tests/`; neither a query nor the CLI builds it.
+`final_state` runs the level ops in path coordinates.  In address branch
+j every excitation stays on j's root-to-leaf path, so the state of B
+independent queries (a scan is one query per basis address) is one
+`state.Table` that owns its field layout (`_fields`: the registers, the
+control and ancilla of j's node at each level and rail, and, for quantum
+data, cell j's data slots) and holds a branch per row: its batch, j, one
+level per field and an amplitude.  A level op is one `state.apply_gate`
+call, a few column operations on every row at once; a row finds its node
+from j's prefix, and a hop into the child off j's path raises
+`NumericalFailureError`.  Only the bus decode splits rows, and it merges
+them again; `final_state` merges them once more at the end, so an op that
+maps two rows onto one fails the norm check.  The cells a branch does not
+query are never touched, so they stay a product background of their
+(a, b) that no row holds.  `query` decodes every batch's readout at once
+from the columns of the final rows, where the background sums out:
+`address_bus`, `tree_ground`, and `max_support`, which counts path
+branches, at most 2N.
 
-Timestamps on the emitted gate records are in units of the routing step t.
-Emissions and control settings sit on `scheduling.start_slot`, and the hop
+Level op times, and so gate record times, are in units of the routing
+step t.  Emissions and control settings sit on `scheduling.start_slot`, and the hop
 of excitation k out of level l on start_slot + l, where
 `scheduling.build_schedule` puts its "in" entries.  Mirroring maps an
 instant at tau to M - tau and a hop over [tau, tau + 1) to M - tau - 1,
@@ -290,20 +290,8 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
     read, the mirrored inverse of the inward half, then the bus decode.
     It is the node-by-node expansion of the level ops `final_state` runs."""
     data.validate(cfg.N)
-    rows: dict = {}  # (template, level) -> the template's slots at every node
-    gates: list[GateRecord] = []
-    for op in _protocol(cfg, data):
-        per_template = []
-        for t in op.templates:
-            r = rows.get((t, op.level))
-            if r is None:
-                r = rows[t, op.level] = [tuple(_slot(f, node) for f in t)
-                                         for node in range(2 ** op.level)]
-            per_template.append(r)
-        name, time, params = op.name, op.time, op.params
-        gates += [GateRecord(name, r[node], time, params)
-                  for node in op.nodes for r in per_template]
-    return gates
+    return [GateRecord(op.name, tuple(_slot(f, node) for f in t), op.time, op.params)
+            for op in _protocol(cfg, data) for node in op.nodes for t in op.templates]
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +429,12 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[Qu
 # ---------------------------------------------------------------------------
 # trace export
 
-def trace_to_json(gates):
-    """JSON-ready list of gate records."""
-    return [
-        {
-            "time_t": g.time,
-            "gate": g.name,
-            "slots": [list(s) for s in g.slots],
-            "params": list(g.params),
-        }
-        for g in gates
-    ]
+def trace_to_json(cfg: QramConfig, data: DataRegister) -> list[dict]:
+    """JSON-ready level ops of a query, in the order `final_state` runs
+    them: each op's time, gate, level, params, nodes and templates, a
+    template being a list of path fields (null for no rail) whose slot at
+    a node `_slot` names."""
+    data.validate(cfg.N)
+    return [{"time_t": op.time, "gate": op.name, "level": op.level, "params": list(op.params),
+             "nodes": list(op.nodes), "templates": [[list(f) for f in t] for t in op.templates]}
+            for op in _protocol(cfg, data)]

@@ -26,8 +26,9 @@ counts each batch's rows and checks each batch's norm against 1 to 1e-10.
 `qram.final_state` merges once more at the end of a query, which catches
 an op that mapped two rows onto one, and returns the one final table.
 
-A protocol exports as `GateRecord`s, for replay against independent
-simulations and a check against the routing schedule.
+`qram.build_query_gates` expands a protocol into `GateRecord`s, for
+replay against the independent simulations in `tests/` and a check
+against the routing schedule; the trace export writes the level ops.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from phonon_qram.qram import DataRegister, QramConfig, trace_to_json
 from phonon_qram.qram_types import Encoding
 from phonon_qram.router import sweep_kappa
 from phonon_qram.scheduling import build_schedule
+from phonon_qram.state import GateRecord
 from phonon_qram.wavepackets import PulseShape
 
 
@@ -131,24 +132,99 @@ def test_query_sim_trace_export(tmp_path, monkeypatch):
     assert trace and all("gate" in g for g in trace)
 
 
-def test_query_sim_scan_builds_the_trace_once(tmp_path, monkeypatch):
-    # the gate list does not depend on the address, so a scan builds it once,
-    # and only because export_trace asks for it
-    calls = []
-    real_build = cli.build_query_gates
+def test_query_sim_writes_the_trace_as_level_ops(tmp_path, monkeypatch):
+    # the trace is the level ops the engine runs, one entry each, written
+    # only when export_trace asks; the CLI never expands them into gates
+    def refuse(*a):
+        raise AssertionError("query-sim expanded the level ops into gates")
 
-    def counting_build(*a):
-        calls.append(a)
-        return real_build(*a)
-
-    monkeypatch.setattr(cli, "build_query_gates", counting_build)
+    monkeypatch.setattr(qram, "build_query_gates", refuse)
     config = {"n": 2, "data": [0, 1, 1, 0], "address": "scan"}
     assert run(tmp_path, "query-sim", config=config) == 0
-    assert calls == [] and not (tmp_path / "query_trace.json").exists()
+    assert not (tmp_path / "query_trace.json").exists()
     assert run(tmp_path, "query-sim", config={**config, "export_trace": True}) == 0
-    assert len(calls) == 1
-    want = trace_to_json(real_build(QramConfig(n=2), DataRegister.classical([0, 1, 1, 0])))
-    assert json.loads((tmp_path / "query_trace.json").read_text()) == want
+    trace = json.loads((tmp_path / "query_trace.json").read_text())
+    data = DataRegister.classical([0, 1, 1, 0])
+    ops = qram._protocol(QramConfig(n=2), data)
+    assert trace == trace_to_json(QramConfig(n=2), data)
+    assert [(e["time_t"], e["gate"], e["level"], e["nodes"]) for e in trace] == [
+        (op.time, op.name, op.level, list(op.nodes)) for op in ops]
+
+
+@pytest.mark.parametrize("enc", list(Encoding))
+def test_query_sim_scan_records_hold_no_address_list(tmp_path, enc):
+    # a record names its address by its index; at n = 10 each used to repeat
+    # the 1,024-long address, 12,439 bytes an address in all
+    assert run(tmp_path, "query-sim", config={"n": 10, "encoding": enc.value}) == 0
+    path = tmp_path / "query_sim.json"
+    doc = json.loads(path.read_text())
+    assert len(doc["queries"]) == 1024
+    assert all(set(rec) == {"address_bus", "tree_ground", "max_support"}
+               for rec in doc["queries"])
+    assert path.stat().st_size < 200 * 1024
+
+
+def _old_address(spec, i, N):
+    """The "address" list record i of a run with address `spec` carried
+    before records dropped it: basis address i of a scan, the bitstring's
+    basis address, or the normalised amplitudes, as [re, im] pairs."""
+    if spec == "scan":
+        v = np.eye(N, dtype=complex)[i]
+    elif isinstance(spec, str):
+        v = np.eye(N, dtype=complex)[int(spec, 2)]
+    else:
+        v = np.array([complex(*x) if isinstance(x, list) else complex(x) for x in spec])
+        v = v / np.linalg.norm(v)
+    return [[a.real, a.imag] for a in v.tolist()]
+
+
+@pytest.mark.parametrize("enc", list(Encoding))
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_query_sim_output_rebuilds_the_old_formats(tmp_path, enc, mode):
+    # each record's old address list follows from params and its index, and
+    # the old gate-by-gate trace from the level ops by qram._slot
+    rng = np.random.default_rng(11)
+    for n in range(1, 6 if mode == "classical" else 4):
+        N = 2 ** n
+        if mode == "classical":
+            data = [int(b) for b in rng.integers(0, 2, N)]
+            register = DataRegister.classical(data)
+        else:
+            cells = rng.normal(size=(N, 2)) + 1j * rng.normal(size=(N, 2))
+            cells /= np.linalg.norm(cells, axis=1, keepdims=True)
+            data = [[str(a) for a in cell] for cell in cells.tolist()]  # "(re+imj)"
+            register = DataRegister.quantum(cells.tolist())
+        amps = rng.normal(size=(N, 2)).tolist()
+        amps[0] = float(amps[0][0])  # a bare number among the [re, im] pairs
+        bits = "".join(str(b) for b in rng.integers(0, 2, n))
+        for k, spec in enumerate(("scan", bits, amps)):
+            out = tmp_path / f"n{n}-{k}"
+            out.mkdir()
+            config = {"n": n, "encoding": enc.value, "mode": mode, "data": data,
+                      "address": spec, "export_trace": True}
+            assert run(out, "query-sim", config=config) == 0
+            doc = json.loads((out / "query_sim.json").read_text())
+            echoed = doc["params"]["address"]
+            batch = cli._parse_address(echoed, N, n)
+            old = batch.view(float).reshape(len(batch), N, 2).tolist()
+            assert len(doc["queries"]) == len(old)
+            for i, rec in enumerate(doc["queries"]):
+                address = _old_address(echoed, i, N)
+                assert address == old[i]
+                res = qram.query(QramConfig(n=n, encoding=enc),
+                                 np.array([complex(*a) for a in address]), register)
+                assert rec == {
+                    "address_bus": [{"address_index": j, "bus": lvl,
+                                     "amplitude": [a.real, a.imag]}
+                                    for (j, lvl), a in sorted(res.address_bus.items())],
+                    "tree_ground": res.tree_ground,
+                    "max_support": res.max_support,
+                }
+            trace = json.loads((out / "query_trace.json").read_text())
+            gates = [GateRecord(e["gate"], tuple(qram._slot(f, node) for f in t),
+                                e["time_t"], tuple(e["params"]))
+                     for e in trace for node in e["nodes"] for t in e["templates"]]
+            assert gates == qram.build_query_gates(QramConfig(n=n, encoding=enc), register)
 
 
 def test_query_sim_scan_is_one_query(tmp_path, monkeypatch):
@@ -411,11 +487,11 @@ def test_query_sim_refuses_n_above_16(tmp_path, n):
     assert not out.exists()
 
 
-def test_query_sim_refuses_a_scan_above_n_10(tmp_path):
-    # the default address is a scan, whose output grows as N^2
+def test_query_sim_refuses_a_scan_above_n_11(tmp_path):
+    # the default address is a scan, whose (N, N) address batch grows as N^2
     proc, out = run_capped(tmp_path, "query-sim", {"n": 12})
     assert proc.returncode == 2, proc.stderr
-    assert "an address scan needs n <= 10" in proc.stderr
+    assert "an address scan needs n <= 11" in proc.stderr
     assert not out.exists()
 
 
@@ -687,6 +763,11 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     ("router-sim", {"kappa_mhz": 0}),
     # a data mode that is neither classical nor quantum
     ("query-sim", {"mode": "x"}),
+    # an address whose norm overflows a float, refused without a warning
+    ("query-sim", {"n": 1, "data": [0, 1], "address": [1e308, 1e308]}),
+    # an infinite grid bound is refused, not passed to np.geomspace
+    ("route-fidelity", {"kappa_grid_mhz": {"min": 10, "max": "inf", "points": 1}}),
+    ("route-fidelity", {"kappa_grid_mhz": {"min": "inf", "max": "inf", "points": 1}}),
 ])
 def test_malformed_values_exit_2(tmp_path, cmd, config):
     assert run(tmp_path, cmd, config=config) == 2

@@ -568,9 +568,8 @@ def test_gate_timestamps_match_schedule():
 def test_trace_to_json_roundtrip():
     import json
 
-    cfg = QramConfig(n=1)
-    gates = build_query_gates(cfg, DataRegister.classical([0, 1]))
-    payload = trace_to_json(gates)
+    payload = trace_to_json(QramConfig(n=1), DataRegister.classical([0, 1]))
     assert json.loads(json.dumps(payload)) == payload
     assert payload[0]["gate"]
-    assert all({"time_t", "gate", "slots", "params"} <= set(p) for p in payload)
+    assert all(set(p) == {"time_t", "gate", "level", "params", "nodes", "templates"}
+               for p in payload)
