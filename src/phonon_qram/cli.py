@@ -258,6 +258,7 @@ def cmd_router_sim(args) -> int:
         "params": echo,
         "fidelity": sim.fidelity,
         "leakage": sim.leakage,
+        "error_estimate": sim.error_estimate,
         "final_state": {k: [v.real, v.imag] for k, v in sim.final_state.items()},
     }
     _write_json(_outdir(args) / "router_sim.json", payload)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,21 +42,30 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 # the grid is walked in blocks, so a step peaks at 8 bytes (the time trace)
-# under tracemalloc, and this caps one call near 80 MB
+# under tracemalloc, and this caps one call near 80 MB; a default step halved
+# for its error estimate stops here too
 _MAX_STEPS = 10**7
-# 8,192 steps ran router_sweep passes fastest (2 cores): 4,096 was 15% slower
-# on per-block call overhead, 16,384 9% and 32,768 24% slower as a block's
-# 2B+1 half-step floats outgrow the cache
-_BLOCK = 8192
+# the step-doubling estimate of the fidelity and leakage error above which a
+# run raises ResolutionError: the tolerance of the closed-form checks
+_TOLERANCE = 1e-9
+# a 10**6-step routing (fwhm/dt = 3,200; 10 MHz-1 GHz; 2 cores) ran in 23 ms
+# on blocks of 16,384 steps: 8,192 took 12% and 4,096 37% longer on per-block
+# call overhead, 32,768 4% less at twice the block memory.  router_sweep's
+# grids of 1,000-4,200 steps fit in one block
+_BLOCK = 16384
+
+
+# the scatterer's step weights over h, series in -x = -kappa dt/2 below x = 1:
+# the (-x)^k coefficients of the three are (k+1)^2, 4(k+1) and 1-k over
+# (k+3)!, summed from the moments mu_j = j! sum_k (-x)^k/(k+j+1)! with no
+# cancellation; 20 terms leave a tail below 1e-19 at x = 1
+_WEIGHT_SERIES = np.array([[w / math.factorial(k + 3) for w in ((k + 1) ** 2, 4 * (k + 1), 1 - k)]
+                           for k in range(20)]).T
 
 
 class Source(enum.Enum):
     LEFT_QUBIT = "left"
     RIGHT_QUBIT = "right"
-
-
-def default_dt(kappa_max: float, fwhm: float) -> float:
-    return min(0.05 / float(kappa_max), fwhm / 200.0)  # in floats an overflow is inf, not a warning
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,8 @@ class RouterSimConfig:
     def step(self) -> float:
         if self.dt is not None:
             return self.dt
-        return default_dt(self.kappa_max, self.packet.fwhm)
+        # the integrator's error is set by dt/fwhm, not by kappa*dt
+        return min(self.packet.fwhm / 200.0, self.window / 1000.0)
 
 
 @dataclass
@@ -108,24 +119,22 @@ class RouterSimResult:
 
     ``final_state`` maps three-qubit basis strings (Q_L, Q_R, Q_C) to
     captured amplitudes; ``leakage`` is the norm lost to uncaptured field;
+    ``error_estimate`` is the step-doubling estimate of the discretisation
+    error of ``fidelity`` and ``leakage``, ``max |x(dt) - x(2 dt)| / 15``;
     ``traces["time"]`` is the full-step time grid.
     """
 
     final_state: dict[str, complex]
     fidelity: float
     leakage: float
+    error_estimate: float
     traces: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def beam_splitter(left_amp, right_amp):
-    """50/50 splitter: a_L -> (-a_L + a_R)/sqrt2, a_R -> (a_L + a_R)/sqrt2."""
-    left_amp = np.asarray(left_amp)
-    right_amp = np.asarray(right_amp)
-    out_l = (-left_amp + right_amp) / _SQRT2
-    out_r = (left_amp + right_amp) / _SQRT2
-    if out_l.ndim:
-        return out_l, out_r
-    return complex(out_l), complex(out_r)
+    """50/50 splitter: a_L -> (-a_L + a_R)/sqrt2, a_R -> (a_L + a_R)/sqrt2,
+    on numbers or on NumPy arrays of the arms' fields."""
+    return (-left_amp + right_amp) / _SQRT2, (left_amp + right_amp) / _SQRT2
 
 
 def scatter_state(b_half: np.ndarray, dt: float, kappa: float, c0=0.0) -> np.ndarray:
@@ -137,67 +146,57 @@ def scatter_state(b_half: np.ndarray, dt: float, kappa: float, c0=0.0) -> np.nda
     cut at an even half-step index, each piece continuing from the last value
     of the one before, gives the one-shot result exactly.
     Uses the exact one-pole exponential integrator with quadratic (Simpson)
-    interpolation of the input over each step; 4th-order accurate.
+    interpolation of the input over each step; 4th-order accurate.  A step
+    whose weights have no float value (a subnormal step, an infinite kappa)
+    raises ResolutionError.
     """
-    from scipy.signal import lfilter
-
-    a = kappa / 2.0
-    h = dt
-    x = a * h
+    x = kappa * dt / 2.0
     decay = math.exp(-x)
-    # m_j = int_0^h s^j e^(-a(h-s)) ds: the recursion loses its digits to
-    # cancellation as x -> 0, the series j! h^(j+1) sum_k (-x)^k/(k+j+1)! not
-    if x < 1e-3:
-        m0, m1, m2 = (math.factorial(j) * h ** (j + 1)
-                      * sum((-x) ** k / math.factorial(k + j + 1) for k in range(8))
-                      for j in range(3))
+    # the weights over h of the half-step samples at 0, h/2 and h, from the
+    # moments mu_j = int_0^1 s^j e^(-x(1-s)) ds: by their recursion, which
+    # cancels digits as x -> 0, or by the exact series below x = 1
+    if x < 1.0:
+        weights = _WEIGHT_SERIES @ (-x) ** np.arange(_WEIGHT_SERIES.shape[1])
     else:
-        m0 = -math.expm1(-x) / a
-        m1 = (h - m0) / a
-        m2 = (h * h - 2.0 * m1) / a
-    w0 = (2.0 / h**2) * (m2 - 1.5 * h * m1 + 0.5 * h * h * m0)
-    wm = (-4.0 / h**2) * (m2 - h * m1)
-    w1 = (2.0 / h**2) * (m2 - 0.5 * h * m1)
-    drive = math.sqrt(kappa) * (
-        w0 * b_half[:-2:2] + wm * b_half[1:-1:2] + w1 * b_half[2::2]
-    )
-    c, _ = lfilter([1.0], [1.0, -decay], drive, zi=[decay * c0])
-    return np.concatenate([[c0], c])
+        mu0 = -math.expm1(-x) / x
+        mu1 = (1.0 - mu0) / x
+        mu2 = (1.0 - 2.0 * mu1) / x
+        weights = (2.0 * mu2 - 3.0 * mu1 + mu0, 4.0 * (mu1 - mu2), 2.0 * mu2 - mu1)
+    w0, wm, w1 = (dt * math.sqrt(kappa) * float(w) for w in weights)
+    # a subnormal step has lost its digits, and an infinite kappa makes
+    # inf * 0, a NaN in floats rather than a warning
+    if not (dt >= sys.float_info.min and all(map(math.isfinite, (w0, wm, w1)))):
+        raise ResolutionError(f"step {dt:.3g} ns at kappa={kappa:.3g} rad/ns has no float weights")
+    n = (len(b_half) - 1) // 2
+    c = np.empty(n + 1, dtype=np.result_type(b_half, c0))
+    c[0] = c0
+    c[1:] = w0 * b_half[:-2:2] + wm * b_half[1:-1:2] + w1 * b_half[2::2]
+    c[1] += decay * c0
+    # c_k = decay c_(k-1) + drive_k as a doubling scan: after the pass at
+    # stride s each c_k sums the last 2s drives, so log2(n) vector ops do it,
+    # stopping once decay**s, the weight of what is left, is below 1e-18
+    s, f = 1, decay
+    while s < n and f > 1e-18:
+        c[1 + s:] += f * c[1:-s]
+        s, f = 2 * s, f * f
+    return c
 
 
-def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
-    """Run one conditional routing and score it against the ideal CSWAP."""
-    kappa = config.kappa_max
-    dt = float(config.step)
-    if dt * kappa > 0.1:
-        raise ResolutionError(f"dt*kappa = {dt * kappa:.3f} > 0.1; grid too coarse")
-    steps = float(config.window) / dt  # in floats an overflow is inf, not a warning
-    if not steps <= _MAX_STEPS:
-        raise ResolutionError(f"window/dt = {steps:.3g} steps; the grid limit is {_MAX_STEPS:.0e}")
-    n = math.ceil(steps)
-    dt = config.window / n
-    packet = WavePacket(config.packet.shape, config.packet.fwhm, config.window / 2.0)
+def _end_weights(m: int) -> np.ndarray:
+    """What turns weights 4 on odd and 2 on even points 1..m into the weights
+    of scipy.integrate.simpson on points m-2..m: 1 on point m, and for odd m
+    Cartwright's last interval, 3.75, 3 and 1.25."""
+    return np.array([0.0, 0.0, -1.0] if m % 2 == 0 else [-0.25, 1.0, -2.75])
 
-    # every output field is a multiple of u or of its reflection
-    # r = u - sqrt(kappa) c, so capture needs only <u|u> and <u|r>: Simpson
-    # sums over points 0..n, taken block by block with weights 4 on odd and
-    # 2 on even points after each block's first.  A last block shorter than
-    # 2 steps joins the one before it, so points n-2..n end in one block.
-    u, c = envelope_time(packet, np.zeros(1)), np.zeros(1)  # point 0; c = 0 there
-    s_uu, s_uc, start = float(u[0]) ** 2, 0.0, 0
-    while start < n:
-        stop = n if n - start < _BLOCK + 2 else start + _BLOCK
-        u_half = envelope_time(packet, np.arange(2 * start, 2 * stop + 1) * (dt / 2.0))
-        u, c = u_half[::2], scatter_state(u_half, dt, kappa, c[-1])
-        s_uu += 4.0 * np.dot(u[1::2], u[1::2]) + 2.0 * np.dot(u[2::2], u[2::2])
-        s_uc += 4.0 * np.dot(u[1::2], c[1::2]) + 2.0 * np.dot(u[2::2], c[2::2])
-        start = stop
-    # the end weights of scipy.integrate.simpson: 1 on point n, and for odd n
-    # Cartwright's last interval, 3.75, 3 and 1.25 on points n-2, n-1, n
-    end = np.array([0.0, 0.0, -1.0] if n % 2 == 0 else [-0.25, 1.0, -2.75])
-    s_uu = float(s_uu + end @ (u[-3:] * u[-3:])) * dt / 3.0
-    s_ur = s_uu - math.sqrt(kappa) * float(s_uc + end @ (u[-3:] * c[-3:])) * dt / 3.0
 
+def _sums(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Simpson sums of u*u and u*c over a block's points after its first."""
+    return np.array([4.0 * np.dot(u[1::2], u[1::2]) + 2.0 * np.dot(u[2::2], u[2::2]),
+                     4.0 * np.dot(u[1::2], c[1::2]) + 2.0 * np.dot(u[2::2], c[2::2])])
+
+
+def _capture(config: RouterSimConfig, s_uu: float, s_ur: float):
+    """Captured state, fidelity and leakage from the overlaps <u|u> and <u|r>."""
     # first beam splitter; the excitation enters from the source arm
     if config.source is Source.LEFT_QUBIT:
         f_l, f_r = beam_splitter(1.0, 0.0)
@@ -219,23 +218,91 @@ def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
         ideal = {"100": alpha, "011": beta}
     else:
         ideal = {"010": alpha, "101": beta}
-    fidelity = abs(sum(np.conj(ideal.get(k, 0.0)) * v for k, v in final.items())) ** 2
+    fidelity = abs(sum(complex(ideal.get(k, 0.0)).conjugate() * v for k, v in final.items())) ** 2
     captured = sum(abs(v) ** 2 for v in final.values())
-    leakage = 1.0 - captured
+    return final, float(fidelity), float(1.0 - captured)
+
+
+def _route(config: RouterSimConfig, n: int):
+    """Captured state, fidelity, leakage and error estimate on n (even) steps."""
+    kappa = float(config.kappa_max)
+    dt = config.window / n
+    packet = WavePacket(config.packet.shape, config.packet.fwhm, config.window / 2.0)
+
+    # every output field is a multiple of u or of its reflection
+    # r = u - sqrt(kappa) c, so capture needs only <u|u> and <u|r>: Simpson
+    # sums over points 0..n, taken block by block with weights 4 on odd and
+    # 2 on even points after each block's first.  The step-2dt grid runs on
+    # the same blocks: its half-step samples are the full-step u.  A last
+    # block shorter than 4 steps joins the one before it, so the 2dt grid's
+    # points n/2-2..n/2 end in one block.
+    c = c2 = np.zeros(1)  # point 0: the scatterer starts empty
+    fine, coarse, start = np.zeros(2), np.zeros(2), 0
+    while start < n:
+        stop = n if n - start < _BLOCK + 4 else start + _BLOCK
+        u_half = envelope_time(packet, np.arange(2 * start, 2 * stop + 1) * (dt / 2.0))
+        u = u_half[::2]
+        c = scatter_state(u_half, dt, kappa, c[-1])
+        c2 = scatter_state(u, 2.0 * dt, kappa, c2[-1])
+        fine += _sums(u, c)
+        coarse += _sums(u[::2], c2)
+        start = stop
+    u0, root = float(envelope_time(packet, np.zeros(1))[0]) ** 2, math.sqrt(kappa)
+    runs = []
+    for (s_uu, s_uc), m, v, w, h in ((fine, n, u, c, dt), (coarse, n // 2, u[::2], c2, 2 * dt)):
+        end = _end_weights(m)
+        s_uu = float(u0 + s_uu + end @ (v[-3:] * v[-3:])) * h / 3.0
+        s_uc = float(s_uc + end @ (v[-3:] * w[-3:])) * h / 3.0
+        runs.append(_capture(config, s_uu, s_uu - root * s_uc))
+    (final, fidelity, leakage), (_, fidelity2, leakage2) = runs
+    # both grids are 4th order: doubling the step multiplies the error by 16
+    estimate = max(abs(fidelity - fidelity2), abs(leakage - leakage2)) / 15.0
+    return final, fidelity, leakage, estimate
+
+
+def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
+    """Run one conditional routing and score it against the ideal CSWAP.
+
+    The grid's discretisation error is estimated by step doubling.  Above
+    ``_TOLERANCE`` a default step is halved (a window cut inside the packet
+    starts a scatterer transient 2/kappa long), as long as each halving cuts
+    the estimate as a 4th-order error falls; a forced step, a slower fall, a
+    non-finite estimate or a grid past ``_MAX_STEPS`` raises ResolutionError.
+    """
+    steps = float(config.window) / float(config.step)  # in floats an overflow is inf, not a warning
+    if not steps <= _MAX_STEPS:
+        raise ResolutionError(f"window/dt = {steps:.3g} steps; the grid limit is {_MAX_STEPS:.0e}")
+    n = math.ceil(steps)
+    n += n % 2  # even, so the doubled step tiles the same window
+    previous = math.inf
+    while True:
+        final, fidelity, leakage, estimate = _route(config, n)
+        if estimate <= _TOLERANCE:
+            break
+        # a fall slower than 8-fold is not 4th order, and the estimate's /15 fails
+        if config.dt is not None or not estimate < previous / 8.0 or 2 * n > _MAX_STEPS:
+            raise ResolutionError(
+                f"dt={config.window / n:.3g} ns: estimated discretisation error "
+                f"{estimate:.3g} exceeds {_TOLERANCE:.0e}")
+        previous, n = estimate, 2 * n
     time = np.arange(n + 1, dtype=float)
-    time *= dt
+    time *= config.window / n
 
     return RouterSimResult(
         final_state=final,
-        fidelity=float(fidelity),
-        leakage=float(leakage),
+        fidelity=fidelity,
+        leakage=leakage,
+        error_estimate=estimate,
         traces={"time": time},
     )
 
 
 def auto_window(packet: WavePacket, kappa_max: float) -> float:
-    """Window long enough that truncation effects are below ~1e-10."""
-    return 20.0 * packet.fwhm + 120.0 / float(kappa_max)
+    """The packet's float support, 20 fwhm: its ends are below 1e-8 (sech)
+    and 1e-43 (Gaussian) of its peak.  The matched filter does not capture
+    the scatterer's ringdown past the packet, so the window does not depend
+    on ``kappa_max``; the parameter is kept for callers."""
+    return 20.0 * packet.fwhm
 
 
 def _infidelity_timedomain(packet: WavePacket, kappa: float, window: float) -> float:
@@ -248,7 +315,9 @@ def sweep_kappa(shapes, fwhm: float, kappas):
 
     Rows are dicts with ``param`` (kappa in rad/ns), ``shape``,
     ``infidelity`` (closed-form, infinite window) and ``infidelity_td``
-    from the long-window time-domain simulation.
+    from the time-domain simulation over ``auto_window``, the packet's
+    support, on the default step: within 1e-9 of the closed form, as
+    its error estimate checks.
     """
     if not len(kappas) or not len(shapes):
         raise InvalidParameterError("empty sweep grid")

@@ -97,7 +97,13 @@ def envelope_time(packet: WavePacket, t):
     if packet.shape is PulseShape.GAUSSIAN:
         kw = packet.width_param
         peak = (2.0 * kw**2 / np.pi) ** 0.25
-        out = peak * np.exp(-((kw * dt) ** 2))
+        x = -((kw * dt) ** 2)
+        # np.exp takes a slow path, 5x, on arguments whose result underflows
+        # to 0 (below -745); a window past the packet's support masks them
+        if x.size and x.min() < -745.0:
+            out = peak * np.exp(x, out=np.zeros_like(x), where=x > -746.0)
+        else:
+            out = peak * np.exp(x)
     else:
         tau = packet.width_param
         # normalization from int sech^2(t/tau) dt = 2 tau

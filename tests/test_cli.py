@@ -21,7 +21,7 @@ from phonon_qram.qram_types import Encoding
 from phonon_qram.router import sweep_kappa
 from phonon_qram.scheduling import build_schedule
 from phonon_qram.state import GateRecord
-from phonon_qram.wavepackets import PulseShape
+from phonon_qram.wavepackets import PulseShape, ReflectionResponse, WavePacket, distortion_fidelity
 
 
 def run(tmp_path, *argv, config=None):
@@ -99,7 +99,8 @@ def test_router_sim(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "router_sim.json").read_text())
     assert doc["fidelity"] == pytest.approx(1.0, abs=5e-3)
-    assert set(doc) == {"params", "fidelity", "leakage", "final_state"}
+    assert set(doc) == {"params", "fidelity", "leakage", "error_estimate", "final_state"}
+    assert 0.0 <= doc["error_estimate"] <= 1e-9
 
 
 def test_query_sim_scan(tmp_path):
@@ -855,15 +856,18 @@ def test_extreme_scales_keep_the_exit_code_contract(tmp_path, cmd):
 # numerical failure (exit code 3)
 
 def test_resolution_failure_exit_code(tmp_path):
-    # a user-forced step far above the 0.1/kappa floor is a numerical failure
+    # a user-forced step of fwhm/5 is estimated to be off by 5e-5: a numerical failure
     cfg = {"window": "20000ns", "dt": "10ns"}
     assert run(tmp_path, "router-sim", config=cfg) == 3
 
 
 @pytest.mark.parametrize("cmd, config", [
-    ("router-sim", {"kappa_mhz": 1e308}),
-    ("router-sim", {"kappa_mhz": 1e290}),
-    ("route-fidelity", {"kappa_1d_mhz": 1e308,
+    # a window cut inside the packet starts a scatterer transient 2/kappa
+    # long, which no step resolves: halving the step cuts the estimate 2-fold
+    ("router-sim", {"kappa_mhz": 1e308, "window": "150ns"}),
+    # a subnormal step (window/1000) has lost its digits
+    ("router-sim", {"window": "1e-320us"}),
+    ("route-fidelity", {"kappa_1d_mhz": 1e308, "windows": ["150ns"],
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
     # the spectral width underflows before the time-domain grid is sized
     ("route-fidelity", {"fwhm": "1e200ns"}),
@@ -884,20 +888,51 @@ def test_resolution_failure_exit_code(tmp_path):
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
     ("route-fidelity", {"shapes": ["sech"], "fwhm": "5e-324ns", "windows": ["350ns"],
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
-    # so weak a coupling that the window and step, 120/kappa and 0.05/kappa,
-    # overflow: in floats, not with a NumPy warning
-    ("route-fidelity", {"kappa_grid_mhz": {"min": 1e-310, "max": 1e-310, "points": 1},
-                        "windows": ["350ns"]}),
+    ("route-fidelity", {"windows": ["1e-320us"],
+                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+    # an infinite coupling gives the scatterer no float weights (inf * 0)
+    ("router-sim", {"kappa_mhz": math.inf}),
 ])
 def test_grid_too_large_to_build_exit_3(tmp_path, cmd, config):
-    # the step count is checked before any array is built, and no output is written
+    # a grid too large, too fine or too coarse is refused before any output is written
     assert run(tmp_path, cmd, config=config) == 3
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("cmd, config", [
+    ("router-sim", {"kappa_mhz": 1e308}),
+    ("router-sim", {"kappa_mhz": 1e290}),
+    ("route-fidelity", {"kappa_1d_mhz": 1e308, "windows": ["1000ns"],
+                        "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
+    ("route-fidelity", {"kappa_grid_mhz": {"min": 1e-310, "max": 1e-310, "points": 1},
+                        "windows": ["350ns"]}),
+])
+def test_extreme_couplings_match_the_closed_form(tmp_path, cmd, config):
+    # the integrator is exact in kappa, so a coupling whose kappa*dt over- or
+    # underflows routes as accurately as any other: within 1e-9 of the closed
+    # form (a 350 ns window cuts the Gaussian's tails at 5e-12)
+    def closed(shape, mhz):
+        packet = WavePacket(PulseShape(shape), 50.0)
+        return 1.0 - distortion_fidelity(packet, ReflectionResponse(mhz * cli._TWO_PI_MHZ))
+
+    assert run(tmp_path, cmd, config=config) == 0
+    if cmd == "router-sim":  # the Gaussian default
+        doc = json.loads((tmp_path / "router_sim.json").read_text())
+        pairs = [(1.0 - doc["fidelity"], closed("gaussian", config["kappa_mhz"]))]
+    elif "kappa_1d_mhz" in config:  # the window sweep's time domain
+        _, rows = csv_table(tmp_path / "fig1d.csv")
+        pairs = [(float(r[2]), closed(r[1], config["kappa_1d_mhz"])) for r in rows]
+    else:  # the kappa sweep's time domain and closed form
+        _, rows = csv_table(tmp_path / "fig1c.csv")
+        pairs = [(float(r[3]), float(r[2])) for r in rows]
+    assert len(pairs) in (1, 2)
+    for td, cf in pairs:
+        assert abs(td - cf) <= 1e-9, (td, cf)
+
+
 def test_route_fidelity_failure_writes_no_csv(tmp_path):
     # the kappa sweep succeeds and the window sweep fails: neither file is written
-    config = {"kappa_1d_mhz": 1e308,
+    config = {"windows": ["1050ns", "1e-320us"],
               "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}
     assert run(tmp_path, "route-fidelity", config=config) == 3
     assert not (tmp_path / "fig1c.csv").exists()

@@ -3,17 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from field_router import field_run
+from field_router import field_run, lfilter_state
 from hypothesis import given, settings, strategies as st
 
 from phonon_qram.errors import InvalidParameterError, ResolutionError
 from phonon_qram.router import (
     _BLOCK,
+    _TOLERANCE,
     RouterSimConfig,
     Source,
     auto_window,
     beam_splitter,
-    default_dt,
     scatter_state,
     simulate_routing,
     sweep_kappa,
@@ -90,14 +90,79 @@ def test_scatter_arm_preserves_norm():
     assert n_out == pytest.approx(n_in, rel=1e-9)
 
 
-def test_scatter_arm_rejects_coarse_grid():
-    # a forced step with dt*kappa = 1 under-resolves the scatterer
-    cfg = RouterSimConfig(
-        packet=WavePacket(PulseShape.GAUSSIAN, fwhm=50.0),
-        kappa_max=100.0, window=350.0, dt=0.01,
-    )
+def test_a_step_of_one_over_kappa_is_accurate():
+    # the integrator is exact in kappa, so a forced step with dt*kappa = 1 and
+    # fwhm/dt = 5,000 resolves the packet: its estimate is at rounding level
+    packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0)
+    res = simulate_routing(RouterSimConfig(packet=packet, kappa_max=100.0, window=350.0,
+                                           dt=0.01))
+    assert res.error_estimate < 1e-15
+    assert abs(res.fidelity - distortion_fidelity(packet, ReflectionResponse(100.0))) < 1e-9
+
+
+@pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
+def test_under_resolved_grid_raises_by_its_estimate(shape):
+    # dt = fwhm/5 is estimated to be off by 5e-5 (Gaussian) and 2e-3 (sech);
+    # from fwhm/20 on each halving of dt cuts the estimate about 16-fold, as
+    # the 4th-order error does, and from fwhm/80 on it passes
+    packet = WavePacket(shape, fwhm=50.0)
+    estimates = []
+    for dt in (10.0, 5.0, 2.5, 1.25, 0.625, 0.3125):
+        cfg = RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=20000.0, dt=dt)
+        try:
+            res = simulate_routing(cfg)
+        except ResolutionError as err:
+            assert "estimated discretisation error" in str(err)
+            estimates.append(float(str(err).split("error ")[1].split()[0]))
+        else:
+            closed = distortion_fidelity(packet, ReflectionResponse(KAPPA_200))
+            assert abs(res.fidelity - closed) <= 3 * res.error_estimate
+            estimates.append(res.error_estimate)
+    assert estimates[0] > 1e-5 and estimates[3] > _TOLERANCE >= estimates[4]
+    assert all(a / b > 10 for a, b in zip(estimates, estimates[1:]))
+    assert all(a / b < 25 for a, b in zip(estimates[2:], estimates[3:]))
+
+
+@pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
+def test_a_default_step_is_halved_until_the_estimate_passes(shape):
+    # a 150 ns window cuts the packet, so at 1 GHz the scatterer starts a
+    # 0.3 ns transient that the default 0.15 ns step does not resolve
+    packet, kappa = WavePacket(shape, fwhm=50.0), 1000 * TWO_PI_MHZ
+    cfg = RouterSimConfig(packet=packet, kappa_max=kappa, window=150.0)
+    assert cfg.step == 0.15
+    res = simulate_routing(cfg)
+    assert len(res.traces["time"]) == 2001 and res.error_estimate <= _TOLERANCE
     with pytest.raises(ResolutionError):
-        simulate_routing(cfg)
+        simulate_routing(RouterSimConfig(packet=packet, kappa_max=kappa, window=150.0, dt=0.15))
+    fine = simulate_routing(RouterSimConfig(packet=packet, kappa_max=kappa, window=150.0,
+                                            dt=0.01))
+    assert abs(res.fidelity - fine.fidelity) <= 2 * res.error_estimate
+
+
+@pytest.mark.parametrize("mhz", [10, 200, 1000])
+@pytest.mark.parametrize("n", [1, 2, 4000, 8193])
+def test_doubling_scan_matches_lfilter(mhz, n):
+    # the scan against scipy's one-pole filter, from an empty and from a
+    # carried scatterer, on a real and on a complex drive
+    kappa, dt = mhz * TWO_PI_MHZ, 0.05
+    packet = WavePacket(PulseShape.SECH, fwhm=50.0, center=n * dt / 2)
+    real = envelope_time(packet, np.arange(2 * n + 1) * (dt / 2))
+    for b_half, c0 in [(real, 0.0), (real, 0.03), (real * np.exp(0.3j * np.arange(2 * n + 1)),
+                                                    0.02 - 0.01j)]:
+        ref = lfilter_state(b_half, dt, kappa, c0)
+        out = scatter_state(b_half, dt, kappa, c0)
+        assert out.dtype == ref.dtype and len(out) == n + 1
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dt, kappa", [(1e-320, KAPPA_200), (0.25, math.inf)])
+def test_a_step_without_float_weights_raises(dt, kappa):
+    # a subnormal step has lost its digits (its square is 0) and an infinite
+    # coupling makes inf * 0: a resolution failure, not a ZeroDivisionError
+    # or a NaN with a RuntimeWarning
+    b_half = envelope_time(WavePacket(PulseShape.GAUSSIAN, fwhm=50.0), np.arange(9) * dt)
+    with pytest.raises(ResolutionError):
+        scatter_state(b_half, dt, kappa)
 
 
 def test_control_ground_routes_left():
@@ -185,26 +250,29 @@ def test_two_overlaps_match_the_full_field_pipeline(source, control_init, shape)
     # every output field is a multiple of u or of its reflection, so the two
     # overlaps <u|u>, <u|r> must give what four field overlaps give
     packet = WavePacket(shape, fwhm=50.0)
-    cases = [(mhz, window, min(default_dt(mhz * TWO_PI_MHZ, packet.fwhm), window / 1000.0))
-             for mhz in (10, 200, 1000)
+    cases = [(mhz, window, None) for mhz in (10, 200, 1000)
              for window in (auto_window(packet, mhz * TWO_PI_MHZ), 150.0)]
-    # n = window/dt on the block edges: odd and even n, 1 or 2 steps past a
-    # block, and Cartwright's last interval (points n-2..n) across an edge
-    edges = (_BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 3 * _BLOCK)
+    # n = window/dt on the block edges: an odd n rounded up to even, 2 steps
+    # past a block (they join it), 4 and 6 (a block of their own), and n/2
+    # even and odd, so the 2dt grid's last interval, Cartwright's for odd
+    # n/2, sits in a short last block or across an edge
+    edges = (_BLOCK - 1, _BLOCK, _BLOCK + 2, _BLOCK + 4, _BLOCK + 6, 2 * _BLOCK + 2,
+             3 * _BLOCK)
     cases += [(200, n / 64, 1 / 64) for n in edges]
-    # field_run re-derives n from dt, so each window must hold exactly n steps
     assert [math.ceil(w / dt) for _, w, dt in cases[-len(edges):]] == list(edges)
     for mhz, window, dt in cases:
         cfg = RouterSimConfig(packet=packet, kappa_max=mhz * TWO_PI_MHZ, window=window,
                               dt=dt, control_init=control_init, source=source)
         res = simulate_routing(cfg)
-        final, fidelity, leakage, steps = field_run(cfg)
+        n = len(res.traces["time"]) - 1
+        if dt is not None:  # a forced step is rounded to an even count, never halved
+            assert n == math.ceil(window / dt / 2) * 2
+        final, fidelity, leakage = field_run(cfg, n)
         assert res.final_state.keys() == final.keys()
         for k, v in final.items():
             assert abs(res.final_state[k] - v) < 1e-13, (mhz, window, k)
         assert abs(res.fidelity - fidelity) < 1e-13
         assert abs(res.leakage - leakage) < 1e-13
-        assert len(res.traces["time"]) == steps
 
 
 @pytest.mark.parametrize("mhz", [10, 200])
@@ -230,7 +298,7 @@ def test_scatter_state_continues_from_its_carried_value(mhz, dtype):
 def test_routing_memory_does_not_grow_with_whole_grid_temporaries(shape):
     # the grid is streamed in blocks: past the n+1-float time trace, a call
     # holds O(block) arrays, so 10**6 steps peak at most at 24 B/step (64 to
-    # 80 with whole-grid arrays); the first call's scipy import is not counted
+    # 80 with whole-grid arrays); the first call warms the imports
     packet = WavePacket(shape, fwhm=50.0)
     simulate_routing(RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=150.0))
     n = 10**6

@@ -141,14 +141,33 @@ def test_invalid_parameters():
 
 
 def test_importing_the_package_does_not_import_scipy_integrate():
-    # lfilter, erfcx and polygamma are imported by the functions that call
-    # them, so importing the package or its CLI loads no scipy module
+    # erfcx and polygamma are imported by the function that calls them, so
+    # importing the package or its CLI loads no scipy module; the router
+    # integrates by a numpy scan, so routing loads no scipy.signal either
     src = str(Path(wavepackets.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, phonon_qram, phonon_qram.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "from phonon_qram.router import RouterSimConfig, simulate_routing; "
+            "from phonon_qram.wavepackets import PulseShape, WavePacket; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "simulate_routing(RouterSimConfig(WavePacket(PulseShape.SECH, 50.0), 1.0, 350.0)); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_masked_gaussian_tails_equal_the_unmasked_exp():
+    # a window past the packet's support masks the arguments below -746,
+    # whose exp underflows to 0: the values are bit for bit np.exp's
+    packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0, center=1500.0)
+    kw = packet.width_param
+    peak = (2.0 * kw**2 / np.pi) ** 0.25
+    for t in (np.linspace(0.0, 3000.0, 16385), np.linspace(1400.0, 1600.0, 101),
+              np.array(0.0), np.array(1500.0)):
+        x = -((kw * (t - packet.center)) ** 2)
+        masked = envelope_time(packet, t)
+        assert np.array_equal(masked, peak * np.exp(x))
+    assert np.min(-((kw * (np.linspace(0.0, 3000.0, 16385) - 1500.0)) ** 2)) < -800
