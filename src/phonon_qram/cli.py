@@ -247,11 +247,10 @@ def cmd_router_sim(args) -> int:
         "window": ("350ns", _duration_ns),
         "control_init": ([0.7071067811865476, 0.7071067811865476], _control_init),
         "source": ("left", _enum(router.Source)),
-        "dt": (None, lambda value, key: None if value is None else _duration_ns(value, key)),
     })
     sim = router.simulate_routing(router.RouterSimConfig(
         packet=WavePacket(cfg["shape"], cfg["fwhm"]), kappa_max=cfg["kappa_mhz"] * _TWO_PI_MHZ,
-        window=cfg["window"], dt=cfg["dt"], control_init=cfg["control_init"],
+        window=cfg["window"], control_init=cfg["control_init"],
         source=cfg["source"],
     ))
     payload = {

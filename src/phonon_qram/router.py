@@ -42,8 +42,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 # the grid is walked in blocks, so a step peaks at 8 bytes (the time trace)
-# under tracemalloc, and this caps one call near 80 MB; a default step halved
-# for its error estimate stops here too
+# under tracemalloc, and this caps one call near 80 MB; a step halved for its
+# error estimate stops here too
 _MAX_STEPS = 10**7
 # the step-doubling estimate of the fidelity and leakage error above which a
 # run raises ResolutionError: the tolerance of the closed-form checks
@@ -80,7 +80,6 @@ class RouterSimConfig:
     packet: WavePacket
     kappa_max: float
     window: float
-    dt: float | None = None
     control_init: tuple[complex, complex] = (1 / _SQRT2, 1 / _SQRT2)
     source: Source = Source.LEFT_QUBIT
 
@@ -89,12 +88,6 @@ class RouterSimConfig:
             raise InvalidParameterError(f"window must be > 0, got {self.window}")
         if not self.kappa_max > 0:
             raise InvalidParameterError("kappa_max must be > 0")
-        step = self.step
-        if not step > 0:  # a default step that underflows is a resolution failure
-            error = InvalidParameterError if self.dt is not None else ResolutionError
-            raise error(f"dt must be > 0, got {step}")
-        if step > self.window / 1000.0:
-            raise InvalidParameterError(f"dt={step} exceeds the resolution floor window/1000")
         a, b = self.control_init
         try:
             norm = abs(a) ** 2 + abs(b) ** 2
@@ -104,13 +97,6 @@ class RouterSimConfig:
             raise InvalidParameterError(
                 f"control_init norm deviates from 1 by {abs(norm - 1.0):.2e}"
             )
-
-    @property
-    def step(self) -> float:
-        if self.dt is not None:
-            return self.dt
-        # the integrator's error is set by dt/fwhm, not by kappa*dt
-        return min(self.packet.fwhm / 200.0, self.window / 1000.0)
 
 
 @dataclass
@@ -182,13 +168,6 @@ def scatter_state(b_half: np.ndarray, dt: float, kappa: float, c0=0.0) -> np.nda
     return c
 
 
-def _end_weights(m: int) -> np.ndarray:
-    """What turns weights 4 on odd and 2 on even points 1..m into the weights
-    of scipy.integrate.simpson on points m-2..m: 1 on point m, and for odd m
-    Cartwright's last interval, 3.75, 3 and 1.25."""
-    return np.array([0.0, 0.0, -1.0] if m % 2 == 0 else [-0.25, 1.0, -2.75])
-
-
 def _sums(u: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The Simpson sums of u*u and u*c over a block's points after its first."""
     return np.array([4.0 * np.dot(u[1::2], u[1::2]) + 2.0 * np.dot(u[2::2], u[2::2]),
@@ -224,7 +203,8 @@ def _capture(config: RouterSimConfig, s_uu: float, s_ur: float):
 
 
 def _route(config: RouterSimConfig, n: int):
-    """Captured state, fidelity, leakage and error estimate on n (even) steps."""
+    """Captured state, fidelity, leakage and error estimate on n steps, a
+    multiple of 4."""
     kappa = float(config.kappa_max)
     dt = config.window / n
     packet = WavePacket(config.packet.shape, config.packet.fwhm, config.window / 2.0)
@@ -233,26 +213,25 @@ def _route(config: RouterSimConfig, n: int):
     # r = u - sqrt(kappa) c, so capture needs only <u|u> and <u|r>: Simpson
     # sums over points 0..n, taken block by block with weights 4 on odd and
     # 2 on even points after each block's first.  The step-2dt grid runs on
-    # the same blocks: its half-step samples are the full-step u.  A last
-    # block shorter than 4 steps joins the one before it, so the 2dt grid's
-    # points n/2-2..n/2 end in one block.
+    # the same blocks: its half-step samples are the full-step u.  n and
+    # _BLOCK are multiples of 4, so each block starts on an even point of both.
     c = c2 = np.zeros(1)  # point 0: the scatterer starts empty
-    fine, coarse, start = np.zeros(2), np.zeros(2), 0
-    while start < n:
-        stop = n if n - start < _BLOCK + 4 else start + _BLOCK
+    fine, coarse = np.zeros(2), np.zeros(2)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         u_half = envelope_time(packet, np.arange(2 * start, 2 * stop + 1) * (dt / 2.0))
         u = u_half[::2]
+        if not start:
+            u0 = float(u_half[0]) ** 2
         c = scatter_state(u_half, dt, kappa, c[-1])
         c2 = scatter_state(u, 2.0 * dt, kappa, c2[-1])
         fine += _sums(u, c)
         coarse += _sums(u[::2], c2)
-        start = stop
-    u0, root = float(envelope_time(packet, np.zeros(1))[0]) ** 2, math.sqrt(kappa)
-    runs = []
-    for (s_uu, s_uc), m, v, w, h in ((fine, n, u, c, dt), (coarse, n // 2, u[::2], c2, 2 * dt)):
-        end = _end_weights(m)
-        s_uu = float(u0 + s_uu + end @ (v[-3:] * v[-3:])) * h / 3.0
-        s_uc = float(s_uc + end @ (v[-3:] * w[-3:])) * h / 3.0
+    # Simpson's weight on the last point of either grid is 1, not 2
+    end, root, runs = u[-1], math.sqrt(kappa), []
+    for (s_uu, s_uc), w, h in ((fine, c[-1], dt), (coarse, c2[-1], 2 * dt)):
+        s_uu = float(u0 + s_uu - end * end) * h / 3.0
+        s_uc = float(s_uc - end * w) * h / 3.0
         runs.append(_capture(config, s_uu, s_uu - root * s_uc))
     (final, fidelity, leakage), (_, fidelity2, leakage2) = runs
     # both grids are 4th order: doubling the step multiplies the error by 16
@@ -263,24 +242,28 @@ def _route(config: RouterSimConfig, n: int):
 def simulate_routing(config: RouterSimConfig) -> RouterSimResult:
     """Run one conditional routing and score it against the ideal CSWAP.
 
-    The grid's discretisation error is estimated by step doubling.  Above
-    ``_TOLERANCE`` a default step is halved (a window cut inside the packet
-    starts a scatterer transient 2/kappa long), as long as each halving cuts
-    the estimate as a 4th-order error falls; a forced step, a slower fall, a
-    non-finite estimate or a grid past ``_MAX_STEPS`` raises ResolutionError.
+    The grid has n = 4 ceil(max(1000, 200 window/fwhm)/4) steps, so both it
+    and the step-2dt grid of the error estimate have an even count.  While
+    the estimate is above ``_TOLERANCE`` the step is halved (a window cut
+    inside the packet starts a scatterer transient 2/kappa long), as long as
+    each halving cuts it as a 4th-order error falls; a slower fall, a
+    non-finite estimate, a subnormal step or a grid past ``_MAX_STEPS``
+    raises ResolutionError.
     """
-    steps = float(config.window) / float(config.step)  # in floats an overflow is inf, not a warning
+    # in floats an overflow is inf, not a warning
+    steps = 200.0 * float(config.window) / float(config.packet.fwhm)
     if not steps <= _MAX_STEPS:
-        raise ResolutionError(f"window/dt = {steps:.3g} steps; the grid limit is {_MAX_STEPS:.0e}")
-    n = math.ceil(steps)
-    n += n % 2  # even, so the doubled step tiles the same window
+        raise ResolutionError(f"{steps:.3g} steps (200 window/fwhm) exceed {_MAX_STEPS:.0e}")
+    n = 4 * math.ceil(max(1000.0, steps) / 4)
+    if not config.window / n >= sys.float_info.min:
+        raise ResolutionError(f"step window/{n} = {config.window / n:.3g} ns has lost its digits")
     previous = math.inf
     while True:
         final, fidelity, leakage, estimate = _route(config, n)
         if estimate <= _TOLERANCE:
             break
         # a fall slower than 8-fold is not 4th order, and the estimate's /15 fails
-        if config.dt is not None or not estimate < previous / 8.0 or 2 * n > _MAX_STEPS:
+        if not estimate < previous / 8.0 or 2 * n > _MAX_STEPS:
             raise ResolutionError(
                 f"dt={config.window / n:.3g} ns: estimated discretisation error "
                 f"{estimate:.3g} exceeds {_TOLERANCE:.0e}")

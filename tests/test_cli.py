@@ -759,8 +759,9 @@ def test_single_rail_montecarlo_rejected(tmp_path):
     # quantum cells that are not [a, b] pairs
     ("query-sim", {"n": 1, "mode": "quantum", "data": [[1, 0, 0], [1, 0]], "address": "0"}),
     ("query-sim", {"n": 1, "mode": "quantum", "data": [1, 2], "address": "0"}),
-    # a zero time step or coupling
+    # the removed forced step: an unknown key is refused
     ("router-sim", {"dt": "0ns"}),
+    # a zero coupling
     ("router-sim", {"kappa_mhz": 0}),
     # a data mode that is neither classical nor quantum
     ("query-sim", {"mode": "x"}),
@@ -783,7 +784,7 @@ SMALL_CONFIGS = {
                        "windows": ["350ns"], "kappa_1d_mhz": 200.0},
     "router-sim": {"shape": "gaussian", "fwhm": "50ns", "kappa_mhz": 200.0,
                    "window": "350ns", "control_init": [1.0, 0.0],
-                   "source": "left", "dt": None},
+                   "source": "left"},
     "query-sim": {"n": 1, "encoding": "single_rail",
                   "mode": "classical", "data": [0, 1], "address": "1",
                   "export_trace": False},
@@ -821,7 +822,6 @@ SCALE_KEYS = [
     ("router-sim", "fwhm", True, None),
     ("router-sim", "kappa_mhz", False, None),
     ("router-sim", "window", True, None),
-    ("router-sim", "dt", True, None),
     ("heralding", "t", True, None),
     ("heralding", "T1_q", True, None),
     ("heralding", "T1_m_list", True, lambda v: [v]),
@@ -855,10 +855,14 @@ def test_extreme_scales_keep_the_exit_code_contract(tmp_path, cmd):
 # ---------------------------------------------------------------------------
 # numerical failure (exit code 3)
 
-def test_resolution_failure_exit_code(tmp_path):
-    # a user-forced step of fwhm/5 is estimated to be off by 5e-5: a numerical failure
-    cfg = {"window": "20000ns", "dt": "10ns"}
+def test_resolution_failure_exit_code(tmp_path, capsys):
+    # a 150 ns window cuts the packet, and at kappa = 1e308 MHz the scatterer's
+    # transient is too short for any step: halving the step cuts the estimate
+    # 2-fold, not 16-fold, so the run fails by its estimate and writes nothing
+    cfg = {"kappa_mhz": 1e308, "window": "150ns"}
     assert run(tmp_path, "router-sim", config=cfg) == 3
+    assert "estimated discretisation error" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("cmd, config", [
@@ -882,8 +886,8 @@ def test_resolution_failure_exit_code(tmp_path):
     ("heralding", {"n_range": [1, 2], "t": "5e-324ns"}),
     ("montecarlo", {"t": "1e-320us", "trials": 10,
                     "grid": [{"n": 2, "T1_q": "100us", "T1_m": "100us"}]}),
-    # so short a sech that its default step fwhm/200 is subnormal, so that
-    # window/dt overflows (1e-320ns), or rounds to 0 (5e-324ns)
+    # so short a sech that 200 window/fwhm overflows (1e-320ns), or that its
+    # own window, 20 fwhm, over 4,000 steps rounds to 0 (5e-324ns)
     ("route-fidelity", {"shapes": ["sech"], "fwhm": "1e-320ns", "windows": ["350ns"],
                         "kappa_grid_mhz": {"min": 200, "max": 200, "points": 1}}),
     ("route-fidelity", {"shapes": ["sech"], "fwhm": "5e-324ns", "windows": ["350ns"],

@@ -12,6 +12,7 @@ from phonon_qram.router import (
     _TOLERANCE,
     RouterSimConfig,
     Source,
+    _route,
     auto_window,
     beam_splitter,
     scatter_state,
@@ -91,33 +92,30 @@ def test_scatter_arm_preserves_norm():
 
 
 def test_a_step_of_one_over_kappa_is_accurate():
-    # the integrator is exact in kappa, so a forced step with dt*kappa = 1 and
-    # fwhm/dt = 5,000 resolves the packet: its estimate is at rounding level
+    # the integrator is exact in kappa, so a grid of 35,000 steps, dt*kappa = 1
+    # and fwhm/dt = 5,000, resolves the packet: its estimate is at rounding level
     packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0)
-    res = simulate_routing(RouterSimConfig(packet=packet, kappa_max=100.0, window=350.0,
-                                           dt=0.01))
-    assert res.error_estimate < 1e-15
-    assert abs(res.fidelity - distortion_fidelity(packet, ReflectionResponse(100.0))) < 1e-9
+    _, fidelity, _, estimate = _route(RouterSimConfig(packet=packet, kappa_max=100.0,
+                                                      window=350.0), 35000)
+    assert estimate < 1e-15
+    assert abs(fidelity - distortion_fidelity(packet, ReflectionResponse(100.0))) < 1e-9
 
 
 @pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
 def test_under_resolved_grid_raises_by_its_estimate(shape):
-    # dt = fwhm/5 is estimated to be off by 5e-5 (Gaussian) and 2e-3 (sech);
-    # from fwhm/20 on each halving of dt cuts the estimate about 16-fold, as
-    # the 4th-order error does, and from fwhm/80 on it passes
+    # on 2,000 steps, dt = fwhm/5, a grid is estimated to be off by 5e-5
+    # (Gaussian) and 2e-3 (sech); from fwhm/20 on each halving of dt cuts the
+    # estimate about 16-fold, as the 4th-order error does, and from fwhm/80
+    # on it passes the tolerance simulate_routing holds a grid to
     packet = WavePacket(shape, fwhm=50.0)
+    cfg = RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=20000.0)
+    closed = distortion_fidelity(packet, ReflectionResponse(KAPPA_200))
     estimates = []
-    for dt in (10.0, 5.0, 2.5, 1.25, 0.625, 0.3125):
-        cfg = RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=20000.0, dt=dt)
-        try:
-            res = simulate_routing(cfg)
-        except ResolutionError as err:
-            assert "estimated discretisation error" in str(err)
-            estimates.append(float(str(err).split("error ")[1].split()[0]))
-        else:
-            closed = distortion_fidelity(packet, ReflectionResponse(KAPPA_200))
-            assert abs(res.fidelity - closed) <= 3 * res.error_estimate
-            estimates.append(res.error_estimate)
+    for n in (2000, 4000, 8000, 16000, 32000, 64000):
+        _, fidelity, _, estimate = _route(cfg, n)
+        if estimate <= _TOLERANCE:
+            assert abs(fidelity - closed) <= 3 * estimate
+        estimates.append(estimate)
     assert estimates[0] > 1e-5 and estimates[3] > _TOLERANCE >= estimates[4]
     assert all(a / b > 10 for a, b in zip(estimates, estimates[1:]))
     assert all(a / b < 25 for a, b in zip(estimates[2:], estimates[3:]))
@@ -126,17 +124,31 @@ def test_under_resolved_grid_raises_by_its_estimate(shape):
 @pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
 def test_a_default_step_is_halved_until_the_estimate_passes(shape):
     # a 150 ns window cuts the packet, so at 1 GHz the scatterer starts a
-    # 0.3 ns transient that the default 0.15 ns step does not resolve
+    # 0.3 ns transient that the rule's 1,000 steps of 0.15 ns do not resolve
     packet, kappa = WavePacket(shape, fwhm=50.0), 1000 * TWO_PI_MHZ
     cfg = RouterSimConfig(packet=packet, kappa_max=kappa, window=150.0)
-    assert cfg.step == 0.15
+    assert _route(cfg, 1000)[3] > _TOLERANCE
     res = simulate_routing(cfg)
     assert len(res.traces["time"]) == 2001 and res.error_estimate <= _TOLERANCE
-    with pytest.raises(ResolutionError):
-        simulate_routing(RouterSimConfig(packet=packet, kappa_max=kappa, window=150.0, dt=0.15))
-    fine = simulate_routing(RouterSimConfig(packet=packet, kappa_max=kappa, window=150.0,
-                                            dt=0.01))
-    assert abs(res.fidelity - fine.fidelity) <= 2 * res.error_estimate
+    fine = _route(cfg, 15000)[1]  # dt = 0.01 ns
+    assert abs(res.fidelity - fine) <= 2 * res.error_estimate
+
+
+@pytest.mark.parametrize("shape, fwhm, window, mhz, n", [
+    (PulseShape.GAUSSIAN, 50.0, 150.0, 200, 1000),  # window/1000
+    (PulseShape.SECH, 50.0, 350.0, 200, 1400),  # fwhm/200
+    (PulseShape.GAUSSIAN, 50.0, 1000.0, 200, 4000),
+    (PulseShape.SECH, 30.0, 1001.0, 200, 6676),  # 6,673.3 rounded up to a multiple of 4
+    (PulseShape.GAUSSIAN, 7.0, 333.0, 200, 9516),  # 9,514.3
+    (PulseShape.GAUSSIAN, 50.0, 150.0, 1000, 2000),  # halved once
+    (PulseShape.SECH, 50.0, 150.0, 1000, 2000),
+])
+def test_the_grid_follows_the_one_rule(shape, fwhm, window, mhz, n):
+    # n = 4 ceil(max(1000, 200 window/fwhm)/4), doubled while the estimate fails
+    res = simulate_routing(RouterSimConfig(packet=WavePacket(shape, fwhm),
+                                           kappa_max=mhz * TWO_PI_MHZ, window=window))
+    assert len(res.traces["time"]) - 1 == n
+    assert res.traces["time"][-1] == pytest.approx(window, rel=1e-15)
 
 
 @pytest.mark.parametrize("mhz", [10, 200, 1000])
@@ -250,29 +262,27 @@ def test_two_overlaps_match_the_full_field_pipeline(source, control_init, shape)
     # every output field is a multiple of u or of its reflection, so the two
     # overlaps <u|u>, <u|r> must give what four field overlaps give
     packet = WavePacket(shape, fwhm=50.0)
-    cases = [(mhz, window, None) for mhz in (10, 200, 1000)
+    cases = [(mhz, window) for mhz in (10, 200, 1000)
              for window in (auto_window(packet, mhz * TWO_PI_MHZ), 150.0)]
-    # n = window/dt on the block edges: an odd n rounded up to even, 2 steps
-    # past a block (they join it), 4 and 6 (a block of their own), and n/2
-    # even and odd, so the 2dt grid's last interval, Cartwright's for odd
-    # n/2, sits in a short last block or across an edge
-    edges = (_BLOCK - 1, _BLOCK, _BLOCK + 2, _BLOCK + 4, _BLOCK + 6, 2 * _BLOCK + 2,
-             3 * _BLOCK)
-    cases += [(200, n / 64, 1 / 64) for n in edges]
-    assert [math.ceil(w / dt) for _, w, dt in cases[-len(edges):]] == list(edges)
-    for mhz, window, dt in cases:
+    # the rule's n = 200 window/fwhm on the block edges: one block 4 steps
+    # short of whole, one whole block, a whole one and one of 4 steps, 2B + 4
+    # and 3B, so the last point of either grid ends a short or a whole block
+    edges = (_BLOCK - 4, _BLOCK, _BLOCK + 4, 2 * _BLOCK + 4, 3 * _BLOCK)
+    cases += [(200, n * packet.fwhm / 200) for n in edges]
+    steps = []
+    for mhz, window in cases:
         cfg = RouterSimConfig(packet=packet, kappa_max=mhz * TWO_PI_MHZ, window=window,
-                              dt=dt, control_init=control_init, source=source)
+                              control_init=control_init, source=source)
         res = simulate_routing(cfg)
         n = len(res.traces["time"]) - 1
-        if dt is not None:  # a forced step is rounded to an even count, never halved
-            assert n == math.ceil(window / dt / 2) * 2
+        steps.append(n)
         final, fidelity, leakage = field_run(cfg, n)
         assert res.final_state.keys() == final.keys()
         for k, v in final.items():
             assert abs(res.final_state[k] - v) < 1e-13, (mhz, window, k)
         assert abs(res.fidelity - fidelity) < 1e-13
         assert abs(res.leakage - leakage) < 1e-13
+    assert steps[-len(edges):] == list(edges)
 
 
 @pytest.mark.parametrize("mhz", [10, 200])
@@ -297,12 +307,13 @@ def test_scatter_state_continues_from_its_carried_value(mhz, dtype):
 @pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
 def test_routing_memory_does_not_grow_with_whole_grid_temporaries(shape):
     # the grid is streamed in blocks: past the n+1-float time trace, a call
-    # holds O(block) arrays, so 10**6 steps peak at most at 24 B/step (64 to
-    # 80 with whole-grid arrays); the first call warms the imports
+    # holds O(block) arrays, so 10**6 steps (a window of 5,000 fwhm) peak at
+    # most at 24 B/step (64 to 80 with whole-grid arrays); the first call
+    # warms the imports
     packet = WavePacket(shape, fwhm=50.0)
     simulate_routing(RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=150.0))
     n = 10**6
-    cfg = RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=n / 64, dt=1 / 64)
+    cfg = RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=5000 * packet.fwhm)
     tracemalloc.start()
     try:
         res = simulate_routing(cfg)
@@ -317,10 +328,6 @@ def test_config_validation():
     packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0)
     with pytest.raises(InvalidParameterError):
         RouterSimConfig(packet=packet, kappa_max=KAPPA_200, window=-1.0)
-    with pytest.raises(InvalidParameterError):
-        RouterSimConfig(
-            packet=packet, kappa_max=KAPPA_200, window=1000.0, dt=2.0
-        )
     with pytest.raises(InvalidParameterError):
         RouterSimConfig(
             packet=packet,

@@ -2,9 +2,10 @@
 
 `perfbench/tracing.py` rebinds every `(module, attribute)` in `BINDINGS`
 and `state.SparseState.norm`; its hooks call `.support()` on what
-`qram.initial_state` returns and `len()` on `state.apply_gate`'s argument
-and result.  A query must reach `apply_gate` through the `state` module,
-or the tracer sees none of the engine's work.
+`qram.initial_state` returns, `len()` on `state.apply_gate`'s argument
+and result, and `len()` on the `traces["time"]` of what
+`router.simulate_routing` returns.  A query must reach `apply_gate`
+through the `state` module, or the tracer sees none of the engine's work.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 import phonon_qram
-from phonon_qram import qram, state
+from phonon_qram import qram, router, state
 from phonon_qram.qram_types import Encoding
+from phonon_qram.wavepackets import PulseShape, WavePacket
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CFG = qram.QramConfig(n=2, encoding=Encoding.HYBRID_DUAL_RAIL)
@@ -91,3 +93,19 @@ def test_tracer_hooks_count_a_superposed_query_with_a_split(enc, monkeypatch):
     assert compared and set(compared) == {bool}
     assert type(tracer.counts["noop_gates"]) is int
     assert tracer.layer_metrics()["state.max_support"] == res.max_support == 16
+
+
+def test_tracer_counts_the_router_grid(monkeypatch):
+    # the hook counts a routing's grid points, n + 1 for the router's
+    # n = 4 ceil(max(1000, 200 window/fwhm)/4) steps: 6,676 here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    cfg = router.RouterSimConfig(packet=WavePacket(PulseShape.SECH, 30.0),
+                                 kappa_max=1.0, window=1001.0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        res = router.simulate_routing(cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics()["router.grid_steps"] == len(res.traces["time"]) == 6677
