@@ -33,10 +33,6 @@ _TWO_PI_MHZ = 2.0 * math.pi * 1e-3  # MHz -> rad/ns
 # query-sim sizes its data register and a scan by N = 2**n; refuse larger n
 # before anything of that size is built
 _MAX_QUERY_N = 16
-# a scan is one dense (N, N) complex address batch, 16 * N**2 bytes; peak RSS
-# 47 / 96 / 291 MB at n = 10 / 11 / 12 (cli.main 0.02 / 0.05 / 0.16 s, 2 cores),
-# against 224 MB at n = 10 when every record repeated its N-long address
-_MAX_SCAN_N = 11
 # route-fidelity runs a time-domain routing simulation per kappa point and
 # shape; refuse a larger grid before it is built (1e9 points need 7.45 GiB)
 _MAX_KAPPA_POINTS = 10**4
@@ -264,16 +260,14 @@ def cmd_router_sim(args) -> int:
     return 0
 
 
-def _parse_address(spec, N: int, n: int) -> np.ndarray:
-    """'scan' (every basis address) | bitstring | list of amplitudes -> (B, N)."""
+def _parse_address(spec, N: int, n: int) -> np.ndarray | None:
+    """'scan' (every basis address) -> None | bitstring | list of amplitudes -> (N,)."""
     if spec == "scan":
-        if n > _MAX_SCAN_N:
-            raise ConfigError(f"an address scan needs n <= {_MAX_SCAN_N}, got {n}")
-        return np.eye(N, dtype=complex)
+        return None
     if isinstance(spec, str):
         if len(spec) != n or any(c not in "01" for c in spec):
             raise ConfigError(f"malformed address string {spec!r} for n={n}")
-        return np.eye(1, N, int(spec, 2), dtype=complex)
+        return (np.arange(N) == int(spec, 2)).astype(complex)
     if isinstance(spec, list):
         if len(spec) != N:
             raise ConfigError(f"address needs {N} amplitudes")
@@ -284,7 +278,7 @@ def _parse_address(spec, N: int, n: int) -> np.ndarray:
             nrm = np.linalg.norm(v)
         if not 1e-12 <= nrm < math.inf:  # NaN and inf amplitudes fail too
             raise ConfigError(f"address norm must be finite and nonzero, got {spec!r}")
-        return (v / nrm)[None]
+        return v / nrm
     raise ConfigError(f"cannot parse address {spec!r}")
 
 
@@ -313,15 +307,16 @@ def cmd_query_sim(args) -> int:
                 [_number(int, b, "data") for b in _list(echo["data"], "data")])
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse {echo['mode']} data {echo['data']!r}") from None
-    addresses = _parse_address(echo["address"], N, qcfg.n)
-    # record i is row i of the batch: basis address i in a scan, else the one
-    # address, which `params` echoes
+    address = _parse_address(echo["address"], N, qcfg.n)
+    results = query(qcfg, address, data)
+    # record j is basis address j in a scan; any other address has the one
+    # record, and `params` echoes it
     records = [{
         "address_bus": [{"address_index": j, "bus": lvl, "amplitude": [a.real, a.imag]}
                         for (j, lvl), a in sorted(res.address_bus.items())],
         "tree_ground": res.tree_ground,
         "max_support": res.max_support,
-    } for res in query(qcfg, addresses, data)]
+    } for res in (results if address is None else [results])]
     payload = {"params": echo, "meta": _meta(args, echo), "queries": records}
     out = _outdir(args)
     _write_json(out / "query_sim.json", payload)

@@ -22,12 +22,12 @@ one level down, and `_slot` gives a field's absolute slot at a node.
 is their node-by-node expansion into `GateRecord`s, for replay against
 the reference engines in `tests/`; neither a query nor the CLI builds it.
 `final_state` runs the level ops in path coordinates.  In address branch
-j every excitation stays on j's root-to-leaf path, so the state of B
-independent queries (a scan is one query per basis address) is one
-`state.Table` that owns its field layout (`_fields`: the registers, the
-control and ancilla of j's node at each level and rail, and, for quantum
-data, cell j's data slots) and holds a branch per row: its batch, j, one
-level per field and an amplitude.  A level op is one `state.apply_gate`
+j every excitation stays on j's root-to-leaf path, so the state of a
+query, or of a scan (basis address j as batch j), is one `state.Table`
+that owns its field layout (`_fields`: the registers, the control and
+ancilla of j's node at each level and rail, and, for quantum data, cell
+j's data slots) and holds a branch per row: its batch, j, one level per
+field and an amplitude.  A level op is one `state.apply_gate`
 call, a few column operations on every row at once; a row finds its node
 from j's prefix, and a hop into the child off j's path raises
 `NumericalFailureError`.  Only the bus decode splits rows, and it merges
@@ -135,7 +135,8 @@ class DataRegister:
 
 class _LevelOp(NamedTuple):
     """Gate `name` at `time` on every node in `nodes`, the node indices at
-    tree level `level`, one gate per node and template, templates innermost.
+    tree level `level`, or on every node of the level for None, one gate
+    per node and template, templates innermost.
 
     A template is a tuple of path fields (kind, level, rail): a
     register ("reg", k, rail), a tree slot ("ctrl" | "anc", level, rail) of
@@ -147,7 +148,7 @@ class _LevelOp(NamedTuple):
     name: str
     level: int
     params: tuple
-    nodes: Sequence[int]
+    nodes: Sequence[int] | None
     templates: tuple
 
 
@@ -155,8 +156,7 @@ _CELL = ("data", "dctrl", "dwg")
 
 
 def _op(time, name, level, *templates, params=(), nodes=None) -> _LevelOp:
-    return _LevelOp(time, name, level, params,
-                    range(2 ** level) if nodes is None else nodes, templates)
+    return _LevelOp(time, name, level, params, nodes, templates)
 
 
 def _slot(field, node: int) -> tuple:
@@ -230,15 +230,15 @@ _INVERSE = {
 
 def _mirror(op: _LevelOp, M: int) -> _LevelOp:
     """Inverse of inward op `op` at its time-reversed slot in a makespan-M
-    query, its gates in reverse order.  An instant at tau maps to M - tau;
-    a hop over [tau, tau + 1) maps to M - tau - 1, with its source slot
-    moved last."""
+    query, its templates in reverse order; its gates on distinct nodes
+    commute.  An instant at tau maps to M - tau; a hop over [tau, tau + 1)
+    maps to M - tau - 1, with its source slot moved last."""
     name = _INVERSE[op.name]
     templates = op.templates[::-1]
     if name == op.name:
-        return _LevelOp(M - op.time, name, op.level, op.params, op.nodes[::-1], templates)
-    return _LevelOp(M - op.time - 1, name, op.level, op.params, op.nodes[::-1],
-                    tuple(t[:-3] + t[-2:] + t[-3:-2] for t in templates))
+        return op._replace(time=M - op.time, templates=templates)
+    return op._replace(time=M - op.time - 1, name=name,
+                       templates=tuple(t[:-3] + t[-2:] + t[-3:-2] for t in templates))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,8 @@ def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
     It is the node-by-node expansion of the level ops `final_state` runs."""
     data.validate(cfg.N)
     return [GateRecord(op.name, tuple(_slot(f, node) for f in t), op.time, op.params)
-            for op in _protocol(cfg, data) for node in op.nodes for t in op.templates]
+            for op in _protocol(cfg, data)
+            for node in (range(2 ** op.level) if op.nodes is None else op.nodes) for t in op.templates]
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +321,27 @@ def _logical(std: bool, kind: str, level, b: int) -> tuple:
 
 def initial_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
     """Address amplitudes + bus prep + the queried cell of a quantum data
-    register, per address branch of an (N,) address or of each row b of a
-    (B, N) batch, as batch b; a classical register puts nothing in it."""
+    register, per address branch: of an (N,) address, as batch 0, or for
+    address None, a scan, of every basis address j at amplitude 1, as
+    batch j.  A classical register puts nothing in it."""
     data.validate(cfg.N)
-    amps = np.asarray(address, dtype=complex)
-    if amps.ndim not in (1, 2) or amps.shape[-1] != cfg.N or not len(amps):
-        raise InvalidParameterError(f"address state needs {cfg.N} amplitudes, or a "
-                                    f"non-empty batch of them, got shape {amps.shape}")
-    amps = np.atleast_2d(amps)
-    nrm = np.array([np.linalg.norm(row) for row in amps])
-    for b, x in enumerate(nrm.tolist()):
-        if not abs(x - 1.0) <= 1e-9:  # NaN fails too
-            raise InvalidParameterError(f"address state {b} not normalized")
+    if address is None:
+        amps = np.ones(cfg.N, complex)
+    else:
+        amps = np.asarray(address, dtype=complex)
+        if amps.shape != (cfg.N,):
+            raise InvalidParameterError(
+                f"address state needs {cfg.N} amplitudes, got shape {amps.shape}")
+        nrm = np.linalg.norm(amps)
+        if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
+            raise InvalidParameterError("address state not normalized")
+        amps = amps / nrm  # normalised on entry: the engine holds norms to 1e-10
     n, std, quantum = cfg.n, cfg.encoding.is_standard, data.mode is DataMode.QUANTUM
     # two rows per address branch: the |+> bus of a classical read, or the
     # queried cell of a quantum one under bus |1>; b is the bus or cell bit
-    flat = np.repeat(np.flatnonzero(amps), 2)  # row-major: batch b, branch j at b*N + j
-    batch, j, b = flat >> n, flat & (cfg.N - 1), np.arange(len(flat)) & 1
-    amp = amps.ravel()[flat] / nrm[batch]  # normalised on entry: the engine holds norms to 1e-10
+    j = np.repeat(np.flatnonzero(amps), 2)
+    batch = j if address is None else np.zeros_like(j)  # a scan runs address j as batch j
+    b, amp = np.arange(len(j)) & 1, amps[j]
     if quantum:
         cells = np.array(data.qubits, dtype=complex)[j[::2]].ravel()
         amp, varied = amp * cells, ("data", None)
@@ -406,9 +410,10 @@ def final_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
     """The engine pass of a query: `initial_state`, every level op, and a
     closing merge, which catches an op that mapped two rows onto one.
 
-    Batch b of the returned table holds the final rows of address b.
-    Raises `NumericalFailureError` when a branch leaves its path, or a
-    batch's norm leaves 1 by over 1e-10 at a split or the end."""
+    Batch 0 of the returned table holds the final rows of an address,
+    batch j those of basis address j in a scan (address None).  Raises
+    `NumericalFailureError` when a branch leaves its path, or a batch's
+    norm leaves 1 by over 1e-10 at a split or the end."""
     table = initial_state(cfg, address, data)
     for op in _protocol(cfg, data):
         table = state.apply_gate(table, op)
@@ -419,11 +424,11 @@ def final_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
 def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[QueryResult]:
     """The readout of `final_state`; noiseless, so the outcome is exact.
 
-    An (N,) address returns its `QueryResult`, a (B, N) batch B of them
-    from one pass."""
+    An (N,) address returns its `QueryResult`; address None, a scan, the N
+    results of the basis addresses j = 0..N-1 from one pass."""
     results = _decode(final_state(cfg, address, data), cfg.encoding.is_standard,
                       data.mode is DataMode.QUANTUM)
-    return results if np.ndim(address) == 2 else results[0]
+    return results if address is None else results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +436,11 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[Qu
 
 def trace_to_json(cfg: QramConfig, data: DataRegister) -> list[dict]:
     """JSON-ready level ops of a query, in the order `final_state` runs
-    them: each op's time, gate, level, params, nodes and templates, a
-    template being a list of path fields (null for no rail) whose slot at
-    a node `_slot` names."""
+    them: each op's time, gate, level, params, nodes (null for every node
+    of the level) and templates, a template being a list of path fields
+    (null for no rail) whose slot at a node `_slot` names."""
     data.validate(cfg.N)
     return [{"time_t": op.time, "gate": op.name, "level": op.level, "params": list(op.params),
-             "nodes": list(op.nodes), "templates": [[list(f) for f in t] for t in op.templates]}
+             "nodes": None if op.nodes is None else list(op.nodes),
+             "templates": [[list(f) for f in t] for t in op.templates]}
             for op in _protocol(cfg, data)]

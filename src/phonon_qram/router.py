@@ -206,8 +206,7 @@ def _route(config: RouterSimConfig, n: int):
     """Captured state, fidelity, leakage and error estimate on n steps, a
     multiple of 4."""
     kappa = float(config.kappa_max)
-    dt = config.window / n
-    packet = WavePacket(config.packet.shape, config.packet.fwhm, config.window / 2.0)
+    dt, peak = config.window / n, config.window / 2.0
 
     # every output field is a multiple of u or of its reflection
     # r = u - sqrt(kappa) c, so capture needs only <u|u> and <u|r>: Simpson
@@ -219,7 +218,8 @@ def _route(config: RouterSimConfig, n: int):
     fine, coarse = np.zeros(2), np.zeros(2)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        u_half = envelope_time(packet, np.arange(2 * start, 2 * stop + 1) * (dt / 2.0))
+        t = np.arange(2 * start, 2 * stop + 1) * (dt / 2.0) - peak
+        u_half = envelope_time(config.packet, t)
         u = u_half[::2]
         if not start:
             u0 = float(u_half[0]) ** 2

@@ -6,18 +6,18 @@ level 1 (e) or 2 (f), any slot not listed being in its ground state: that
 is `SparseState`, the format of the reference engines in `tests/`, which
 also own the export of a query's rows to it.
 
-Inside the engine B independent queries are one `Table`: its fields, each
-a slot on j's root-to-leaf path named (kind, level, rail), and its rows in
-path coordinates, each a batch (its query), an address branch j, j's path
-bits, one uint8 level per field and a complex amplitude; rows of different
-batches or j never meet.  `apply_gate` runs one level op, a gate on every
-node of a tree level with one template of fields per gate, on every row
-at once.  A field (kind, level, rail, c) names the slot in child c of the
+Inside the engine a query, or the N queries of a scan, is one `Table`:
+its fields, each a slot on j's root-to-leaf path named (kind, level,
+rail), and its rows in path coordinates, each a batch (its query), an
+address branch j, j's path bits, one uint8 level per field and a complex
+amplitude; rows of different batches or j never meet.  `apply_gate` runs
+one level op, a gate on every node of a tree level with one template of
+fields per gate, on every row at once.  A field (kind, level, rail, c) names the slot in child c of the
 op's node: the row's own field when c is j's bit at the op's level, a
 slot off j's path otherwise.  A hop into the child off the path raises
 `NumericalFailureError`, and a hop out of it finds nothing to move; the
-four hops read their control through one `_control`.  An op on some nodes
-of a level acts on the rows whose j prefix is one of them.
+four hops read their control through one `_control`.  An op that lists its
+nodes acts on the rows whose j prefix is one of them.
 
 Every gate but `h_ge` and `dualrail_h` maps each row to one row and keeps
 its weight, so only those two change the row count: they split rows, then
@@ -267,7 +267,7 @@ def apply_gate(table: Table, op) -> Table:
     child off j's path raises `NumericalFailureError`."""
     fn = _GATES[op.name]
     on = None
-    if len(op.nodes) < 1 << op.level:
+    if op.nodes is not None:
         member = np.zeros(1 << op.level, bool)
         member[list(op.nodes)] = True
         on = member[table.j >> (table.n - op.level)]

@@ -53,12 +53,10 @@ class WavePacket:
     Attributes:
         shape: pulse shape (Gaussian or hyperbolic secant).
         fwhm: nominal temporal width in ns (see module docstring).
-        center: time offset of the pulse peak within the simulation window.
     """
 
     shape: PulseShape
     fwhm: float
-    center: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.fwhm > 0:
@@ -91,13 +89,13 @@ class ReflectionResponse:
 
 
 def envelope_time(packet: WavePacket, t):
-    """Time-domain amplitude u(t), unit L2 norm over the real line."""
+    """Time-domain amplitude u(t), t relative to the peak, unit L2 norm over
+    the real line."""
     t = np.asarray(t, dtype=float)
-    dt = t - packet.center
     if packet.shape is PulseShape.GAUSSIAN:
         kw = packet.width_param
         peak = (2.0 * kw**2 / np.pi) ** 0.25
-        x = -((kw * dt) ** 2)
+        x = -((kw * t) ** 2)
         # np.exp takes a slow path, 5x, on arguments whose result underflows
         # to 0 (below -745); a window past the packet's support masks them
         if x.size and x.min() < -745.0:
@@ -107,7 +105,7 @@ def envelope_time(packet: WavePacket, t):
     else:
         tau = packet.width_param
         # normalization from int sech^2(t/tau) dt = 2 tau
-        x = np.clip(np.abs(dt) / tau, None, 700.0)
+        x = np.clip(np.abs(t) / tau, None, 700.0)
         out = (1.0 / np.sqrt(2.0 * tau)) / np.cosh(x)
     return out if out.ndim else complex(out)
 
@@ -117,14 +115,11 @@ def envelope_freq(packet: WavePacket, omega):
     omega = np.asarray(omega, dtype=float)
     if packet.shape is PulseShape.GAUSSIAN:
         kw = packet.width_param
-        mag = (1.0 / (2.0 * np.pi * kw**2)) ** 0.25 * np.exp(
-            -(omega**2) / (4.0 * kw**2)
-        )
+        out = (1.0 / (2.0 * np.pi * kw**2)) ** 0.25 * np.exp(-(omega**2) / (4.0 * kw**2))
     else:
         tau = packet.width_param
         x = np.clip(np.abs(omega) * np.pi * tau / 2.0, None, 700.0)
-        mag = (np.sqrt(np.pi * tau) / 2.0) / np.cosh(x)
-    out = mag * np.exp(1j * omega * packet.center)
+        out = (np.sqrt(np.pi * tau) / 2.0) / np.cosh(x)
     return out if out.ndim else complex(out)
 
 

@@ -19,7 +19,7 @@ from scipy.integrate import simpson
 from scipy.signal import lfilter
 
 from phonon_qram.router import Source, beam_splitter
-from phonon_qram.wavepackets import WavePacket, envelope_time
+from phonon_qram.wavepackets import envelope_time
 
 
 def lfilter_state(b_half, dt: float, kappa: float, c0=0.0) -> np.ndarray:
@@ -51,9 +51,8 @@ def field_run(config, n: int) -> tuple[dict, float, float]:
     """(final state, fidelity, leakage) of `config` on a grid of n steps."""
     kappa = config.kappa_max
     dt = config.window / n
-    t_half = np.arange(2 * n + 1) * (dt / 2.0)
-    packet = WavePacket(config.packet.shape, config.packet.fwhm, config.window / 2.0)
-    u_half = np.asarray(envelope_time(packet, t_half), dtype=complex)
+    t_half = np.arange(2 * n + 1) * (dt / 2.0) - config.window / 2.0  # peak at window/2
+    u_half = np.asarray(envelope_time(config.packet, t_half), dtype=complex)
 
     if config.source is Source.LEFT_QUBIT:
         f_l, f_r = beam_splitter(u_half, np.zeros_like(u_half))

@@ -148,8 +148,12 @@ def test_query_sim_writes_the_trace_as_level_ops(tmp_path, monkeypatch):
     data = DataRegister.classical([0, 1, 1, 0])
     ops = qram._protocol(QramConfig(n=2), data)
     assert trace == trace_to_json(QramConfig(n=2), data)
+    # only the classical read lists its nodes; an op on a whole level has none
     assert [(e["time_t"], e["gate"], e["level"], e["nodes"]) for e in trace] == [
-        (op.time, op.name, op.level, list(op.nodes)) for op in ops]
+        (op.time, op.name, op.level, None if op.nodes is None else list(op.nodes))
+        for op in ops]
+    assert [e["nodes"] is not None for e in trace] == [
+        e["gate"] == "z_ge" and e["level"] == 2 for e in trace]
 
 
 @pytest.mark.parametrize("enc", list(Encoding))
@@ -206,12 +210,12 @@ def test_query_sim_output_rebuilds_the_old_formats(tmp_path, enc, mode):
             assert run(out, "query-sim", config=config) == 0
             doc = json.loads((out / "query_sim.json").read_text())
             echoed = doc["params"]["address"]
-            batch = cli._parse_address(echoed, N, n)
-            old = batch.view(float).reshape(len(batch), N, 2).tolist()
+            parsed = cli._parse_address(echoed, N, n)
+            old = [_old_address(echoed, i, N) for i in range(N if parsed is None else 1)]
+            if parsed is not None:
+                assert old == [parsed.view(float).reshape(N, 2).tolist()]
             assert len(doc["queries"]) == len(old)
-            for i, rec in enumerate(doc["queries"]):
-                address = _old_address(echoed, i, N)
-                assert address == old[i]
+            for rec, address in zip(doc["queries"], old):
                 res = qram.query(QramConfig(n=n, encoding=enc),
                                  np.array([complex(*a) for a in address]), register)
                 assert rec == {
@@ -224,7 +228,9 @@ def test_query_sim_output_rebuilds_the_old_formats(tmp_path, enc, mode):
             trace = json.loads((out / "query_trace.json").read_text())
             gates = [GateRecord(e["gate"], tuple(qram._slot(f, node) for f in t),
                                 e["time_t"], tuple(e["params"]))
-                     for e in trace for node in e["nodes"] for t in e["templates"]]
+                     for e in trace
+                     for node in (range(2 ** e["level"]) if e["nodes"] is None else e["nodes"])
+                     for t in e["templates"]]
             assert gates == qram.build_query_gates(QramConfig(n=n, encoding=enc), register)
 
 
@@ -488,12 +494,12 @@ def test_query_sim_refuses_n_above_16(tmp_path, n):
     assert not out.exists()
 
 
-def test_query_sim_refuses_a_scan_above_n_11(tmp_path):
-    # the default address is a scan, whose (N, N) address batch grows as N^2
+def test_query_sim_scans_n_12(tmp_path):
+    # the default address is a scan; it holds no (N, N) address batch, so
+    # only the query cap of n <= 16 bounds it (n = 11 was its cap)
     proc, out = run_capped(tmp_path, "query-sim", {"n": 12})
-    assert proc.returncode == 2, proc.stderr
-    assert "an address scan needs n <= 11" in proc.stderr
-    assert not out.exists()
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((out / "query_sim.json").read_text())["queries"]) == 4096
 
 
 def test_route_fidelity_refuses_a_kappa_grid_above_1e4_points(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,10 +256,10 @@ def test_every_entry_point_refuses_a_register_of_the_wrong_size(data):
     (1.0, r"got shape \(\)"),
     (np.full((1, 1, 2), 0.5 ** 0.5), r"got shape \(1, 1, 2\)"),
     (np.zeros((0, 2)), r"got shape \(0, 2\)"),
-    ([[1.0, 0.0], [1.0, 1.0]], "address state 1 not normalized"),
+    ([[1.0, 0.0], [0.0, 1.0]], r"got shape \(2, 2\)"),
 ])
 def test_address_shape_and_batch_row_validation(address, match):
-    # an address is (N,) or a non-empty (B, N) batch of unit-norm rows
+    # an address is (N,); a scan is address None, not a 2-D batch of rows
     cfg, data = QramConfig(n=1), DataRegister.classical([0, 1])
     for fn in (initial_state, query):
         with pytest.raises(InvalidParameterError, match=match):
@@ -363,9 +364,8 @@ def _assert_same_rows(batched, b, single):
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
 def test_a_batch_query_is_each_query_exactly(enc):
-    # rows of different batches never meet, so a scan run as one batch
-    # matches each basis query bit for bit, and so does a batch of two
-    # superposed addresses
+    # rows of different batches never meet, so a scan, every basis address
+    # as its own batch of one pass, matches each basis query bit for bit
     rng = np.random.default_rng(23)
     cases = [DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)])
              for n in range(1, 6)]
@@ -374,13 +374,33 @@ def test_a_batch_query_is_each_query_exactly(enc):
     for data in cases:
         N = len(data.bits or data.qubits)
         cfg = QramConfig(n=N.bit_length() - 1, encoding=enc)
-        for addresses in (np.eye(N), np.array([_unit(rng, N), _unit(rng, N)])):
-            results = query(cfg, addresses, data)
-            table = final_state(cfg, addresses, data)
-            assert len(results) == len(addresses)
-            for b, (address, res) in enumerate(zip(addresses, results)):
-                assert res == query(cfg, address, data)
-                _assert_same_rows(table, b, final_state(cfg, address, data))
+        results = query(cfg, None, data)
+        table = final_state(cfg, None, data)
+        assert len(results) == N
+        for j, res in enumerate(results):
+            address = basis_address(cfg.n, j)
+            assert res == query(cfg, address, data)
+            _assert_same_rows(table, j, final_state(cfg, address, data))
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_a_scan_holds_no_dense_address_batch(enc):
+    # a scan names its basis addresses by None, where an (N, N) complex
+    # identity took 16 N bytes an address (64 kB at n = 12), so the traced
+    # peak of a whole n = 12 scan stays under 4 kB an address; the first
+    # call warms the imports
+    query(QramConfig(n=1, encoding=enc), None, DataRegister.classical([0, 1]))
+    cfg = QramConfig(n=12, encoding=enc)
+    data = DataRegister.classical([j.bit_count() % 2 for j in range(cfg.N)])
+    tracemalloc.start()
+    try:
+        results = query(cfg, None, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [res.bus_bit() for res in results] == list(data.bits)
+    assert all(res.tree_ground for res in results)
+    assert peak < 4096 * cfg.N, peak / cfg.N
 
 
 def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
@@ -410,8 +430,8 @@ def test_a_skipped_unwind_hop_leaves_the_tree_excited(monkeypatch):
     data = DataRegister.classical([0, 1, 1, 0])
     for enc in ALL_ENCODINGS:
         cfg = QramConfig(n=2, encoding=enc)
-        results = query(cfg, np.eye(4), data)
-        table = final_state(cfg, np.eye(4), data)
+        results = query(cfg, None, data)
+        table = final_state(cfg, None, data)
         for j, res in enumerate(results):
             assert res == query(cfg, basis_address(2, j), data)
             _assert_same_rows(table, j, final_state(cfg, basis_address(2, j), data))

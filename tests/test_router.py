@@ -56,10 +56,10 @@ def test_beam_splitter_preserves_norm(a, b):
     )
 
 
-def scattered_arm(packet, kappa, dt, steps):
+def scattered_arm(packet, kappa, dt, steps, peak):
     """Input and reflected field on the full-step grid, driven by analytic
-    half-step samples of the packet envelope."""
-    t_half = np.arange(2 * steps + 1) * (dt / 2.0)
+    half-step samples of the packet envelope peaking at time `peak`."""
+    t_half = np.arange(2 * steps + 1) * (dt / 2.0) - peak
     b_half = np.asarray(envelope_time(packet, t_half), dtype=complex)
     b_in = b_half[::2]
     return b_in, b_in - math.sqrt(kappa) * scatter_state(b_half, dt, kappa)
@@ -67,10 +67,10 @@ def scattered_arm(packet, kappa, dt, steps):
 
 def test_scatter_arm_against_fft_oracle():
     # independent route: apply r(omega) in the frequency domain via FFT
-    packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0, center=600.0)
+    packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0)
     resp = ReflectionResponse(KAPPA_200)
     dt = 0.02
-    b_in, b_out = scattered_arm(packet, KAPPA_200, dt, 60000)
+    b_in, b_out = scattered_arm(packet, KAPPA_200, dt, 60000, 600.0)
 
     npad = 1 << 17
     spec = np.fft.fft(b_in, npad)
@@ -82,10 +82,10 @@ def test_scatter_arm_against_fft_oracle():
 
 
 def test_scatter_arm_preserves_norm():
-    packet = WavePacket(PulseShape.SECH, fwhm=50.0, center=600.0)
+    packet = WavePacket(PulseShape.SECH, fwhm=50.0)
     resp = ReflectionResponse(KAPPA_200)
     dt = 0.02
-    b_in, b_out = scattered_arm(packet, resp.kappa_max, dt, 60000)
+    b_in, b_out = scattered_arm(packet, resp.kappa_max, dt, 60000, 600.0)
     n_in = np.trapezoid(np.abs(b_in) ** 2, dx=dt)
     n_out = np.trapezoid(np.abs(b_out) ** 2, dx=dt)
     assert n_out == pytest.approx(n_in, rel=1e-9)
@@ -157,8 +157,8 @@ def test_doubling_scan_matches_lfilter(mhz, n):
     # the scan against scipy's one-pole filter, from an empty and from a
     # carried scatterer, on a real and on a complex drive
     kappa, dt = mhz * TWO_PI_MHZ, 0.05
-    packet = WavePacket(PulseShape.SECH, fwhm=50.0, center=n * dt / 2)
-    real = envelope_time(packet, np.arange(2 * n + 1) * (dt / 2))
+    packet = WavePacket(PulseShape.SECH, fwhm=50.0)
+    real = envelope_time(packet, np.arange(2 * n + 1) * (dt / 2) - n * dt / 2)
     for b_half, c0 in [(real, 0.0), (real, 0.03), (real * np.exp(0.3j * np.arange(2 * n + 1)),
                                                     0.02 - 0.01j)]:
         ref = lfilter_state(b_half, dt, kappa, c0)
@@ -290,8 +290,8 @@ def test_two_overlaps_match_the_full_field_pipeline(source, control_init, shape)
 def test_scatter_state_continues_from_its_carried_value(mhz, dtype):
     # 10 MHz at dt = 0.02 takes the x < 1e-3 series branch, 200 MHz does not
     kappa, dt = mhz * TWO_PI_MHZ, 0.02
-    packet = WavePacket(PulseShape.SECH, fwhm=50.0, center=300.0)
-    b_half = np.asarray(envelope_time(packet, np.arange(60001) * (dt / 2)), dtype=dtype)
+    packet = WavePacket(PulseShape.SECH, fwhm=50.0)
+    b_half = np.asarray(envelope_time(packet, np.arange(60001) * (dt / 2) - 300.0), dtype=dtype)
     if dtype is complex:
         b_half *= np.exp(0.3j * np.arange(60001))
     whole = scatter_state(b_half, dt, kappa)
