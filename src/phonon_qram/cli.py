@@ -36,9 +36,9 @@ _MAX_QUERY_N = 16
 # route-fidelity runs a time-domain routing simulation per kappa point and
 # shape; refuse a larger grid before it is built (1e9 points need 7.45 GiB)
 _MAX_KAPPA_POINTS = 10**4
-# montecarlo draws the hybrid branch choices of trials * (n + 1) losses in one
-# piece, 5 bytes a draw under tracemalloc (standard keeps one block of u, about
-# 3 MB), so this caps a grid point near 0.1 GB
+# montecarlo draws trials * (n + 1) losses a block of trials at a time, so its
+# memory stays under about 5 MB (n <= 64); this caps a grid point's run time
+# (0.06-0.14 s at the cap on a 2-core x86-64 host)
 _MAX_MC_DRAWS = 2 * 10**7
 # schedule, heralding and montecarlo grow as n**2 or loop over n; every
 # default has n <= 10, so refuse n above this before anything is built

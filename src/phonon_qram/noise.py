@@ -7,18 +7,19 @@ is an equal superposition of "stayed in the register" and "went down the
 tree", sampled as a fair branch choice per (trial, excitation); averaging
 reproduces the closed-form success probability exactly.  Excitation k is
 lost when its uniform draw u reaches the keep-probability exp(-hazard) of
-its branch, at the time the hazard reaches -log(u); trials draw all branch
-choices as one array, then all u, a block of trials at a time.  A standard
-dual-rail excitation then takes rail 0 or 1 (one slot later) by a fair
-draw, which moves its event times but never a verdict.  Dephasing and
+its branch, at the time the hazard reaches -log(u); the Monte Carlo draws
+a block of trials at a time, in the stream of all coins, then all u.  A
+standard dual-rail excitation then takes rail 0 or 1 (one slot later) by a
+fair draw, which moves its event times but never a verdict.  Dephasing and
 thermal events: the rate x time cells of every (excitation, medium, kind)
 are laid end to end, one Poisson draw counts the events, and one uniform
 point per event picks its cell and its time in that medium; its location
 names the excitation, the rail (standard dual-rail) and the medium.
 
 One table per (config, noise model), built once into a bounded cache
-(`_exposure`), holds the segments, dwell times, keep-probabilities and
-rates; a call adds only its seeded draws and its events.
+(`_exposure`), holds each excitation's segments, keep-probabilities and
+dephasing/thermal cells per branch; a call adds only its seeded draws and
+its events, on Python lists.
 
 Detection is a pure function of the final measurement pattern: a lost
 excitation leaves a register transmon in |f> (hybrid) or a dual-rail pair
@@ -30,6 +31,7 @@ to the dual-rail check.
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import itertools
 import math
@@ -134,16 +136,18 @@ def _classify(cfg: QramConfig, lost: list) -> tuple[bool, str | None]:
 
 
 _MEDIA = ("transmon", "waveguide")
-_ROWS = 1 << 14  # trials per block of u draws
+_ROWS = 1 << 12  # trials per block of draws; even, so a full block's coins fill whole raw draws
 
 
 @functools.lru_cache(maxsize=128)
 def _exposure(cfg: QramConfig, noise: NoiseModel) -> tuple:
-    """(branches, rail1, dwell, loss, rates, keep) of a (config, noise model),
-    built once and shared, so read only: the rail-0 segments of each
-    excitation, then of a hybrid qubit kept in its register; the rail-1
-    segments (standard dual-rail); each branch's time per medium; the loss
-    rates; the dephasing and thermal (medium, kind, rate); exp(-hazard)."""
+    """(keep, loss, rail1, paths) of a (config, noise model), built once and
+    shared, so read only: exp(-hazard) of each excitation's routed branch
+    and, last, of a hybrid qubit kept in its register; the loss rates; the
+    rail-1 segments (standard dual-rail); and per excitation, indexed by its
+    branch coin (0 kept, 1 routed), that branch's keep-probability, rail-0
+    segments and cells, the (excitation, kind, {medium: rate}, rate x dwell)
+    of each nonzero dephasing or thermal exposure."""
     n, enc, t = cfg.n, cfg.encoding, cfg.t
     loss = {m: noise.loss_rate(m) for m in _MEDIA}
     branches = [residence_intervals(n, enc, t, k) for k in range(n + 1)]
@@ -158,27 +162,42 @@ def _exposure(cfg: QramConfig, noise: NoiseModel) -> tuple:
         hazard.append(h)
         dwell.append(d)
     keep = np.exp(-np.array(hazard))
-    rates = tuple((m, kind, r) for m in _MEDIA for kind, r in
-                  (("dephase", noise.dephasing_rate(m)), ("thermal", noise.thermal_rate(m))))
-    return tuple(branches), tuple(rail1), tuple(dwell), loss, rates, keep
+    rates = [(m, kind, r) for m in _MEDIA for kind, r in
+             (("dephase", noise.dephasing_rate(m)), ("thermal", noise.thermal_rate(m)))]
+
+    def branch(k, b):
+        cells = [(k, kind, {m: r}, r * dwell[b][m]) for m, kind, r in rates]
+        return float(keep[b]), branches[b], tuple(cell for cell in cells if cell[-1] > 0)
+
+    return keep, loss, tuple(rail1), tuple((branch(k, -1), branch(k, k)) for k in range(n + 1))
+
+
+def _coins(bitgen, m: int):
+    """m fair coins (uint32 0 or 1) as `Generator.integers(0, 2, m,
+    dtype=np.int32)` draws them from `bitgen`, without its call overhead: bit
+    31, then bit 63, of each raw 64-bit output (little-endian uint32 halves)."""
+    return bitgen.random_raw((m + 1) // 2).view(np.uint32)[:m] >> 31
 
 
 def _draw_losses(cfg: QramConfig, keep, trials: int, rng):
-    """Yield (in_tree, u, lost) per (trial, excitation), `_ROWS` trials at a
-    time: a hybrid qubit is routed (`in_tree`) or kept in its register by a
-    fair draw, all drawn first, and is lost when its u reaches `keep`, its
-    branch's keep-probability from the `_exposure` table built once per
-    (config, noise model).  The int32 branch draws and the u drawn a block
-    at a time give the stream of one int64 and one float draw, in a
-    fraction of the memory."""
-    shape, std = (trials, cfg.n + 1), cfg.encoding.is_standard
-    in_tree = (np.broadcast_to(True, shape) if std
-               else rng.integers(0, 2, size=shape, dtype=np.int32).astype(bool))
+    """Yield the (trials, n+1) loss flags `_ROWS` trials at a time: a hybrid
+    qubit is routed or kept in its register by a fair coin, and is lost when
+    its u reaches `keep`, its branch's keep-probability from the `_exposure`
+    table.  The stream is that of all coins first, then all u: the coins
+    come block by block from a copy of the bit generator, and the u from
+    `rng` advanced past them, so memory stays one block whatever `trials`."""
+    width, std = cfg.n + 1, cfg.encoding.is_standard
+    coins = copy.deepcopy(rng.bit_generator)
+    if not std:
+        rng.bit_generator.advance((trials * width + 1) // 2)
     for start in range(0, trials, _ROWS):
-        branch = in_tree[start:start + _ROWS]
-        u = rng.random(branch.shape)
-        routed = u >= keep[:-1]
-        yield branch, u, routed if std else routed & branch | (u >= keep[-1]) & ~branch
+        rows = min(_ROWS, trials - start)
+        u = rng.random((rows, width))
+        lost = u >= keep[:-1]  # if routed
+        if not std:
+            branch = _coins(coins, rows * width).reshape(rows, width).astype(bool)
+            lost = lost & branch | (u >= keep[-1]) & ~branch
+        yield lost
 
 
 def _time_at(segs, rate: dict, target: float):
@@ -200,26 +219,26 @@ def sample_trajectory(cfg: QramConfig, noise: NoiseModel, seed) -> TrajectoryVer
     """Draw one noisy trajectory and evaluate end-of-query detection."""
     _check_encoding(cfg)
     n, std = cfg.n, cfg.encoding.is_standard
-    branches, rail1, dwell, loss, rates, keep = _exposure(cfg, noise)
+    _, loss, rail1, paths = _exposure(cfg, noise)
     rng = np.random.default_rng(seed)
-    in_tree, u, lost = (a[0].tolist() for a in next(_draw_losses(cfg, keep, 1, rng)))
-    rails = (rng.random(n + 1) < 0.5).tolist() if std else [False] * (n + 1)
-    took = [k if in_tree[k] else -1 for k in range(n + 1)]  # -1: kept in the register
+    coins = [1] * (n + 1) if std else _coins(rng.bit_generator, n + 1).tolist()
+    took = [path[c] for path, c in zip(paths, coins)]  # (keep, segments, cells)
+    u = rng.random(n + 1).tolist()
+    rails = [x < 0.5 for x in rng.random(n + 1).tolist()] if std else [False] * (n + 1)
 
     def event(k, kind, rate, target):
-        segs = rail1[k] if rails[k] else branches[took[k]]
-        time, medium = _time_at(segs, rate, target)
+        time, medium = _time_at(rail1[k] if rails[k] else took[k][1], rate, target)
         rail = f":rail{rails[k]:d}" if std else ""
         return NoiseEvent(time, f"excitation{k}{rail}:{medium}", kind)
 
-    lost_ks = [k for k in range(n + 1) if lost[k]]
+    lost_ks = [k for k in range(n + 1) if u[k] >= took[k][0]]
     events = [event(k, "loss", loss, -math.log(u[k])) for k in lost_ks]
-    cells = [(k, m, kind, r, r * dwell[took[k]][m]) for k in range(n + 1) for m, kind, r in rates]
-    ends = list(itertools.accumulate(cell[-1] for cell in cells))
+    cells = [cell for _, _, branch in took for cell in branch]
+    ends = list(itertools.accumulate((cell[-1] for cell in cells), initial=0.0))
     for x in (rng.random(rng.poisson(ends[-1])) * ends[-1]).tolist():
-        i = bisect.bisect_right(ends, x)
-        k, m, kind, r, _ = cells[i]
-        events.append(event(k, kind, {m: r}, x - (ends[i - 1] if i else 0.0)))
+        i = bisect.bisect_right(ends, x) - 1
+        k, kind, rate, _ = cells[i]
+        events.append(event(k, kind, rate, x - ends[i]))
     events.sort(key=lambda e: e.time_ns)
     return TrajectoryVerdict(tuple(events), *_classify(cfg, lost_ks))
 
@@ -252,8 +271,8 @@ def estimate_success_prob(
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     lossless = trials
-    for *_, lost in _draw_losses(cfg, _exposure(cfg, noise)[-1], trials,
-                                 np.random.default_rng(seed)):
+    for lost in _draw_losses(cfg, _exposure(cfg, noise)[0], trials,
+                             np.random.default_rng(seed)):
         # column by column: numpy's any(axis=1) is several times slower on rows this short
         hit = lost[:, 0].copy()
         for col in lost.T[1:]:

@@ -59,6 +59,10 @@ class WavePacket:
     fwhm: float
 
     def __post_init__(self) -> None:
+        try:  # a shape given by value ("gaussian") must not route as a sech
+            object.__setattr__(self, "shape", PulseShape(self.shape))
+        except ValueError:
+            raise InvalidParameterError(f"unknown pulse shape {self.shape!r}") from None
         if not self.fwhm > 0:
             raise InvalidParameterError(f"fwhm must be > 0, got {self.fwhm}")
 

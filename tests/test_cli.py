@@ -590,7 +590,7 @@ def test_standard_gantt_lanes_hold_every_hop(tmp_path):
 
 @pytest.mark.parametrize("trials, n", [(10000000000, 2), (1000000, 20)])
 def test_montecarlo_refuses_draws_above_the_cap(tmp_path, trials, n):
-    # the loss draw holds trials * (n + 1) elements at once
+    # the run time grows with trials * (n + 1); memory is one block of trials
     config = {"trials": trials, "grid": [{"n": 1, "T1_q": "100us", "T1_m": "2us"},
                                          {"n": n, "T1_q": "100us", "T1_m": "2us"}]}
     proc, out = run_capped(tmp_path, "montecarlo", config)

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +220,19 @@ PINNED_LOSSES = [
 ]
 
 
+# SHA-256 of the repr of every verdict (detected, basis, and each event's
+# time, location and kind) of sample_trajectory over seeds 0..299 under
+# PINNED_NOISE, per (encoding, n), as the sampler that drew its coins with
+# Generator.integers returned them
+PINNED_VERDICTS = {
+    (HYB, 1): "b3a8f9645b92c533d3acddcc464fa106baf2e4a922ca2edb595bb6a7298f1cbb",
+    (HYB, 4): "678fd68430f91c2991b76a3d31895425d96a4087bb4d1fc8bea5bb7c733eabaa",
+    (HYB, 10): "72548bd77e2b64060e228007cea21f3ffade82ae7af12cf9ae75ae3ea19ccfb4",
+    (STD, 1): "b3723346dc4b4ba4de814a9ff05c137c397ce6cd80837b1cf46fc5176fe081c6",
+    (STD, 4): "8c1cc80e10fe1231cbec60b42ae6cb5573b7f2deb9d217c93edb7f2b23148538",
+    (STD, 10): "3ef36c2327384399ac0ba64f3baa2124552be7e659f252df88257d30373fa7d4",
+}
+
 def _assert_pinned_draws(cold: bool):
     """Every pinned case, each after clearing the exposure table cache if
     `cold`."""
@@ -261,6 +276,58 @@ def test_pinned_draws_hold_with_cold_and_warm_exposure_tables():
     # reused one must give the same draws to the last bit
     _assert_pinned_draws(cold=True)
     _assert_pinned_draws(cold=False)
+
+
+@pytest.mark.parametrize("enc, n", list(PINNED_VERDICTS))
+def test_every_sampled_event_is_pinned(enc, n):
+    cfg = QramConfig(n=n, encoding=enc)
+    verdicts = (sample_trajectory(cfg, PINNED_NOISE, seed) for seed in range(300))
+    text = repr([(v.detected, v.detection_basis,
+                  [(e.time_ns, e.location, e.kind) for e in v.events]) for v in verdicts])
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_VERDICTS[enc, n]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 11, 16, 17])
+def test_coins_are_the_generators_int32_draws(m):
+    # the raw-bit coin rule must stay Generator.integers' int32 stream; a
+    # numpy release that draws those differently fails here first
+    for seed in range(300):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = ref.integers(0, 2, m, dtype=np.int32)
+        got = noise_module._coins(rng.bit_generator, m)
+        assert got.tolist() == want.tolist(), (m, seed)
+        assert rng.random(3).tolist() == ref.random(3).tolist(), (m, seed)
+
+
+@pytest.mark.parametrize("enc", [HYB, STD])
+@pytest.mark.parametrize("n, trials", [(2, 1), (2, 3), (4, 5), (2, 4_097), (10, 40_001)])
+def test_blocked_draws_are_all_branches_then_all_u(enc, n, trials):
+    # the stream of one int32 draw of every branch coin, then every u:
+    # block boundaries and an odd coin count must not shift it
+    cfg, model = QramConfig(n=n, encoding=enc), NoiseModel(T1_q=40.0, T1_m=3.0)
+    keep = noise_module._exposure(cfg, model)[0]
+    rng = np.random.default_rng((7, trials))
+    branch = (np.ones((trials, n + 1), bool) if enc is STD
+              else rng.integers(0, 2, (trials, n + 1), dtype=np.int32).astype(bool))
+    u = rng.random((trials, n + 1))
+    lossless = trials - int(np.where(branch, u >= keep[:-1], u >= keep[-1]).any(axis=1).sum())
+    p = lossless / trials
+    want = (p, math.sqrt(max(p * (1.0 - p), 0.0) / trials))
+    assert estimate_success_prob(cfg, model, trials, (7, trials)) == want
+
+
+def test_the_monte_carlo_memory_does_not_grow_with_trials():
+    # coins and u are drawn one block of trials at a time; drawing every
+    # coin first as one array peaked above 50 MB here
+    cfg, model = QramConfig(n=10, encoding=HYB), NoiseModel(T1_q=300.0, T1_m=20.0)
+    estimate_success_prob(cfg, model, 10, 0)  # builds the exposure table
+    tracemalloc.start()
+    try:
+        estimate_success_prob(cfg, model, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_the_exposure_table_is_built_once_per_config_and_noise_model(monkeypatch):

@@ -324,6 +324,23 @@ def test_routing_memory_does_not_grow_with_whole_grid_temporaries(shape):
     assert peak <= 24 * n, peak / n
 
 
+@pytest.mark.parametrize("shape", [PulseShape.GAUSSIAN, PulseShape.SECH])
+def test_a_shape_given_by_value_routes_as_that_shape(shape):
+    # a plain string once routed as a sech whatever it named (F = 0.998469
+    # for "gaussian" here, where the Gaussian gives 0.998989)
+    packet = WavePacket(shape.value, fwhm=50.0)
+    assert packet.shape is shape and packet == WavePacket(shape, fwhm=50.0)
+    fidelity = [simulate_routing(RouterSimConfig(packet=p, kappa_max=KAPPA_200,
+                                                 window=250.0)).fidelity
+                for p in (packet, WavePacket(shape, fwhm=50.0))]
+    assert fidelity[0] == fidelity[1]
+    want = {PulseShape.GAUSSIAN: 0.998989, PulseShape.SECH: 0.998469}[shape]
+    assert round(fidelity[0], 6) == want
+    for bad in ("square", "GAUSSIAN", None, 1):
+        with pytest.raises(InvalidParameterError):
+            WavePacket(bad, fwhm=50.0)
+
+
 def test_config_validation():
     packet = WavePacket(PulseShape.GAUSSIAN, fwhm=50.0)
     with pytest.raises(InvalidParameterError):
