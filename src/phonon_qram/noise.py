@@ -80,8 +80,8 @@ class NoiseModel:
             v = getattr(self, name)
             if not v > 0:
                 raise InvalidParameterError(f"{name} must be > 0, got {v}")
-        if self.n_th < 0:
-            raise InvalidParameterError(f"n_th must be >= 0, got {self.n_th}")
+        if not 0 <= self.n_th < math.inf:  # NaN fails too
+            raise InvalidParameterError(f"n_th must be finite and >= 0, got {self.n_th}")
         for t2, t1, pair in (
             (self.T2_q, self.T1_q, "T2_q/T1_q"),
             (self.T2_m, self.T1_m, "T2_m/T1_m"),

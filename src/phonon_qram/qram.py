@@ -8,8 +8,9 @@ per routing step, pipelined so that excitation k (0-based, bus = n) is
 routed k levels down and parks as the level-k control.  After the read the
 query is uncomputed: the way out is the inward half's gates inverted and
 played in reverse order.  A classical cell never enters the state: a 1-bit
-is a `z_ge` on the leaf that holds the |+> bus, which the decode turns into
-the bit; a quantum cell is a data slot, routed into the tree when queried.
+is a `z_ge` on the leaf that holds the |+> bus, and the readout measures
+the bus in the X basis to give the bit; a quantum cell is a data slot,
+routed into the tree when queried.
 Routing here is ideal: distortion and decoherence are composed on top
 analytically or by Monte Carlo elsewhere.
 
@@ -30,14 +31,14 @@ j's data slots) and holds a branch per row: its batch, j, one level per
 field and an amplitude.  A level op is one `state.apply_gate`
 call, a few column operations on every row at once; a row finds its node
 from j's prefix, and a hop into the child off j's path raises
-`NumericalFailureError`.  Only the bus decode splits rows, and it merges
-them again; `final_state` merges them once more at the end, so an op that
-maps two rows onto one fails the norm check.  The cells a branch does not
-query are never touched, so they stay a product background of their
-(a, b) that no row holds.  `query` decodes every batch's readout at once
-from the columns of the final rows, where the background sums out:
-`address_bus`, `tree_ground`, and `max_support`, which counts path
-branches, at most 2N.
+`NumericalFailureError`.  Every op maps a row to one row, so
+`final_state` merges once, at the end, and an op that maps two rows onto
+one fails the norm check.  The cells a branch does not query are never
+touched, so they stay a product background of their (a, b) that no row
+holds.  `query` decodes every batch's readout at once from the columns of
+the final rows, where the background sums out: `address_bus`, a
+classical bus read in the X basis, `tree_ground`, and `max_support`,
+which counts path branches, at most 2N.
 
 Level op times, and so gate record times, are in units of the routing
 step t.  Emissions and control settings sit on `scheduling.start_slot`, and the hop
@@ -247,7 +248,7 @@ def _mirror(op: _LevelOp, M: int) -> _LevelOp:
 @functools.lru_cache(maxsize=64)
 def _around_read(cfg: QramConfig, mode: DataMode) -> tuple[tuple, tuple]:
     """The level ops of a query before and after its read, which no cell value
-    changes: the inward half, then its mirrored inverse and the bus decode.
+    changes: the inward half, then its mirrored inverse.
 
     Each excitation's emission, in-hops and control setting are appended
     in (k, rail) order and sorted by time alone; the sort is stable, so
@@ -265,17 +266,7 @@ def _around_read(cfg: QramConfig, mode: DataMode) -> tuple[tuple, tuple]:
             if k < n:
                 inward.append(_set_level(k, s + k, rail=r))
     inward.sort(key=lambda op: op.time)
-    outward = [_mirror(op, M) for op in reversed(inward)]
-
-    # decode the bus back to the computational basis
-    if mode is DataMode.CLASSICAL:
-        if std:
-            outward.append(_op(M, "dualrail_h", 0, (("reg", n, 0), ("reg", n, 1))))
-        else:
-            outward.append(_op(M, "h_ge", 0, (("reg", n, None),)))
-            if cfg.encoding is Encoding.HYBRID_DUAL_RAIL:
-                outward.append(_op(M, "z_ge", 0, (("reg", n, None),)))
-    return tuple(inward), tuple(outward)
+    return tuple(inward), tuple(_mirror(op, M) for op in reversed(inward))
 
 
 def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
@@ -286,9 +277,9 @@ def _protocol(cfg: QramConfig, data: DataRegister) -> list[_LevelOp]:
 
 
 def build_query_gates(cfg: QramConfig, data: DataRegister) -> list[GateRecord]:
-    """Chronological gate list for a complete query: the inward half, the
-    read, the mirrored inverse of the inward half, then the bus decode.
-    It is the node-by-node expansion of the level ops `final_state` runs."""
+    """Chronological gate list for a query up to the bus readout: the
+    inward half, the read, the mirrored inverse of the inward half.  It is
+    the node-by-node expansion of the level ops `final_state` runs."""
     data.validate(cfg.N)
     return [GateRecord(op.name, tuple(_slot(f, node) for f in t), op.time, op.params)
             for op in _protocol(cfg, data)
@@ -375,31 +366,49 @@ class QueryResult:
         return best[0][1]
 
 
-def _decode(t: state.Table, std: bool, quantum: bool) -> list[QueryResult]:
+def _decode(t: state.Table, encoding: Encoding, quantum: bool) -> list[QueryResult]:
     """The `QueryResult` of each batch of a final state, read from the
     columns of all its rows at once.
 
     j comes from the address registers, not the rows' j, so a failed
     unwind shows; a standard dual-rail bit or bus is rail 1 in |e>.  Any
     control, ancilla or data waveguide left excited clears `tree_ground`.
-    Classical mode sums complex amplitudes per (j, bus).  Quantum mode
-    leaves orthogonal data-register branches, so only the weights
-    sqrt(sum |amp|^2) are meaningful and the unit-norm background sums
-    out; phase-sensitive checks export the rows over absolute slots, which
-    the reference decoders in `tests/` do."""
-    n = t.n
+    Classical mode reads a logical bus x in the X basis, amp/sqrt2 at
+    (j, 0) and (-1)^x amp/sqrt2 at (j, 1), negated for hybrid, and a bus
+    outside the logical subspace (|f>, a rail pair not one-hot) as it is;
+    it sums complex amplitudes per (j, bus) and leaves out a sum of at
+    most 1e-14.  Quantum mode leaves orthogonal data-register branches,
+    so only the weights sqrt(sum |amp|^2) are meaningful and the unit-norm
+    background sums out; phase-sensitive checks export the rows over
+    absolute slots, which the reference decoders in `tests/` do."""
+    n, std = t.n, encoding.is_standard
     regs = t.levels[[t.col[_logical(std, "reg", k, 1)[0]] for k in range(n + 1)]]
     if std:
         regs = (regs == 1).view(np.uint8)
     j = np.zeros(len(t), np.int64)
     for lvl in regs[:-1]:
         j = j << 1 | (lvl > 0)
-    buses: list = [{} for _ in t.max_support]
-    for b, k, amp in zip(t.batch.tolist(), zip(j.tolist(), regs[-1].tolist()), t.amp.tolist()):
-        # an int 0 adds like 0.0 or 0j, so every sum keeps the bits of a float one
-        buses[b][k] = buses[b].get(k, 0) + (abs(amp) ** 2 if quantum else amp)
+    bus, key = regs[-1], (t.batch << n | j) << 2
+    if quantum:  # Python's abs, whose last bit numpy's can differ in
+        amp, key = np.array([abs(a) ** 2 for a in t.amp.tolist()]), key | bus
+    else:  # each row's (j, 0) entry, then its (j, 1) one, 0 for a bus that is not logical
+        logical = (t.levels[t.col[("reg", n, 0)]] == 1) != (bus == 1) if std else bus < 2
+        h = 1 / math.sqrt(2.0)
+        h1 = -h if encoding is Encoding.HYBRID_DUAL_RAIL else h  # hybrid negates (j, 1)
+        amp = np.concatenate([np.where(logical, t.amp * h, t.amp),
+                              t.amp * np.where(bus == 1, -h1, h1) * logical])
+        key = np.concatenate([key | bus * ~logical, key | np.where(logical, 1, bus)])
+    # each key's sum (+ 0 turns a -0.0 part into 0.0), listed by its first row
+    order, starts = state.sort_groups(key)
+    total = np.add.reduceat(amp[order], starts) + 0
     if quantum:
-        buses = [{k: math.sqrt(p) for k, p in bus.items()} for bus in buses]
+        total = np.sqrt(total)
+    live = np.abs(total) > 1e-14
+    first, total = order[starts[live]], total[live]
+    at = np.argsort(first % len(t), kind="stable")
+    buses: list = [{} for _ in t.max_support]
+    for k, a in zip(key[first[at]].tolist(), total[at].tolist()):
+        buses[k >> n + 2][k >> 2 & (1 << n) - 1, k & 3] = a
     tree = [i for i, f in enumerate(t.fields) if f[0] in ("ctrl", "anc", "dwg")]
     excited = np.bincount(t.batch[t.levels[tree].any(axis=0)], minlength=len(buses))
     return [QueryResult(*r) for r in
@@ -407,17 +416,17 @@ def _decode(t: state.Table, std: bool, quantum: bool) -> list[QueryResult]:
 
 
 def final_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
-    """The engine pass of a query: `initial_state`, every level op, and a
-    closing merge, which catches an op that mapped two rows onto one.
+    """The engine pass of a query up to the bus readout: `initial_state`,
+    every level op and one merge, which catches two rows mapped onto one.
 
     Batch 0 of the returned table holds the final rows of an address,
     batch j those of basis address j in a scan (address None).  Raises
     `NumericalFailureError` when a branch leaves its path, or a batch's
-    norm leaves 1 by over 1e-10 at a split or the end."""
+    norm leaves 1 by over 1e-10 at the end."""
     table = initial_state(cfg, address, data)
     for op in _protocol(cfg, data):
         table = state.apply_gate(table, op)
-    table.merge("the end of the query")
+    table.merge()
     return table
 
 
@@ -426,7 +435,7 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[Qu
 
     An (N,) address returns its `QueryResult`; address None, a scan, the N
     results of the basis addresses j = 0..N-1 from one pass."""
-    results = _decode(final_state(cfg, address, data), cfg.encoding.is_standard,
+    results = _decode(final_state(cfg, address, data), cfg.encoding,
                       data.mode is DataMode.QUANTUM)
     return results if address is None else results[0]
 
@@ -435,8 +444,8 @@ def query(cfg: QramConfig, address, data: DataRegister) -> QueryResult | list[Qu
 # trace export
 
 def trace_to_json(cfg: QramConfig, data: DataRegister) -> list[dict]:
-    """JSON-ready level ops of a query, in the order `final_state` runs
-    them: each op's time, gate, level, params, nodes (null for every node
+    """JSON-ready level ops of a query up to the bus readout, in the order
+    `final_state` runs them: each op's time, gate, level, params, nodes (null for every node
     of the level) and templates, a template being a list of path fields
     (null for no rail) whose slot at a node `_slot` names."""
     data.validate(cfg.N)

@@ -309,7 +309,7 @@ def sweep_kappa(shapes, fwhm: float, kappas):
         packet = WavePacket(s, fwhm)
         for k in kappas:
             fidelity = distortion_fidelity(packet, ReflectionResponse(k))
-            rows.append({"param": k, "shape": s.value, "infidelity": 1.0 - fidelity,
+            rows.append({"param": k, "shape": packet.shape.value, "infidelity": 1.0 - fidelity,
                          "infidelity_td": _infidelity_timedomain(
                              packet, k, auto_window(packet, k))})
     return rows
@@ -320,7 +320,7 @@ def sweep_window(shapes, fwhm: float, kappa_max: float, windows):
     if not len(windows) or not len(shapes):
         raise InvalidParameterError("empty sweep grid")
     return [
-        {"param": w, "shape": s.value,
-         "infidelity": _infidelity_timedomain(WavePacket(s, fwhm), kappa_max, w)}
-        for s in shapes for w in windows
+        {"param": w, "shape": packet.shape.value,
+         "infidelity": _infidelity_timedomain(packet, kappa_max, w)}
+        for packet in [WavePacket(s, fwhm) for s in shapes] for w in windows
     ]

@@ -19,12 +19,12 @@ slot off j's path otherwise.  A hop into the child off the path raises
 four hops read their control through one `_control`.  An op that lists its
 nodes acts on the rows whose j prefix is one of them.
 
-Every gate but `h_ge` and `dualrail_h` maps each row to one row and keeps
-its weight, so only those two change the row count: they split rows, then
-`Table.merge` sums rows with equal (batch, j, levels), prunes at 1e-14,
-counts each batch's rows and checks each batch's norm against 1 to 1e-10.
-`qram.final_state` merges once more at the end of a query, which catches
-an op that mapped two rows onto one, and returns the one final table.
+Every gate maps each row to one row and keeps its weight, so no level op
+changes a batch's row count.  `qram.final_state` runs `Table.merge` once,
+at the end of a query: it sums rows with equal (batch, j, levels), which
+catches an op that mapped two rows onto one, prunes at 1e-14 and checks
+each batch's norm against 1 to 1e-10.  The bus readout is not a gate:
+`qram._decode` reads a classical bus in the X basis from the final rows.
 
 `qram.build_query_gates` expands a protocol into `GateRecord`s, for
 replay against the independent simulations in `tests/` and a check
@@ -40,9 +40,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 
-__all__ = ["GateRecord", "SparseState", "Table", "apply_gate"]
-
-_SQ2 = 1.0 / math.sqrt(2.0)
+__all__ = ["GateRecord", "SparseState", "Table", "apply_gate", "sort_groups"]
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class Table:
     every row (uint8, one contiguous column per field), `amp` (complex)
     and `bits[l]`, set with the rows: whether j's bit at tree level l (0
     most significant) is 1.  `max_support[b]` (b < B) is the most rows
-    batch b has held, counted on construction and by every merge."""
+    batch b holds: its rows on construction, since no op adds one."""
 
     __slots__ = ("n", "fields", "col", "batch", "j", "levels", "amp", "bits", "max_support")
 
@@ -85,7 +83,7 @@ class Table:
         self.batch, self.j, self.levels, self.amp = batch, j, levels, amp
         self.bits = (j & (1 << np.arange(self.n - 1, -1, -1))[:, None]) != 0
 
-    def merge(self, where: str) -> None:
+    def merge(self) -> None:
         """Sum rows with equal (batch, j, levels), drop those at |amp| <= 1e-14,
         and raise `NumericalFailureError` if a batch's norm (0 with no rows) left 1 by > 1e-10."""
         width = 8 + len(self.levels)
@@ -94,25 +92,29 @@ class Table:
         key[:, :8] = (self.batch << self.n | self.j).view(np.uint8).reshape(-1, 8)
         key[:, 8:] = self.levels.T
         # one opaque value per row, so that rows sort and compare as bytes
-        key = key.view(np.dtype((np.void, width))).ravel()
-        order = np.argsort(key)
-        key = key[order]
-        new = np.empty(len(key), bool)
-        new[:1] = True
-        new[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(new)
+        order, starts = sort_groups(key.view(np.dtype((np.void, width))).ravel())
         amp = np.add.reduceat(self.amp[order], starts)
         keep = np.abs(amp) > 1e-14
         first = order[starts[keep]]
         # np.take keeps every column contiguous
         self.set_rows(self.batch[first], self.j[first], np.take(self.levels, first, axis=1),
                       amp[keep])
-        batches = len(self.max_support)
-        self.max_support = np.maximum(self.max_support, np.bincount(self.batch, minlength=batches))
-        weight = np.bincount(self.batch, np.abs(self.amp) ** 2, minlength=batches)
+        weight = np.bincount(self.batch, np.abs(self.amp) ** 2, minlength=len(self.max_support))
         for b, nrm in enumerate(map(math.sqrt, weight.tolist())):
             if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
-                raise NumericalFailureError(f"norm drifted to {nrm!r} in batch {b} after {where}")
+                raise NumericalFailureError(
+                    f"norm drifted to {nrm!r} in batch {b} after the end of the query")
+
+
+def sort_groups(key):
+    """A stable argsort of the 1-D `key`, and where in it each run of equal
+    keys starts."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.empty(len(key), bool)
+    new[:1] = True
+    new[1:] = key[1:] != key[:-1]
+    return order, np.flatnonzero(new)
 
 
 # ---------------------------------------------------------------------------
@@ -202,48 +204,8 @@ def _qroute(t, c, on, op, tpl):
     L[c[3]][m & ~into] = 1
 
 
-def _split(t, m, factor, extra, op):
-    """Scale the rows in `m` by 1/sqrt(2) in place, append a copy of them
-    with `extra` (column -> levels) set and amplitudes times `factor`, and
-    merge."""
-    rows = np.flatnonzero(m)
-    levels = t.levels[:, rows]
-    for col, lvl in extra.items():
-        levels[col] = lvl
-    amp = t.amp[rows] * (_SQ2 * factor)
-    t.amp[rows] *= _SQ2
-    t.set_rows(np.concatenate([t.batch, t.batch[rows]]), np.concatenate([t.j, t.j[rows]]),
-               np.concatenate([t.levels, levels], axis=1),
-               np.concatenate([t.amp, amp]))
-    t.merge(f"gate {op.name}")
-
-
-def _h_ge(t, c, on, op, tpl):
-    # g -> (g + e)/sqrt2, e -> (g - e)/sqrt2; f is untouched
-    a = t.levels[c[0]]
-    m = _on(a < 2, on)
-    factor = np.where(a[m] == 1, -1.0, 1.0)
-    a[m] = 0
-    _split(t, m, factor, {c[0]: 1}, op)
-
-
-def _dualrail_h(t, c, on, op, tpl):
-    # single-excitation Hadamard in rail space: |10> -> (|10> + |01>)/sqrt2,
-    # |01> -> (|10> - |01>)/sqrt2; a rail pair not one-hot is untouched
-    r0, r1 = t.levels[c[0]], t.levels[c[1]]
-    e0 = r0 == 1
-    m = _on(e0 != (r1 == 1), on)
-    x = e0[m]
-    factor = np.where(x, 1.0, -1.0)
-    extra = {c[0]: np.where(x, 0, r0[m]), c[1]: 1}
-    r1[m & ~e0] = 0
-    r0[m] = 1
-    _split(t, m, factor, extra, op)
-
-
 _GATES = {
     "swap_ge": _swap_ge,
-    "h_ge": _h_ge,
     "z_ge": _z_ge,
     "ladder_ge": _ladder_ge,
     "ladder_ef": _ladder_ef,
@@ -252,7 +214,6 @@ _GATES = {
     "route2": _route,
     "uproute2": _uproute,
     "qroute": _qroute,
-    "dualrail_h": _dualrail_h,
 }
 
 
@@ -263,8 +224,8 @@ def apply_gate(table: Table, op) -> Table:
 
     A field with a fourth entry c is the slot in child c of the op's
     node, which is the row's own field one level down when c is j's bit at
-    the op's level.  A split op merges before it returns; a hop into the
-    child off j's path raises `NumericalFailureError`."""
+    the op's level.  Every row maps to one row; a hop into the child off
+    j's path raises `NumericalFailureError`."""
     fn = _GATES[op.name]
     on = None
     if op.nodes is not None:

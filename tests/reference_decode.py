@@ -4,7 +4,10 @@
 own field layout, into frozenset configurations over absolute slots and
 multiplies in every untouched quantum cell;
 `decode_frozensets` reads `address_bus` and `tree_ground` from that view,
-so it shares none of the path-key layout that `qram.query` decodes from.
+so it shares none of the path-key layout that `qram.query` decodes from;
+it measures a classical bus by applying the decode as gates with the
+int-key semantics of `int_gates`, where `qram.query` reads it in the X
+basis.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import math
 
 from phonon_qram.qram import _logical, _slot
-from phonon_qram.qram_types import DataMode
-from phonon_qram.state import SparseState
+from phonon_qram.qram_types import DataMode, Encoding
+from phonon_qram.state import GateRecord, SparseState
+from slot_engine import SlotState
 
 
 def _background(std: bool, cells, j: int) -> list:
@@ -51,14 +55,25 @@ def export(table, cells=None) -> SparseState:
 
 
 def decode_frozensets(cfg, data, final) -> tuple[dict, bool]:
-    """(address_bus, tree_ground) of `final`, a `SparseState`.
+    """(address_bus, tree_ground) of `final`, a `SparseState` of a query
+    up to the bus readout.
 
-    Classical mode sums exact complex amplitudes per (address, bus)
-    outcome.  Quantum mode leaves data-register branches that are
-    orthogonal configurations, so only the incoherent weights are
-    meaningful; phase-sensitive checks go through the full state."""
+    Classical mode first decodes the bus back to the computational basis
+    on the absolute slots: `h_ge`, then `z_ge` for hybrid, or `dualrail_h`
+    on the standard dual-rail pair.  It then sums exact complex amplitudes
+    per (address, bus) outcome.  Quantum mode leaves data-register
+    branches that are orthogonal configurations, so only the incoherent
+    weights are meaningful; phase-sensitive checks go through the full
+    state."""
     n, std = cfg.n, cfg.encoding.is_standard
     quantum = data.mode is DataMode.QUANTUM
+    if not quantum:
+        bus = (("reg", n, 0), ("reg", n, 1)) if std else (("reg", n),)
+        gates = ([GateRecord("dualrail_h", bus, 0.0)] if std else
+                 [GateRecord("h_ge", bus, 0.0)]
+                 + [GateRecord("z_ge", bus, 0.0)] * (cfg.encoding is Encoding.HYBRID_DUAL_RAIL))
+        final = SlotState(final.amps)
+        final.apply_all(gates)
     address_bus: dict = {}
     tree_ground = True
     for conf, amp in final.amps.items():

@@ -39,6 +39,14 @@ def test_noise_model_validation():
     assert m.dephasing_rate("transmon") == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_th", [math.nan, math.inf])
+def test_noise_model_refuses_a_non_finite_n_th(n_th):
+    # a NaN rate dropped the thermal channel from every trajectory (nan > 0
+    # is False), and an infinite one failed inside numpy's Poisson draw
+    with pytest.raises(InvalidParameterError, match="n_th must be finite"):
+        NoiseModel(T1_q=100.0, n_th=n_th)
+
+
 def test_rates():
     m = NoiseModel(T1_q=100.0, T1_m=2.0, T2_q=50.0, n_th=0.01)
     assert m.loss_rate("transmon") == pytest.approx(1e-5)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import dense_amplitudes
-from phonon_qram import qram
+from phonon_qram import qram, state
 from phonon_qram.errors import InvalidParameterError, NumericalFailureError
 from phonon_qram.qram import (
     DataRegister,
@@ -24,6 +25,7 @@ from slot_engine import SlotState, reference_initial_state
 
 ALL_ENCODINGS = list(Encoding)
 RNG = np.random.default_rng(7)
+PINNED_RESULTS = "64b17f93cbf295f1c674497abc9b6e3cad9f3ad6fb839156f7de98c74f8a076d"
 
 
 def basis_address(n, j):
@@ -511,8 +513,8 @@ def test_an_op_that_maps_two_rows_onto_one_fails_the_final_merge(monkeypatch):
     # the two rows of a basis address with quantum data differ only in the
     # queried cell; a qroute from the cell into the bus register (|e> in
     # both) empties the cell of the |1> row, which then equals the |0> row.
-    # No op splits rows in quantum mode, so the final merge sums the two
-    # (0.6 + 0.8 = 1.4) and its norm check must raise
+    # The one merge, at the end, sums the two (0.6 + 0.8 = 1.4) and its norm
+    # check must raise
     protocol = qram._protocol
     fold = ("qroute", 0, (), (0,),
             ((("reg", 1, None), ("data", None, None), ("reg", 1, None), ("dwg", None, None)),))
@@ -526,6 +528,51 @@ def test_an_op_that_maps_two_rows_onto_one_fails_the_final_merge(monkeypatch):
     monkeypatch.setattr(qram, "_protocol", folded)
     with pytest.raises(NumericalFailureError, match="after the end of the query"):
         query(cfg, basis_address(1, 0), data)
+
+
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_every_level_op_keeps_each_batchs_row_count(enc):
+    # every op maps a row to one row, and the bus readout is no op: a
+    # batch's rows are all made by initial_state, where max_support counts
+    # them, and only the final merge may fold them
+    rng = np.random.default_rng(29)
+    for n in range(1, 5):
+        cfg = QramConfig(n=n, encoding=enc)
+        for data in (DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)]),
+                     DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)])):
+            for address in (_unit(rng, 2 ** n), None):
+                table = initial_state(cfg, address, data)
+                rows = np.bincount(table.batch)
+                for op in qram._protocol(cfg, data):
+                    state.apply_gate(table, op)
+                    assert np.array_equal(np.bincount(table.batch, minlength=len(rows)), rows), \
+                        (n, data.mode, op)
+
+
+def _pinned_results() -> str:
+    """repr of the results of a fixed set of queries, one line each: every
+    encoding, a classical scan and a superposed classical query for
+    n = 1-6, and a superposed quantum query for n = 1-3."""
+    rng = np.random.default_rng(2024)
+    lines = []
+    for enc in ALL_ENCODINGS:
+        for n in range(1, 7):
+            cfg = QramConfig(n=n, encoding=enc)
+            data = DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)])
+            lines += [repr(query(cfg, None, data)), repr(query(cfg, _unit(rng, 2 ** n), data))]
+        for n in range(1, 4):
+            data = DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)])
+            lines.append(repr(query(QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n), data)))
+    return "\n".join(lines)
+
+
+def test_query_results_are_pinned():
+    # every address_bus key and value, in dict order, tree_ground and
+    # max_support, bit for bit as the bus decode applied as gates (h_ge, then
+    # z_ge for hybrid, or dualrail_h) gives them: the X-basis readout forms
+    # the same products and sums
+    digest = hashlib.sha256(_pinned_results().encode()).hexdigest()
+    assert digest == PINNED_RESULTS
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)

@@ -366,3 +366,12 @@ def test_sweep_kappa_rows_and_empty_grid():
         sweep_kappa([PulseShape.GAUSSIAN], 50.0, [])
     with pytest.raises(InvalidParameterError):
         sweep_window([], 50.0, KAPPA_200, [600.0])
+
+
+def test_sweeps_take_a_shape_by_value():
+    # WavePacket takes a shape by value ("gaussian"), so both sweeps must
+    # name its shape from the packet, not from what they were given
+    assert (sweep_kappa(["gaussian"], 50.0, [KAPPA_200])
+            == sweep_kappa([PulseShape.GAUSSIAN], 50.0, [KAPPA_200]))
+    assert (sweep_window(["sech"], 50.0, KAPPA_200, [600.0])
+            == sweep_window([PulseShape.SECH], 50.0, KAPPA_200, [600.0]))

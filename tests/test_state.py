@@ -245,14 +245,14 @@ def test_merge_checks_the_norm_of_each_batch():
     d = 1e-6
     t = _batched_table([0, 0, 1, 1], [((1 + d) / 2) ** 0.5] * 2 + [((1 - d) / 2) ** 0.5] * 2)
     with pytest.raises(NumericalFailureError, match="in batch 0 after"):
-        t.merge("the test")
+        t.merge()
 
 
 def test_merge_fails_a_batch_whose_rows_are_all_pruned():
     # batch 0 holds the whole unit norm; batch 1's rows are pruned at 1e-14
     t = _batched_table([0, 0, 1, 1], [0.5 ** 0.5] * 2 + [1e-15] * 2)
     with pytest.raises(NumericalFailureError, match="to 0.0 in batch 1 after"):
-        t.merge("the test")
+        t.merge()
 
 
 def test_max_support_tracking():
@@ -311,9 +311,8 @@ def _level_ops(name):
 
 def _random_table(rng, cfg, quantum, op):
     """A query's `state.Table` with up to 6 distinct random rows over every
-    field, at levels 0-2 except where the gate is not unitary: a dual-rail
-    pair stays in levels 0-1, and a hop's destinations are empty in every
-    row."""
+    field, at levels 0-2 except where the gate is not unitary: a hop's
+    destinations are empty in every row."""
     fields = qram._fields(cfg, quantum)
     rows = int(rng.integers(1, 7))
     levels = rng.integers(0, 3, (len(fields), rows)).astype(np.uint8)
@@ -321,9 +320,7 @@ def _random_table(rng, cfg, quantum, op):
                     levels, np.ones(rows, complex))
     for tpl in op.templates:
         c = [t.col[f[:3]] for f in tpl]
-        if op.name == "dualrail_h":
-            levels[c] %= 2
-        elif op.name in HOPS:
+        if op.name in HOPS:
             levels[c[-1]] = 0
         elif op.name == "qroute":
             levels[c[2:]] = 0
@@ -380,11 +377,10 @@ def test_column_gate_matches_int_reference(name):
     assert raised == ({True, False} if name in ("route", "route2") else {False})
 
 
-@pytest.mark.parametrize("enc, split", [(Encoding.SINGLE_RAIL, "h_ge"),
-                                        (Encoding.STANDARD_DUAL_RAIL_VACUUM, "dualrail_h")])
-def test_each_rows_path_bit_follows_merge_and_split(enc, split):
+@pytest.mark.parametrize("enc", [Encoding.SINGLE_RAIL, Encoding.STANDARD_DUAL_RAIL_VACUUM])
+def test_each_rows_path_bit_follows_a_merge(enc):
     """A table's `bits` are j's bit at every tree level, row by row, after a
-    merge that reorders rows and folds duplicates and after a split op."""
+    merge that reorders rows and folds duplicates."""
     rng = np.random.default_rng(5)
     cfg = QramConfig(n=3, encoding=enc)
     n, std = cfg.n, enc.is_standard
@@ -399,15 +395,8 @@ def test_each_rows_path_bit_follows_merge_and_split(enc, split):
         for f in qram._logical(std, "reg", n, b):
             t.levels[t.col[f], i] = 1
 
-    def check():
-        for level in range(n):
-            want = (t.j >> (n - 1 - level)) & 1 == 1
-            assert np.array_equal(t.bits[level], want), level
-
-    t.merge("the test's duplicates")
+    t.merge()
     assert len(t) == cfg.N and t.j.tolist() != sorted(t.j.tolist(), reverse=True)
-    check()
-    bus = (("reg", n, 0), ("reg", n, 1)) if std else (("reg", n, None),)
-    state.apply_gate(t, qram._op(0.0, split, 0, bus))
-    assert len(t) > cfg.N
-    check()
+    for level in range(n):
+        want = (t.j >> (n - 1 - level)) & 1 == 1
+        assert np.array_equal(t.bits[level], want), level

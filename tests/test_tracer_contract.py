@@ -68,9 +68,9 @@ def test_tracer_bindings_resolve_and_see_the_engine(monkeypatch):
 
 @pytest.mark.parametrize("enc", list(Encoding))
 def test_tracer_hooks_count_a_superposed_query_with_a_split(enc, monkeypatch):
-    # the bus decode of a classical query splits rows: the hook's `out ==
-    # amps` must stay a plain bool, and the support it sees must be the
-    # merged row count the query reports
+    # a superposed classical query: the hook's `out == amps` must stay a
+    # plain bool, and the support it sees must be the row count the query
+    # reports; no op splits rows, the bus being read in the X basis at decode
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     compared = []
