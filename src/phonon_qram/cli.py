@@ -72,6 +72,13 @@ def _number(kind, value, key: str):
     return out
 
 
+def _amplitude(value, key: str) -> complex:
+    """A complex amplitude: a number, or [re, im], two real numbers."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(*(_number(float, x, key) for x in value))
+    return _number(complex, value, key)
+
+
 def _bool(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key}: expected true or false, got {value!r}")
@@ -271,9 +278,7 @@ def _parse_address(spec, N: int, n: int) -> np.ndarray | None:
     if isinstance(spec, list):
         if len(spec) != N:
             raise ConfigError(f"address needs {N} amplitudes")
-        v = np.asarray([complex(*(_number(float, y, "address") for y in x))
-                        if isinstance(x, list) and len(x) == 2
-                        else _number(complex, x, "address") for x in spec])
+        v = np.asarray([_amplitude(x, "address") for x in spec])
         with np.errstate(over="ignore"):  # finite amplitudes can square past a float
             nrm = np.linalg.norm(v)
         if not 1e-12 <= nrm < math.inf:  # NaN and inf amplitudes fail too
@@ -300,7 +305,7 @@ def cmd_query_sim(args) -> int:
         echo["data"] = [j.bit_count() % 2 for j in range(N)]
     try:
         if quantum:
-            data = DataRegister.quantum([tuple(_number(complex, a, "data") for a in q)
+            data = DataRegister.quantum([tuple(_amplitude(a, "data") for a in q)
                                          for q in _list(echo["data"], "data")])
         else:
             data = DataRegister.classical(

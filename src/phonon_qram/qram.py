@@ -31,14 +31,14 @@ j's data slots) and holds a branch per row: its batch, j, one level per
 field and an amplitude.  A level op is one `state.apply_gate`
 call, a few column operations on every row at once; a row finds its node
 from j's prefix, and a hop into the child off j's path raises
-`NumericalFailureError`.  Every op maps a row to one row, so
-`final_state` merges once, at the end, and an op that maps two rows onto
-one fails the norm check.  The cells a branch does not query are never
+`NumericalFailureError`.  Every op maps a row to one row in place, so
+`final_state` checks the rows once, at the end, in `initial_state`'s
+order, and an op that maps two rows onto one fails.  The cells a branch does not query are never
 touched, so they stay a product background of their (a, b) that no row
 holds.  `query` decodes every batch's readout at once from the columns of
 the final rows, where the background sums out: `address_bus`, a
-classical bus read in the X basis, `tree_ground`, and `max_support`,
-which counts path branches, at most 2N.
+classical bus read in the X basis and listed in ascending (j, bus),
+`tree_ground`, and `max_support`, which counts path branches, at most 2N.
 
 Level op times, and so gate record times, are in units of the routing
 step t.  Emissions and control settings sit on `scheduling.start_slot`, and the hop
@@ -399,7 +399,10 @@ def _decode(t: state.Table, encoding: Encoding, quantum: bool) -> list[QueryResu
                               t.amp * np.where(bus == 1, -h1, h1) * logical])
         key = np.concatenate([key | bus * ~logical, key | np.where(logical, 1, bus)])
     # each key's sum (+ 0 turns a -0.0 part into 0.0), listed by its first row
-    order, starts = state.sort_groups(key)
+    order = np.argsort(key, kind="stable")
+    new = np.ones(len(key), bool)  # where a run of equal sorted keys starts
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    starts = np.flatnonzero(new)
     total = np.add.reduceat(amp[order], starts) + 0
     if quantum:
         total = np.sqrt(total)
@@ -417,16 +420,17 @@ def _decode(t: state.Table, encoding: Encoding, quantum: bool) -> list[QueryResu
 
 def final_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
     """The engine pass of a query up to the bus readout: `initial_state`,
-    every level op and one merge, which catches two rows mapped onto one.
+    every level op in place, and one `state.Table.check`.
 
     Batch 0 of the returned table holds the final rows of an address,
-    batch j those of basis address j in a scan (address None).  Raises
-    `NumericalFailureError` when a branch leaves its path, or a batch's
-    norm leaves 1 by over 1e-10 at the end."""
+    batch j those of basis address j in a scan (address None), in
+    `initial_state`'s order.  Raises `NumericalFailureError` when a branch
+    leaves its path, two rows end equal, or a batch's norm leaves 1 by
+    over 1e-10 at the end."""
     table = initial_state(cfg, address, data)
     for op in _protocol(cfg, data):
         table = state.apply_gate(table, op)
-    table.merge()
+    table.check()
     return table
 
 

@@ -19,12 +19,12 @@ slot off j's path otherwise.  A hop into the child off the path raises
 four hops read their control through one `_control`.  An op that lists its
 nodes acts on the rows whose j prefix is one of them.
 
-Every gate maps each row to one row and keeps its weight, so no level op
-changes a batch's row count.  `qram.final_state` runs `Table.merge` once,
-at the end of a query: it sums rows with equal (batch, j, levels), which
-catches an op that mapped two rows onto one, prunes at 1e-14 and checks
-each batch's norm against 1 to 1e-10.  The bus readout is not a gate:
-`qram._decode` reads a classical bus in the X basis from the final rows.
+Every gate maps each row to one row in place and keeps its weight, so
+no level op adds, drops or moves a row.  `qram.final_state` runs
+`Table.check` once, at the end of a query: it catches an op that mapped
+two rows onto one and checks each batch's norm against 1 to 1e-10.  The
+bus readout is not a gate: `qram._decode` reads a classical bus in the X
+basis from the final rows.
 
 `qram.build_query_gates` expands a protocol into `GateRecord`s, for
 replay against the independent simulations in `tests/` and a check
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 
-__all__ = ["GateRecord", "SparseState", "Table", "apply_gate", "sort_groups"]
+__all__ = ["GateRecord", "SparseState", "Table", "apply_gate"]
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,18 @@ class Table:
     column of field f, and rows in path coordinates: query `batch` and
     address branch `j` (int64), `levels[col[f]]` the level of field f in
     every row (uint8, one contiguous column per field), `amp` (complex)
-    and `bits[l]`, set with the rows: whether j's bit at tree level l (0
-    most significant) is 1.  `max_support[b]` (b < B) is the most rows
-    batch b holds: its rows on construction, since no op adds one."""
+    and `bits[l]`: whether j's bit at tree level l (0 most significant) is
+    1.  No op moves, adds or drops a row, so these keep their construction
+    order, and `max_support[b]` (b < B), the most rows batch b holds, is
+    its rows on construction."""
 
     __slots__ = ("n", "fields", "col", "batch", "j", "levels", "amp", "bits", "max_support")
 
     def __init__(self, n: int, fields, batch, j, levels, amp):
         self.n, self.fields = n, fields
         self.col = {f: i for i, f in enumerate(fields)}
-        self.set_rows(batch, j, levels, amp)
+        self.batch, self.j, self.levels, self.amp = batch, j, levels, amp
+        self.bits = (j & (1 << np.arange(n - 1, -1, -1))[:, None]) != 0
         self.max_support = np.bincount(batch)
 
     def __len__(self) -> int:
@@ -79,42 +81,27 @@ class Table:
 
     support = __len__  # the benchmark tracer counts initial branches by it
 
-    def set_rows(self, batch, j, levels, amp) -> None:
-        self.batch, self.j, self.levels, self.amp = batch, j, levels, amp
-        self.bits = (j & (1 << np.arange(self.n - 1, -1, -1))[:, None]) != 0
-
-    def merge(self) -> None:
-        """Sum rows with equal (batch, j, levels), drop those at |amp| <= 1e-14,
-        and raise `NumericalFailureError` if a batch's norm (0 with no rows) left 1 by > 1e-10."""
-        width = 8 + len(self.levels)
-        key = np.empty((len(self), width), np.uint8)
-        # the batch sits above j's n bits, so (batch, j) is one 8-byte key
-        key[:, :8] = (self.batch << self.n | self.j).view(np.uint8).reshape(-1, 8)
-        key[:, 8:] = self.levels.T
-        # one opaque value per row, so that rows sort and compare as bytes
-        order, starts = sort_groups(key.view(np.dtype((np.void, width))).ravel())
-        amp = np.add.reduceat(self.amp[order], starts)
-        keep = np.abs(amp) > 1e-14
-        first = order[starts[keep]]
-        # np.take keeps every column contiguous
-        self.set_rows(self.batch[first], self.j[first], np.take(self.levels, first, axis=1),
-                      amp[keep])
+    def check(self) -> None:
+        """Raise `NumericalFailureError` if two rows hold equal (batch, j,
+        levels), or a batch's norm (0 with no rows) left 1 by > 1e-10.
+        `qram.initial_state` lays out at most two rows per (batch, j), next
+        to each other in ascending (batch, j), so only neighbours can be
+        equal; a table out of that layout raises too."""
+        # the batch sits above j's n bits, so (batch, j) is one int64 key
+        key = self.batch << self.n | self.j
+        if not ((key[1:] >= key[:-1]).all() and (key[2:] > key[:-2]).all()):
+            raise NumericalFailureError(
+                "rows out of ascending (batch, j) order, or over two per (batch, j)")
+        same = (key[1:] == key[:-1]) & (self.levels[:, 1:] == self.levels[:, :-1]).all(axis=0)
+        if same.any():
+            raise NumericalFailureError(
+                f"two rows of batch {self.batch[same.argmax()]} hold one configuration"
+                " after the end of the query")
         weight = np.bincount(self.batch, np.abs(self.amp) ** 2, minlength=len(self.max_support))
         for b, nrm in enumerate(map(math.sqrt, weight.tolist())):
             if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
                 raise NumericalFailureError(
                     f"norm drifted to {nrm!r} in batch {b} after the end of the query")
-
-
-def sort_groups(key):
-    """A stable argsort of the 1-D `key`, and where in it each run of equal
-    keys starts."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.empty(len(key), bool)
-    new[:1] = True
-    new[1:] = key[1:] != key[:-1]
-    return order, np.flatnonzero(new)
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,23 @@ def test_query_sim_runs_quantum_cells_within_the_norm_tolerance(tmp_path):
     assert weights[1] == pytest.approx(0.8000000004 / nrm, abs=1e-10)
 
 
+def test_query_sim_takes_a_quantum_cell_amplitude_as_a_pair(tmp_path):
+    # a cell amplitude, like an address amplitude, is a number or [re, im];
+    # a list of another length, or a boolean in the pair, is refused
+    config = {"n": 1, "mode": "quantum", "data": [[[0.6, 0], [0, 0.8]], [1, 0]], "address": "0"}
+    assert run(tmp_path, "query-sim", config=config) == 0
+    (record,) = json.loads((tmp_path / "query_sim.json").read_text())["queries"]
+    weights = {r["bus"]: r["amplitude"] for r in record["address_bus"]}
+    assert weights == {0: pytest.approx([0.6, 0.0], abs=1e-12),
+                       1: pytest.approx([0.8, 0.0], abs=1e-12)}
+    assert cli._amplitude([0, 0.8], "data") == 0.8j
+    (tmp_path / "query_sim.json").unlink()
+    for cell in ([0.6, [0, 0.8, 0]], [[0.6, True], 0.8]):
+        config["data"][0] = cell
+        assert run(tmp_path, "query-sim", config=config) == 2, cell
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
 # the default `montecarlo` table as the schedule-building sampler wrote it;
 # the array sampler keeps every loss draw, so the file is byte-identical
 MONTECARLO_DEFAULT_CSV = """\

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -25,7 +26,10 @@ from slot_engine import SlotState, reference_initial_state
 
 ALL_ENCODINGS = list(Encoding)
 RNG = np.random.default_rng(7)
-PINNED_RESULTS = "64b17f93cbf295f1c674497abc9b6e3cad9f3ad6fb839156f7de98c74f8a076d"
+# SHA-256 of _pinned_results(by_key=True), which also held while a final
+# merge re-sorted the rows; every address_bus now lists its keys in
+# ascending order, so the same digest pins _pinned_results() and dict order
+PINNED_BY_KEY = PINNED_RESULTS = "664cdf5ff28e39de30d6102559f39215f190287a63f01da4001fe0935d8da4d7"
 
 
 def basis_address(n, j):
@@ -513,8 +517,8 @@ def test_an_op_that_maps_two_rows_onto_one_fails_the_final_merge(monkeypatch):
     # the two rows of a basis address with quantum data differ only in the
     # queried cell; a qroute from the cell into the bus register (|e> in
     # both) empties the cell of the |1> row, which then equals the |0> row.
-    # The one merge, at the end, sums the two (0.6 + 0.8 = 1.4) and its norm
-    # check must raise
+    # The final check must raise whatever their relative phase: cells
+    # (0.6, 0.8) would sum to 1.4, but (0.6, 0.8j) to a unit |0.6 + 0.8j|
     protocol = qram._protocol
     fold = ("qroute", 0, (), (0,),
             ((("reg", 1, None), ("data", None, None), ("reg", 1, None), ("dwg", None, None)),))
@@ -522,19 +526,21 @@ def test_an_op_that_maps_two_rows_onto_one_fails_the_final_merge(monkeypatch):
     def folded(cfg, data):
         return [qram._LevelOp(0.0, *fold)] + protocol(cfg, data)
 
-    data = DataRegister.quantum([(0.6, 0.8), (1, 0)])
     cfg = QramConfig(n=1)
-    assert query(cfg, basis_address(1, 0), data).max_support == 2
-    monkeypatch.setattr(qram, "_protocol", folded)
-    with pytest.raises(NumericalFailureError, match="after the end of the query"):
-        query(cfg, basis_address(1, 0), data)
+    for cell in ((0.6, 0.8), (0.6, 0.8j)):
+        data = DataRegister.quantum([cell, (1, 0)])
+        assert query(cfg, basis_address(1, 0), data).max_support == 2
+        monkeypatch.setattr(qram, "_protocol", folded)
+        with pytest.raises(NumericalFailureError, match="after the end of the query"):
+            query(cfg, basis_address(1, 0), data)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("enc", ALL_ENCODINGS)
 def test_every_level_op_keeps_each_batchs_row_count(enc):
     # every op maps a row to one row, and the bus readout is no op: a
     # batch's rows are all made by initial_state, where max_support counts
-    # them, and only the final merge may fold them
+    # them, and the final check fails an op that folds two of them
     rng = np.random.default_rng(29)
     for n in range(1, 5):
         cfg = QramConfig(n=n, encoding=enc)
@@ -549,28 +555,65 @@ def test_every_level_op_keeps_each_batchs_row_count(enc):
                         (n, data.mode, op)
 
 
-def _pinned_results() -> str:
+@pytest.mark.parametrize("enc", ALL_ENCODINGS)
+def test_rows_keep_initial_states_layout_to_the_end(enc):
+    # the final check compares only neighbours, which holds because
+    # initial_state lays out at most two rows per (batch, j), next to each
+    # other in ascending (batch, j), and no op moves one; the decode then
+    # lists every address_bus in ascending (j, bus)
+    rng = np.random.default_rng(31)
+    for n in range(1, 5):
+        cfg = QramConfig(n=n, encoding=enc)
+        for data in (DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)]),
+                     DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)])):
+            for address in (_unit(rng, 2 ** n), None):
+                table = initial_state(cfg, address, data)
+                key = (table.batch << n | table.j).tolist()
+                assert key == sorted(key), (n, data.mode)
+                assert max(np.unique(key, return_counts=True)[1]) <= 2, (n, data.mode)
+                batch, j = table.batch.copy(), table.j.copy()
+                for op in qram._protocol(cfg, data):
+                    state.apply_gate(table, op)
+                    assert np.array_equal(table.batch, batch) and np.array_equal(table.j, j), \
+                        (n, data.mode, op)
+                res = query(cfg, address, data)
+                for r in res if address is None else [res]:
+                    assert list(r.address_bus) == sorted(r.address_bus), (n, data.mode)
+
+
+def _pinned_results(by_key: bool = False) -> str:
     """repr of the results of a fixed set of queries, one line each: every
     encoding, a classical scan and a superposed classical query for
-    n = 1-6, and a superposed quantum query for n = 1-3."""
+    n = 1-6, and a superposed quantum query for n = 1-3.  With `by_key`,
+    each `address_bus` is listed in key order, so only its values count."""
+    def keyed(r):
+        return dataclasses.replace(r, address_bus=dict(sorted(r.address_bus.items())))
+
+    def show(res):
+        if by_key:
+            res = [keyed(r) for r in res] if isinstance(res, list) else keyed(res)
+        return repr(res)
+
     rng = np.random.default_rng(2024)
     lines = []
     for enc in ALL_ENCODINGS:
         for n in range(1, 7):
             cfg = QramConfig(n=n, encoding=enc)
             data = DataRegister.classical([int(b) for b in rng.integers(0, 2, 2 ** n)])
-            lines += [repr(query(cfg, None, data)), repr(query(cfg, _unit(rng, 2 ** n), data))]
+            lines += [show(query(cfg, None, data)), show(query(cfg, _unit(rng, 2 ** n), data))]
         for n in range(1, 4):
             data = DataRegister.quantum([tuple(_unit(rng, 2)) for _ in range(2 ** n)])
-            lines.append(repr(query(QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n), data)))
+            lines.append(show(query(QramConfig(n=n, encoding=enc), _unit(rng, 2 ** n), data)))
     return "\n".join(lines)
 
 
 def test_query_results_are_pinned():
-    # every address_bus key and value, in dict order, tree_ground and
-    # max_support, bit for bit as the bus decode applied as gates (h_ge, then
-    # z_ge for hybrid, or dualrail_h) gives them: the X-basis readout forms
-    # the same products and sums
+    # every address_bus key and value, tree_ground and max_support, bit for
+    # bit as the bus decode applied as gates (h_ge, then z_ge for hybrid, or
+    # dualrail_h) gives them: the X-basis readout forms the same products
+    # and sums; PINNED_RESULTS also pins each address_bus's dict order
+    by_key = hashlib.sha256(_pinned_results(by_key=True).encode()).hexdigest()
+    assert by_key == PINNED_BY_KEY
     digest = hashlib.sha256(_pinned_results().encode()).hexdigest()
     assert digest == PINNED_RESULTS
 

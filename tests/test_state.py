@@ -245,14 +245,15 @@ def test_merge_checks_the_norm_of_each_batch():
     d = 1e-6
     t = _batched_table([0, 0, 1, 1], [((1 + d) / 2) ** 0.5] * 2 + [((1 - d) / 2) ** 0.5] * 2)
     with pytest.raises(NumericalFailureError, match="in batch 0 after"):
-        t.merge()
+        t.check()
 
 
 def test_merge_fails_a_batch_whose_rows_are_all_pruned():
-    # batch 0 holds the whole unit norm; batch 1's rows are pruned at 1e-14
+    # batch 0 holds the whole unit norm; batch 1's rows, of negligible
+    # weight, fail by their norm
     t = _batched_table([0, 0, 1, 1], [0.5 ** 0.5] * 2 + [1e-15] * 2)
-    with pytest.raises(NumericalFailureError, match="to 0.0 in batch 1 after"):
-        t.merge()
+    with pytest.raises(NumericalFailureError, match=r"norm drifted to 1\.4\d*e-15 in batch 1 after"):
+        t.check()
 
 
 def test_max_support_tracking():
@@ -326,9 +327,8 @@ def _random_table(rng, cfg, quantum, op):
             levels[c[2:]] = 0
     keys = np.unique(np.vstack([t.j, levels]), axis=1)
     amp = rng.normal(size=keys.shape[1]) + 1j * rng.normal(size=keys.shape[1])
-    t.set_rows(np.zeros(keys.shape[1], np.int64), keys[0].copy(), keys[1:].astype(np.uint8),
-               amp / np.linalg.norm(amp))
-    return t
+    return state.Table(cfg.n, fields, np.zeros(keys.shape[1], np.int64), keys[0].copy(),
+                       keys[1:].astype(np.uint8), amp / np.linalg.norm(amp))
 
 
 def _reference(t, records) -> tuple[dict, bool]:
@@ -379,24 +379,15 @@ def test_column_gate_matches_int_reference(name):
 
 @pytest.mark.parametrize("enc", [Encoding.SINGLE_RAIL, Encoding.STANDARD_DUAL_RAIL_VACUUM])
 def test_each_rows_path_bit_follows_a_merge(enc):
-    """A table's `bits` are j's bit at every tree level, row by row, after a
-    merge that reorders rows and folds duplicates."""
-    rng = np.random.default_rng(5)
+    """A table's `bits` are j's bit at every tree level, row by row, as the
+    table is built, here on rows in descending j."""
     cfg = QramConfig(n=3, encoding=enc)
-    n, std = cfg.n, enc.is_standard
+    n = cfg.n
     fields = qram._fields(cfg, False)
-    # every branch twice, in descending j, each with a random bus bit
+    # every branch twice, in descending j
     j = np.repeat(np.arange(cfg.N)[::-1], 2)
     t = state.Table(n, fields, np.zeros(len(j), np.int64), j,
-                    np.zeros((len(fields), len(j)), np.uint8),
-                    np.repeat(rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N), 2))
-    t.amp /= 2 * np.linalg.norm(t.amp[::2])  # each pair sums to a unit-norm branch
-    for i, b in enumerate(np.repeat(rng.integers(0, 2, cfg.N), 2)):
-        for f in qram._logical(std, "reg", n, b):
-            t.levels[t.col[f], i] = 1
-
-    t.merge()
-    assert len(t) == cfg.N and t.j.tolist() != sorted(t.j.tolist(), reverse=True)
+                    np.zeros((len(fields), len(j)), np.uint8), np.full(len(j), 0.25, complex))
     for level in range(n):
-        want = (t.j >> (n - 1 - level)) & 1 == 1
+        want = (j >> (n - 1 - level)) & 1 == 1
         assert np.array_equal(t.bits[level], want), level
