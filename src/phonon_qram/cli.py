@@ -138,7 +138,7 @@ def _kappa_grid(value, key: str) -> np.ndarray:
 def _control_init(value, key: str) -> tuple:
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{key} must be [alpha, beta]")
-    return tuple(_number(complex, c, key) for c in value)
+    return tuple(_amplitude(c, key) for c in value)
 
 
 def _n_range(value, key: str) -> range:
@@ -318,7 +318,7 @@ def cmd_query_sim(args) -> int:
     # record, and `params` echoes it
     records = [{
         "address_bus": [{"address_index": j, "bus": lvl, "amplitude": [a.real, a.imag]}
-                        for (j, lvl), a in sorted(res.address_bus.items())],
+                        for (j, lvl), a in res.address_bus.items()],
         "tree_ground": res.tree_ground,
         "max_support": res.max_support,
     } for res in (results if address is None else [results])]

@@ -44,7 +44,7 @@ from .qram import QramConfig
 from .qram_types import Encoding
 # nothing here builds a Schedule, but the benchmark tracer binds both names in
 # this module, and `_exposure` calls `residence_intervals` through its binding
-from .scheduling import build_schedule, residence_intervals
+from .scheduling import build_schedule, check_int, residence_intervals
 
 __all__ = [
     "NoiseModel",
@@ -248,6 +248,7 @@ def inject_loss(cfg: QramConfig, excitation: int, time_ns: float) -> TrajectoryV
     standard dual-rail loss is on rail 0 and named as `sample_trajectory`
     names one, `excitationK:rail0:medium`."""
     _check_encoding(cfg)
+    check_int(excitation, "excitation")
     if not 0 <= excitation <= cfg.n:
         raise InvalidParameterError(f"no excitation {excitation} for n={cfg.n}")
     if not 0 <= time_ns <= cfg.makespan_slots * cfg.t:
@@ -268,6 +269,7 @@ def estimate_success_prob(
 ) -> tuple[float, float]:
     """Fraction of trajectories with zero loss events, with its stderr."""
     _check_encoding(cfg)
+    trials = check_int(trials, "trials")  # numpy's bit generator advances by an int only
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     lossless = trials

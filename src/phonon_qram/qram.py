@@ -323,8 +323,9 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
         if amps.shape != (cfg.N,):
             raise InvalidParameterError(
                 f"address state needs {cfg.N} amplitudes, got shape {amps.shape}")
-        nrm = np.linalg.norm(amps)
-        if not abs(nrm - 1.0) <= 1e-9:  # NaN fails too
+        with np.errstate(over="ignore"):  # finite amplitudes can square past a float
+            nrm = np.linalg.norm(amps)
+        if not abs(nrm - 1.0) <= 1e-9:  # NaN and an overflow to inf fail too
             raise InvalidParameterError("address state not normalized")
         amps = amps / nrm  # normalised on entry: the engine holds norms to 1e-10
     n, std, quantum = cfg.n, cfg.encoding.is_standard, data.mode is DataMode.QUANTUM
@@ -356,7 +357,7 @@ def initial_state(cfg: QramConfig, address, data: DataRegister) -> state.Table:
 
 @dataclass
 class QueryResult:
-    address_bus: dict  # (j, bus_level) -> amp
+    address_bus: dict  # (j, bus_level) -> amp, keys ascending (see `_decode`)
     tree_ground: bool
     max_support: int
 
@@ -368,7 +369,8 @@ class QueryResult:
 
 def _decode(t: state.Table, encoding: Encoding, quantum: bool) -> list[QueryResult]:
     """The `QueryResult` of each batch of a final state, read from the
-    columns of all its rows at once.
+    columns of all its rows at once; in any row order, one sort of the
+    entry keys lists every `address_bus` in ascending (j, bus).
 
     j comes from the address registers, not the rows' j, so a failed
     unwind shows; a standard dual-rail bit or bus is rail 1 in |e>.  Any
@@ -376,11 +378,10 @@ def _decode(t: state.Table, encoding: Encoding, quantum: bool) -> list[QueryResu
     Classical mode reads a logical bus x in the X basis, amp/sqrt2 at
     (j, 0) and (-1)^x amp/sqrt2 at (j, 1), negated for hybrid, and a bus
     outside the logical subspace (|f>, a rail pair not one-hot) as it is;
-    it sums complex amplitudes per (j, bus) and leaves out a sum of at
-    most 1e-14.  Quantum mode leaves orthogonal data-register branches,
-    so only the weights sqrt(sum |amp|^2) are meaningful and the unit-norm
-    background sums out; phase-sensitive checks export the rows over
-    absolute slots, which the reference decoders in `tests/` do."""
+    it sums complex amplitudes per (j, bus), leaving out a sum <= 1e-14.
+    Quantum mode leaves orthogonal data-register branches, so only the
+    weights sqrt(sum |amp|^2) count and the unit-norm background sums
+    out; phase-sensitive checks use the reference decoders in `tests/`."""
     n, std = t.n, encoding.is_standard
     regs = t.levels[[t.col[_logical(std, "reg", k, 1)[0]] for k in range(n + 1)]]
     if std:
@@ -398,7 +399,7 @@ def _decode(t: state.Table, encoding: Encoding, quantum: bool) -> list[QueryResu
         amp = np.concatenate([np.where(logical, t.amp * h, t.amp),
                               t.amp * np.where(bus == 1, -h1, h1) * logical])
         key = np.concatenate([key | bus * ~logical, key | np.where(logical, 1, bus)])
-    # each key's sum (+ 0 turns a -0.0 part into 0.0), listed by its first row
+    # each key's sum (+ 0 turns a -0.0 part into 0.0), in ascending (batch, j, bus)
     order = np.argsort(key, kind="stable")
     new = np.ones(len(key), bool)  # where a run of equal sorted keys starts
     new[1:] = key[order[1:]] != key[order[:-1]]
@@ -407,10 +408,9 @@ def _decode(t: state.Table, encoding: Encoding, quantum: bool) -> list[QueryResu
     if quantum:
         total = np.sqrt(total)
     live = np.abs(total) > 1e-14
-    first, total = order[starts[live]], total[live]
-    at = np.argsort(first % len(t), kind="stable")
+    key, total = key[order[starts[live]]], total[live]
     buses: list = [{} for _ in t.max_support]
-    for k, a in zip(key[first[at]].tolist(), total[at].tolist()):
+    for k, a in zip(key.tolist(), total.tolist()):
         buses[k >> n + 2][k >> 2 & (1 << n) - 1, k & 3] = a
     tree = [i for i, f in enumerate(t.fields) if f[0] in ("ctrl", "anc", "dwg")]
     excited = np.bincount(t.batch[t.levels[tree].any(axis=0)], minlength=len(buses))

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, ResolutionError
 from .wavepackets import (
-    PulseShape,
     ReflectionResponse,
     WavePacket,
     distortion_fidelity,

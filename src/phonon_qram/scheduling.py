@@ -11,6 +11,7 @@ routed sequentially.  Idle time is attributed to transmon residence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
@@ -66,8 +67,18 @@ def start_slot(k: int, rail: int, encoding: Encoding) -> int:
     return max(k - 1, 0)
 
 
+def check_int(value, name: str) -> int:
+    """`value` as an int; `InvalidParameterError` unless it is an integer (a
+    numpy integer too), and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_nt(n: int, t: float) -> None:
-    """Raise `InvalidParameterError` unless n >= 1 and t (ns) is finite and > 0."""
+    """Raise `InvalidParameterError` unless n is an integer >= 1 and t (ns)
+    is finite and > 0."""
+    check_int(n, "n")
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     if not 0 < t < math.inf:  # NaN fails too
@@ -98,6 +109,7 @@ def residence_intervals(n: int, encoding: Encoding, t: float, k: int, rail: int 
     dual-rail) into (start, end, medium) in ns: k contiguous waveguide slots
     in from its `start_slot`, k out, and transmon residence the rest."""
     check_nt(n, t)
+    check_int(k, "excitation id")
     if not 0 <= k <= n:
         raise InvalidParameterError(f"unknown excitation id {k}")
     if rail not in encoding.rails:

@@ -63,8 +63,8 @@ class WavePacket:
             object.__setattr__(self, "shape", PulseShape(self.shape))
         except ValueError:
             raise InvalidParameterError(f"unknown pulse shape {self.shape!r}") from None
-        if not self.fwhm > 0:
-            raise InvalidParameterError(f"fwhm must be > 0, got {self.fwhm}")
+        if not 0 < self.fwhm < math.inf:  # NaN fails too
+            raise InvalidParameterError(f"fwhm must be finite and > 0, got {self.fwhm}")
 
     @property
     def width_param(self) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_qram import __version__, analytics, cli, qram
+from phonon_qram import __version__, analytics, cli, qram, router
 from phonon_qram.analytics import dephasing_sweep_rows, heralding_sweep_rows
 from phonon_qram.cli import main
 from phonon_qram.qram import DataRegister, QramConfig, trace_to_json
@@ -101,6 +101,21 @@ def test_router_sim(tmp_path):
     assert doc["fidelity"] == pytest.approx(1.0, abs=5e-3)
     assert set(doc) == {"params", "fidelity", "leakage", "error_estimate", "final_state"}
     assert 0.0 <= doc["error_estimate"] <= 1e-9
+
+
+def test_router_sim_reads_control_init_entries_as_amplitudes(tmp_path):
+    # each entry is a number or an [re, im] pair, as a query-sim amplitude is,
+    # and both forms of (0.6, 0.8i) write the same file
+    docs = []
+    for control_init in ([[0.6, 0], [0, 0.8]], [0.6, "0.8j"]):
+        assert run(tmp_path, "router-sim", config={"control_init": control_init}) == 0
+        doc = json.loads((tmp_path / "router_sim.json").read_text())
+        docs.append({k: v for k, v in doc.items() if k != "params"})
+    sim = router.simulate_routing(router.RouterSimConfig(
+        packet=WavePacket(PulseShape.GAUSSIAN, 50.0), kappa_max=200.0 * 2 * math.pi * 1e-3,
+        window=350.0, control_init=(0.6, 0.8j)))
+    assert docs[0] == docs[1]
+    assert docs[0]["fidelity"] == sim.fidelity
 
 
 def test_query_sim_scan(tmp_path):

@@ -86,6 +86,26 @@ def test_forced_loss_validation():
         inject_loss(cfg, 0, 1e9)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda v: QramConfig(n=v), id="QramConfig.n"),
+    pytest.param(lambda v: scheduling.build_schedule(v, HYB), id="build_schedule.n"),
+    pytest.param(lambda v: residence_intervals(v, HYB, 350.0, 0), id="residence_intervals.n"),
+    pytest.param(lambda v: residence_intervals(2, HYB, 350.0, v), id="residence_intervals.k"),
+    pytest.param(lambda v: inject_loss(QramConfig(n=2, encoding=HYB), v, 10.0),
+                 id="inject_loss.excitation"),
+    pytest.param(lambda v: estimate_success_prob(QramConfig(n=2, encoding=HYB),
+                                                 NoiseModel(), v, 0), id="trials"),
+])
+def test_sizes_and_ids_must_be_integers(call):
+    # a fractional size or id names no excitation and sizes no register: it
+    # is refused, not run (excitation 1.5) or left to fail later; a bool is
+    # not an integer either, and a numpy integer is one
+    for value in (1.5, 1.0, True, "1"):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call(value)
+    call(np.int64(1))
+
+
 def test_every_forced_loss_is_detected():
     # denser sweep lives in the acceptance suite; spot-check both encodings
     for enc in (HYB, STD):

@@ -122,6 +122,12 @@ def test_reference_infidelity_value():
 def test_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         WavePacket(PulseShape.GAUSSIAN, fwhm=-1.0)
+    # an infinite packet has an all-zero envelope, which routes at fidelity 0
+    # while its closed form reads 1, so it is refused, as a NaN width is
+    for shape in PulseShape:
+        for fwhm in (math.inf, math.nan, np.float64(math.inf)):
+            with pytest.raises(InvalidParameterError, match="finite and > 0"):
+                WavePacket(shape, fwhm=fwhm)
     with pytest.raises(InvalidParameterError):
         ReflectionResponse(kappa_max=0.0)
     # so long a packet's kw**2 underflows to 0: its spectrum has no float form
@@ -189,6 +195,31 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
     pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
     deps = pyproject["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in deps] == ["numpy"]
+
+
+def test_every_name_the_package_imports_is_used():
+    # a module uses each name it imports, or re-exports it in __all__;
+    # noise.build_schedule is bound only for the benchmark tracer to rebind
+    exempt = {("noise.py", "build_schedule")}
+    package = Path(wavepackets.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        unused = {name: line for name, line in imported.items()
+                  if name not in used and (path.name, name) not in exempt}
+        assert not unused, f"{path.name} imports {unused} (name: line) and never uses them"
 
 
 def _ulp_sides(x):
